@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, NumericError, StateError
+from .errors import ConfigError, DimensionError, NumericError
 
 
 @dataclass
@@ -30,23 +30,6 @@ class AttentionParams:
     @property
     def d_k(self) -> int:
         return self.a_q.shape[0]
-
-
-@dataclass
-class KernelBank:
-    """m kernel slices of shape (r_w, r_h) cut from one relation embedding."""
-
-    kernels: np.ndarray  # (m, r_w, r_h)
-
-    @property
-    def m(self) -> int:
-        return self.kernels.shape[0]
-
-
-def kernel_slices(e_r: np.ndarray, m: int, r_w: int, r_h: int) -> KernelBank:
-    """Reshape e_r to (r_w*sqrt(m), r_h*sqrt(m)) and cut sqrt(m) x sqrt(m)
-    non-overlapping blocks, row-major by block. m must be a perfect square."""
-    return KernelBank(kernels=slice_batch(np.asarray(e_r, dtype=np.float64)[None], m, r_w, r_h)[0])
 
 
 def _sqrt_m(m: int) -> int:
@@ -142,17 +125,6 @@ def attention_forward(
     )
 
 
-def attention_weights(e_h, bank: KernelBank, p_hr: float, params: AttentionParams):
-    """Single-query convenience wrapper. Returns (alpha, softmax_probs, logits)."""
-    trace = attention_forward(
-        np.asarray(e_h, dtype=np.float64)[None],
-        bank.kernels[None],
-        np.array([p_hr], dtype=np.float64),
-        params,
-    )
-    return trace.alpha[0], trace.probs[0], trace.logits[0]
-
-
 def attention_weights_backward(trace: AttentionTrace, grad_alpha: np.ndarray):
     """Exact reverse-mode gradients of alpha w.r.t. every input and parameter.
 
@@ -188,8 +160,3 @@ def attention_weights_backward(trace: AttentionTrace, grad_alpha: np.ndarray):
 
     param_grads = {"attn_q": g_a_q, "attn_k": g_a_k, "attn_v": g_a_v, "attn_u": g_u}
     return g_e_h, g_kappa, param_grads
-
-
-def check_trace(trace: AttentionTrace, params: AttentionParams) -> None:
-    if trace.params is not params:
-        raise StateError("trace was produced with different attention parameters")

@@ -9,12 +9,13 @@ trips are bit-exact.
 
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 
 from .attention import AttentionParams
-from .errors import CheckpointError
-from .model import ModelParams
+from .errors import CheckpointError, ConfigError, NumericError
+from .model import ModelConfig, ModelParams
 
 FORMAT_VERSION = 1
 
@@ -38,6 +39,34 @@ _ARRAY_ORDER = (
 _VECTOR_NAMES = frozenset(
     ("attn_v", "attn_u", "b_fc", "b_out", "bn_gamma", "bn_beta", "bn_mean", "bn_var")
 )
+
+
+def _expected_shapes(config: dict, n_entities: int, n_relations: int) -> dict:
+    """Manifest (rows, cols) of every array as the stored config implies
+    them; vectors are stored as a single row."""
+    names = {f.name for f in fields(ModelConfig)}
+    try:
+        cfg = ModelConfig(**{k: v for k, v in config.items() if k in names})
+        cfg.validate()
+    except ConfigError as exc:
+        raise CheckpointError(f"checkpoint config is invalid: {exc}") from exc
+    rr = cfg.r_w * cfg.r_h
+    return {
+        "ent": (n_entities, cfg.d_e),
+        "rel": (n_relations, cfg.d_r),
+        "attn_q": (cfg.k, cfg.d_e),
+        "attn_k": (cfg.k, rr),
+        "attn_v": (1, rr),
+        "attn_u": (1, cfg.m),
+        "w_fc": (cfg.conv_map, cfg.d_e),
+        "b_fc": (1, cfg.d_e),
+        "w_out": (cfg.d_e, cfg.d_e),
+        "b_out": (1, cfg.d_e),
+        "bn_gamma": (1, 1),
+        "bn_beta": (1, 1),
+        "bn_mean": (1, cfg.conv_map),
+        "bn_var": (1, cfg.conv_map),
+    }
 
 
 def _all_arrays(params: ModelParams) -> dict:
@@ -72,7 +101,8 @@ def save_checkpoint(path, config: dict, params: ModelParams) -> None:
 
 def load_checkpoint(path):
     """Returns (config dict, ModelParams). Raises CheckpointError on version
-    mismatch, truncation, or a malformed header."""
+    mismatch, truncation, a malformed header, array shapes that disagree
+    with the stored config, or non-finite values."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         body = fh.read()
@@ -80,12 +110,25 @@ def load_checkpoint(path):
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError("checkpoint header is not a JSON object")
     version = header.get("format_version")
     if version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint format_version {version!r}")
     manifest = header.get("manifest", {})
     if set(manifest) != set(_ARRAY_ORDER):
         raise CheckpointError("checkpoint manifest is missing arrays")
+    config = header.get("config")
+    if not isinstance(config, dict):
+        raise CheckpointError("checkpoint header lacks a config object")
+    expected = _expected_shapes(config, manifest["ent"][0], manifest["rel"][0])
+    for name in _ARRAY_ORDER:
+        rows, cols = manifest[name][:2]
+        if (rows, cols) != expected[name]:
+            want = "x".join(map(str, expected[name]))
+            raise CheckpointError(
+                f"array {name!r} is {rows}x{cols}, but the stored config implies {want}"
+            )
     arrays = {}
     total = 0
     for name in _ARRAY_ORDER:
@@ -101,7 +144,6 @@ def load_checkpoint(path):
         total = max(total, offset + nbytes)
     if total != len(body):
         raise CheckpointError("checkpoint has trailing or missing bytes")
-    config = header["config"]
     params = ModelParams(
         ent=arrays["ent"],
         rel=arrays["rel"],
@@ -121,4 +163,8 @@ def load_checkpoint(path):
         bn_mean=arrays["bn_mean"],
         bn_var=arrays["bn_var"],
     )
+    try:
+        params.check_finite()
+    except NumericError as exc:
+        raise CheckpointError(f"checkpoint holds {exc}") from exc
     return config, params

@@ -199,9 +199,23 @@ def cmd_train(args) -> int:
         "best_valid_mrr": history.best_valid_mrr,
         "test": report.as_dict(),
         "wall_ms_total": sum(history.wall_ms),
+        "environment": run_environment(),
     }
     _atomic_write(os.path.join(out_dir, "report.json"), _dump(payload, args.pretty))
     return EXIT_OK
+
+
+def run_environment() -> dict:
+    """What parameter bytes depend on beyond seed, config and data: sums in
+    BLAS calls are split by thread, so reruns are byte-identical only at a
+    fixed OPENBLAS_NUM_THREADS."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+    }
 
 
 def dataset_fingerprint(data_dir) -> str:

@@ -147,11 +147,6 @@ class TripleStore:
         return cls(vocab=vocab, train=train, valid=valid, test=test)
 
 
-def filtered_candidates(store: TripleStore, query) -> set:
-    """All tail ids known true for (h, r) in any split."""
-    return set(store.tails_by_query.get((int(query[0]), int(query[1])), set()))
-
-
 def augment_reciprocal(store: TripleStore) -> TripleStore:
     """Add (t, r_inv, h) for every (h, r, t); relation count doubles.
 
@@ -218,32 +213,6 @@ def build_priori(store: TripleStore, a: float = 2.0) -> PrioriTable:
         key = (int(h), int(r))
         freq[key] = freq.get(key, 0) + 1
     return PrioriTable(freq=freq, log_base=a)
-
-
-@dataclass
-class OneToNTarget:
-    """Smoothed multi-label target for one (head, relation) query."""
-
-    query: tuple
-    positives: set
-    smoothed: np.ndarray
-
-
-def one_to_n_targets(store: TripleStore, split: str, label_smoothing: float, n_entities: int):
-    """One target per distinct (h, r) in the split, in sorted query order.
-
-    smoothed[t] = (1 - eps) * [t is positive] + eps / n_entities
-    """
-    if not 0.0 <= label_smoothing < 1.0:
-        raise ConfigError(f"label smoothing must be in [0, 1), got {label_smoothing}")
-    grouped: dict = {}
-    for h, r, t in store.split(split):
-        grouped.setdefault((int(h), int(r)), set()).add(int(t))
-    for query in sorted(grouped):
-        positives = grouped[query]
-        smoothed = np.full(n_entities, label_smoothing / n_entities, dtype=np.float64)
-        smoothed[sorted(positives)] += 1.0 - label_smoothing
-        yield OneToNTarget(query=query, positives=positives, smoothed=smoothed)
 
 
 def smoothed_targets_matrix(queries, positives_by_query, label_smoothing, n_entities):

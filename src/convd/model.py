@@ -16,8 +16,7 @@ Probabilities are produced by the loss (sigmoid there, not here).
 """
 
 import math
-import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,8 +35,7 @@ from .errors import (
     NumericError,
     StateError,
 )
-from .kernels import conv2d_batch, conv2d_batch_backward
-from .numerics import BN_EPS, BN_MOMENTUM, dropout_mask
+from .numerics import BN_EPS, BN_MOMENTUM, conv2d_batch, conv2d_batch_backward, dropout_mask
 from .rng import RngStream
 
 ABLATION_MODES = ("full", "no_priori", "no_attention", "no_both")
@@ -84,6 +82,19 @@ class ModelConfig:
         return oh * ow
 
     def validate(self) -> None:
+        # Values arrive from JSON, where true is not 1 and 2.5 is not an int:
+        # int fields take only int, float fields int or float, bool fields
+        # only bool; the other fields take exactly their declared type.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is float:
+                ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+            elif f.type is int:
+                ok = isinstance(value, int) and not isinstance(value, bool)
+            else:
+                ok = isinstance(value, f.type)
+            if not ok:
+                raise ConfigError(f"{f.name} must be of type {f.type.__name__}, got {value!r}")
         s = math.isqrt(self.m)
         if self.m < 1 or s * s != self.m:
             raise ConfigError(f"m must be the square of a positive integer, got {self.m}")
@@ -506,16 +517,7 @@ def backward(trace: ForwardTrace, grad_logits: np.ndarray, params: ModelParams,
     # (1) input plane and raw entity rows
     g_e_h = g_plane.reshape(b, cfg.d_e) * trace.mask_in + g_e_h_attn
     np.add.at(grads["ent"], trace.h_ids, g_e_h)
-
-    _maybe_corrupt(grads)
     return grads
-
-
-def _maybe_corrupt(grads: dict) -> None:
-    # Hidden hook for the gradcheck-sensitivity test: flips one block's sign.
-    block = os.environ.get("CONVD_CORRUPT_BACKWARD")
-    if block and block in grads:
-        grads[block] *= -1.0
 
 
 def commit_running_stats(params: ModelParams, trace: ForwardTrace) -> None:

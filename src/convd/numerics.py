@@ -1,94 +1,52 @@
-"""Dense numerical primitives: convolution, softmax, batch norm, dropout
-masks, Adam, and a central-difference gradient oracle.
+"""Dense numerical primitives: convolution, dropout masks, Adam, and a
+central-difference gradient oracle.
 
 Everything is 64-bit float and referentially transparent: randomness and
 optimizer state enter only through explicit arguments, and mutation happens
 only through returned updated states.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBatchError, DimensionError, NumericError
-from .kernels import conv2d_batch
+from .errors import DimensionError, NumericError
 from .rng import RngStream
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
 
-def conv2d_valid(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Valid cross-correlation of one 2D image with one kernel, stride 1.
+def conv2d_batch(planes: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """planes (B,H,W) correlated with per-element kernels (B,kh,kw) -> (B,oh,ow).
 
-    out[i, j] = sum_{a, b} image[i + a, j + b] * kernel[a, b]
+    Valid cross-correlation, stride 1, no padding, one plane and one kernel
+    per batch element: out[b, i, j] = sum_{a, c} planes[b, i + a, j + c] *
+    kernels[b, a, c]. The loops run over kernel taps only, so the cost is
+    kh * kw vectorized slice operations per call.
     """
-    image = np.asarray(image, dtype=np.float64)
-    kernel = np.asarray(kernel, dtype=np.float64)
-    if image.ndim != 2 or kernel.ndim != 2:
-        raise DimensionError("conv2d_valid expects 2D image and kernel")
-    if kernel.shape[0] > image.shape[0] or kernel.shape[1] > image.shape[1]:
-        raise DimensionError(
-            f"kernel {kernel.shape} larger than image {image.shape}"
-        )
-    return conv2d_batch(image[None], kernel[None])[0]
+    b, h, w = planes.shape
+    _, kh, kw = kernels.shape
+    oh, ow = h - kh + 1, w - kw + 1
+    out = np.zeros((b, oh, ow), dtype=np.float64)
+    for a in range(kh):
+        for c in range(kw):
+            out += planes[:, a : a + oh, c : c + ow] * kernels[:, a, c][:, None, None]
+    return out
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Stable softmax over a 1D vector (max-subtracted)."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 1 or logits.size == 0:
-        raise DimensionError("softmax expects a non-empty 1D vector")
-    if not np.all(np.isfinite(logits)):
-        raise NumericError("softmax input must be finite")
-    shifted = logits - logits.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
-@dataclass(frozen=True)
-class BatchNormState:
-    """Scale/shift plus running statistics for one normalized feature."""
-
-    gamma: float = 1.0
-    beta: float = 0.0
-    running_mean: float = 0.0
-    running_var: float = 1.0
-    eps: float = BN_EPS
-    momentum: float = BN_MOMENTUM
-
-
-def batchnorm_apply(x: np.ndarray, state: BatchNormState, mode: str):
-    """Normalize a batch of scalar values for one feature.
-
-    Train mode uses the batch mean and (biased) variance and folds them into
-    the running statistics with the configured momentum; eval mode uses the
-    running statistics and leaves the state untouched. Returns (y, new_state).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise DimensionError("batchnorm_apply expects a 1D batch of values")
-    if mode == "train":
-        if x.size < 2:
-            raise DegenerateBatchError("train-mode batch norm needs batch size >= 2")
-        mean = x.mean()
-        var = x.var()
-        y = state.gamma * (x - mean) / np.sqrt(var + state.eps) + state.beta
-        new_state = replace(
-            state,
-            running_mean=(1 - state.momentum) * state.running_mean + state.momentum * mean,
-            running_var=(1 - state.momentum) * state.running_var + state.momentum * var,
-        )
-        return y, new_state
-    if mode == "eval":
-        y = (
-            state.gamma
-            * (x - state.running_mean)
-            / np.sqrt(state.running_var + state.eps)
-            + state.beta
-        )
-        return y, state
-    raise ValueError(f"unknown batch norm mode {mode!r}")
+def conv2d_batch_backward(planes, kernels, grad_out):
+    """Gradients of conv2d_batch w.r.t. planes and kernels."""
+    b, h, w = planes.shape
+    _, kh, kw = kernels.shape
+    _, oh, ow = grad_out.shape
+    grad_planes = np.zeros_like(planes)
+    grad_kernels = np.zeros_like(kernels)
+    for a in range(kh):
+        for c in range(kw):
+            grad_planes[:, a : a + oh, c : c + ow] += grad_out * kernels[:, a, c][:, None, None]
+            grad_kernels[:, a, c] = np.sum(grad_out * planes[:, a : a + oh, c : c + ow], axis=(1, 2))
+    return grad_planes, grad_kernels
 
 
 def dropout_mask(rng: RngStream, p: float, n: int) -> np.ndarray:

@@ -51,9 +51,6 @@ class RngStream:
         with np.errstate(over="ignore"):
             self._key = np.uint64(_finalize(mixed * _GOLDEN + _GOLDEN))
 
-    def clone(self) -> "RngStream":
-        return RngStream(self.master_seed, self.label, self.counter)
-
     def raw(self, n: int) -> np.ndarray:
         """Next n raw 64-bit words; advances the counter by n."""
         idx = np.arange(self.counter, self.counter + n, dtype=np.uint64)

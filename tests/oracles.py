@@ -6,8 +6,11 @@ tiny instances.
 """
 
 import math
+from dataclasses import dataclass, replace
 
 import numpy as np
+
+from convd.errors import DegenerateBatchError, DimensionError
 
 
 def oracle_conv2d(image, kernel):
@@ -23,6 +26,51 @@ def oracle_conv2d(image, kernel):
                     acc += image[i + a][j + b] * kernel[a][b]
             out[i, j] = acc
     return out
+
+
+@dataclass(frozen=True)
+class BatchNormState:
+    """Scale/shift plus running statistics for one normalized feature."""
+
+    gamma: float = 1.0
+    beta: float = 0.0
+    running_mean: float = 0.0
+    running_var: float = 1.0
+    eps: float = 1e-5
+    momentum: float = 0.1
+
+
+def batchnorm_apply(x, state: BatchNormState, mode: str):
+    """Per-feature batch norm of a 1D batch of scalars. Returns (y, new_state).
+
+    Train mode uses the batch mean and (biased) variance and folds them into
+    the running statistics with the momentum; eval mode uses the running
+    statistics and leaves the state untouched.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise DimensionError("batchnorm_apply expects a 1D batch of values")
+    if mode == "train":
+        if x.size < 2:
+            raise DegenerateBatchError("train-mode batch norm needs batch size >= 2")
+        mean = x.mean()
+        var = x.var()
+        y = state.gamma * (x - mean) / np.sqrt(var + state.eps) + state.beta
+        new_state = replace(
+            state,
+            running_mean=(1 - state.momentum) * state.running_mean + state.momentum * mean,
+            running_var=(1 - state.momentum) * state.running_var + state.momentum * var,
+        )
+        return y, new_state
+    if mode == "eval":
+        y = (
+            state.gamma
+            * (x - state.running_mean)
+            / np.sqrt(state.running_var + state.eps)
+            + state.beta
+        )
+        return y, state
+    raise ValueError(f"unknown batch norm mode {mode!r}")
 
 
 def oracle_kernel_slices(e_r, m, r_w, r_h):

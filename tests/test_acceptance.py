@@ -7,7 +7,6 @@ import time
 import numpy as np
 import pytest
 
-from convd.attention import attention_weights, kernel_slices
 from convd.checkpoint import load_checkpoint, save_checkpoint
 from convd.cli import gradcheck_table, main
 from convd.data import (
@@ -17,13 +16,13 @@ from convd.data import (
     generate_toy_kg,
 )
 from convd.evaluation import constant_scorer_mrr, evaluate, run_ablation, run_fraction_sweep
-from convd.kernels import conv2d_batch
 from convd.model import (
     ModelConfig,
     count_parameters,
     forward_score,
     init_params,
 )
+from convd.numerics import conv2d_batch
 from convd.rng import RngStream
 from convd.training import TrainConfig, train
 
@@ -112,17 +111,17 @@ def test_criterion_03_dynamic_conv_decomposition():
 
 def test_criterion_04_softmax_shift_degeneracy():
     with _criterion(4, "constant u is a bit-level no-op; learned u reacts to lambda"):
-        from test_attention import make_params, D_E, D_R, M, R_W, R_H
+        from test_attention import attend_one, bank_of, make_params, D_E, D_R, M, R_W, R_H
 
         draw = RngStream(404, "shift")
         # Constant u: alpha bit-identical across lambda and priori values.
         for trial in range(50):
             e_h = draw.uniform_signed(D_E, 1.0)
-            bank = kernel_slices(draw.uniform_signed(D_R, 1.0), M, R_W, R_H)
+            bank = bank_of(draw.uniform_signed(D_R, 1.0), M, R_W, R_H)
             ref = None
             for lam, p_hr in ((0.0, 0.0), (0.1, 1.0), (0.4, 5.0)):
                 params = make_params(seed=trial, lam=lam, u=np.full(M, 0.37))
-                alpha, _, _ = attention_weights(e_h, bank, p_hr, params)
+                alpha, _, _ = attend_one(e_h, bank, p_hr, params)
                 if ref is None:
                     ref = alpha
                 else:
@@ -131,10 +130,10 @@ def test_criterion_04_softmax_shift_degeneracy():
         changed = 0
         for trial in range(100):
             e_h = draw.uniform_signed(D_E, 1.0)
-            bank = kernel_slices(draw.uniform_signed(D_R, 1.0), M, R_W, R_H)
+            bank = bank_of(draw.uniform_signed(D_R, 1.0), M, R_W, R_H)
             p_hr = 0.5 + float(draw.uniform(1)[0] * 3.0)
-            a1, _, _ = attention_weights(e_h, bank, p_hr, make_params(seed=trial, lam=0.1))
-            a2, _, _ = attention_weights(e_h, bank, p_hr, make_params(seed=trial, lam=0.4))
+            a1, _, _ = attend_one(e_h, bank, p_hr, make_params(seed=trial, lam=0.1))
+            a2, _, _ = attend_one(e_h, bank, p_hr, make_params(seed=trial, lam=0.4))
             changed += not np.array_equal(a1, a2)
         assert changed >= 99, changed
 

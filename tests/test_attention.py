@@ -4,9 +4,7 @@ import pytest
 from convd.attention import (
     AttentionParams,
     attention_forward,
-    attention_weights,
     attention_weights_backward,
-    kernel_slices,
     slice_batch,
     unslice_batch,
 )
@@ -32,19 +30,30 @@ def make_params(seed=0, lam=0.1, u=None):
     )
 
 
+def bank_of(e_r, m, r_w, r_h):
+    """The (m, r_w, r_h) kernel bank of one relation row."""
+    return slice_batch(np.asarray(e_r, dtype=np.float64)[None], m, r_w, r_h)[0]
+
+
+def attend_one(e_h, bank, p_hr, params):
+    """attention_forward on a batch of one. Returns (alpha, probs, logits)."""
+    trace = attention_forward(np.asarray(e_h)[None], bank[None], np.array([p_hr]), params)
+    return trace.alpha[0], trace.probs[0], trace.logits[0]
+
+
 class TestKernelSlices:
     def test_m_one_is_full_reshape(self):
         e_r = np.arange(6.0)
-        bank = kernel_slices(e_r, 1, 2, 3)
-        assert np.array_equal(bank.kernels[0], e_r.reshape(2, 3))
+        bank = bank_of(e_r, 1, 2, 3)
+        assert np.array_equal(bank[0], e_r.reshape(2, 3))
 
     def test_index_arithmetic_case(self):
-        bank = kernel_slices(np.arange(16.0), 4, 2, 2)
+        bank = bank_of(np.arange(16.0), 4, 2, 2)
         expected = oracle_kernel_slices(np.arange(16.0), 4, 2, 2)
-        for got, want in zip(bank.kernels, expected):
+        for got, want in zip(bank, expected):
             assert np.array_equal(got, want)
-        assert np.array_equal(bank.kernels[0], [[0, 1], [4, 5]])
-        assert np.array_equal(bank.kernels[3], [[10, 11], [14, 15]])
+        assert np.array_equal(bank[0], [[0, 1], [4, 5]])
+        assert np.array_equal(bank[3], [[10, 11], [14, 15]])
 
     def test_partition_round_trip_bit_exact(self):
         rng = RngStream(3, "x")
@@ -55,36 +64,35 @@ class TestKernelSlices:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigError):
-            kernel_slices(np.arange(15.0), 4, 2, 2)
+            bank_of(np.arange(15.0), 4, 2, 2)
 
     def test_non_square_m(self):
         with pytest.raises(ConfigError):
-            kernel_slices(np.arange(12.0), 3, 2, 2)
+            bank_of(np.arange(12.0), 3, 2, 2)
 
 
 class TestAttentionWeights:
     def test_identical_kernels_lambda_zero_gives_uniform(self):
         params = make_params(lam=0.0)
         block = np.arange(4.0).reshape(2, 2)
-        bank = kernel_slices(np.tile(block.reshape(-1), (2, 2)).reshape(-1), M, R_W, R_H)
         # Build e_r so all four slices are the same block.
         grid = np.block([[block, block], [block, block]])
-        bank = kernel_slices(grid.reshape(-1), M, R_W, R_H)
-        for k in bank.kernels:
-            assert np.array_equal(k, bank.kernels[0])
+        bank = bank_of(grid.reshape(-1), M, R_W, R_H)
+        for k in bank:
+            assert np.array_equal(k, bank[0])
         e_h = RngStream(1, "e").uniform(D_E)
-        alpha, probs, _ = attention_weights(e_h, bank, 1.5, params)
+        alpha, probs, _ = attend_one(e_h, bank, 1.5, params)
         assert np.allclose(probs, 0.25, atol=1e-12)
         assert np.allclose(alpha, alpha[0], atol=1e-12)
 
     def test_constant_u_shift_invariance_is_bit_level(self):
         e_h = RngStream(2, "e").uniform(D_E)
         e_r = RngStream(2, "r").uniform(D_R)
-        bank = kernel_slices(e_r, M, R_W, R_H)
+        bank = bank_of(e_r, M, R_W, R_H)
         results = []
         for lam, p_hr in ((0.0, 0.0), (0.1, 2.0), (0.4, 7.3)):
             params = make_params(lam=lam, u=np.full(M, 0.37))
-            alpha, probs, _ = attention_weights(e_h, bank, p_hr, params)
+            alpha, probs, _ = attend_one(e_h, bank, p_hr, params)
             results.append((alpha, probs))
         for alpha, probs in results[1:]:
             assert np.array_equal(alpha, results[0][0])
@@ -92,9 +100,9 @@ class TestAttentionWeights:
 
     def test_learned_u_reacts_to_lambda(self):
         e_h = RngStream(4, "e").uniform(D_E)
-        bank = kernel_slices(RngStream(4, "r").uniform(D_R), M, R_W, R_H)
-        a1, _, _ = attention_weights(e_h, bank, 2.0, make_params(lam=0.1))
-        a2, _, _ = attention_weights(e_h, bank, 2.0, make_params(lam=0.4))
+        bank = bank_of(RngStream(4, "r").uniform(D_R), M, R_W, R_H)
+        a1, _, _ = attend_one(e_h, bank, 2.0, make_params(lam=0.1))
+        a2, _, _ = attend_one(e_h, bank, 2.0, make_params(lam=0.4))
         assert not np.allclose(a1, a2)
 
     def test_tiny_config_against_oracle(self):
@@ -102,8 +110,8 @@ class TestAttentionWeights:
         e_h = rng.uniform_signed(D_E, 1.0)
         e_r = rng.uniform_signed(D_R, 1.0)
         params = make_params(seed=9, lam=0.1)
-        bank = kernel_slices(e_r, M, R_W, R_H)
-        alpha, probs, logits = attention_weights(e_h, bank, 2.0, params)
+        bank = bank_of(e_r, M, R_W, R_H)
+        alpha, probs, logits = attend_one(e_h, bank, 2.0, params)
         o_alpha, o_probs, o_logits = oracle_attention(
             e_h, e_r, M, R_W, R_H, params.a_q, params.a_k, params.a_v, params.u,
             params.lam, 2.0,
@@ -116,8 +124,8 @@ class TestAttentionWeights:
         rng = RngStream(10, "d")
         for trial in range(20):
             e_h = rng.uniform_signed(D_E, 2.0)
-            bank = kernel_slices(rng.uniform_signed(D_R, 2.0), M, R_W, R_H)
-            _, probs, _ = attention_weights(e_h, bank, rng.uniform(1)[0], make_params(seed=trial))
+            bank = bank_of(rng.uniform_signed(D_R, 2.0), M, R_W, R_H)
+            _, probs, _ = attend_one(e_h, bank, rng.uniform(1)[0], make_params(seed=trial))
             assert abs(probs.sum() - 1.0) < 1e-12
             assert np.all(probs >= 0)
 
@@ -207,8 +215,8 @@ class TestAttentionBackward:
     def test_lambda_zero_ignores_priori(self):
         rng = RngStream(8, "p")
         e_h = rng.uniform_signed(D_E, 1.0)
-        bank = kernel_slices(rng.uniform_signed(D_R, 1.0), M, R_W, R_H)
+        bank = bank_of(rng.uniform_signed(D_R, 1.0), M, R_W, R_H)
         params = make_params(lam=0.0)
-        a1, p1, l1 = attention_weights(e_h, bank, 0.0, params)
-        a2, p2, l2 = attention_weights(e_h, bank, 123.0, params)
+        a1, p1, l1 = attend_one(e_h, bank, 0.0, params)
+        a2, p2, l2 = attend_one(e_h, bank, 123.0, params)
         assert np.array_equal(a1, a2) and np.array_equal(p1, p2) and np.array_equal(l1, l2)

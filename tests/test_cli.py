@@ -1,10 +1,17 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import convd.cli
+from convd.checkpoint import load_checkpoint
 from convd.cli import main
+from convd.errors import CheckpointError
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 TRAIN_KEYS = dict(
     d_w=6, d_h=6, r_w=2, r_h=2, m=4, k=8,
@@ -62,12 +69,36 @@ class TestTrainCommand:
         assert (outs[0] / "metrics.jsonl").read_bytes() == (outs[1] / "metrics.jsonl").read_bytes()
         # Checkpoint headers embed the (distinct) output paths; the learned
         # arrays themselves must match bit for bit.
-        from convd.checkpoint import load_checkpoint
-
         _, p1 = load_checkpoint(str(outs[0] / "best.ckpt"))
         _, p2 = load_checkpoint(str(outs[1] / "best.ckpt"))
         for name, arr in p1.named_arrays().items():
             assert np.array_equal(arr, p2.named_arrays()[name]), name
+
+    def test_rerun_at_pinned_blas_threads_is_byte_identical(self, tmp_path, toy_dir):
+        # Parameter bytes depend on the BLAS thread count, so the promise is
+        # made, and tested, at a fixed OPENBLAS_NUM_THREADS.
+        cfg_path = write_config(tmp_path / "c.json", data_dir=toy_dir,
+                                output_dir=str(tmp_path / "o"), max_epochs=4)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        runs = []
+        for _ in range(2):
+            subprocess.run([sys.executable, "-m", "convd.cli", "train", "--config", cfg_path],
+                           env=env, check=True, timeout=300)
+            runs.append({name: (tmp_path / "o" / name).read_bytes()
+                         for name in ("metrics.jsonl", "best.ckpt")})
+        assert runs[0] == runs[1]
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["environment"]["OPENBLAS_NUM_THREADS"] == "1"
+
+    @pytest.mark.parametrize("override", [
+        'm="4"', "batch_size=1.5", "max_epochs=null", 'lr="fast"', "eval_every=2.5",
+    ])
+    def test_mistyped_value_exits_2(self, tmp_path, toy_dir, capsys, override):
+        cfg_path = write_config(tmp_path / "c.json", data_dir=toy_dir,
+                                output_dir=str(tmp_path / "o"))
+        assert main(["train", "--config", cfg_path, "--set", override]) == 2
+        assert "config error:" in capsys.readouterr().err
 
     def test_non_square_m_exits_2(self, tmp_path, toy_dir):
         cfg_path = write_config(tmp_path / "c.json", m=3, data_dir=toy_dir,
@@ -126,6 +157,36 @@ class TestEvalCommand:
         assert main(["eval", "--checkpoint", str(bad), "--out", str(out)]) == 5
         assert not out.exists()
 
+    def _edited(self, trained, tmp_path, config=None, first_value=None):
+        """A copy of the trained checkpoint with header config keys replaced
+        and/or the first stored float (ent[0, 0]) overwritten."""
+        _, out_dir = trained
+        header, body = open(os.path.join(out_dir, "best.ckpt"), "rb").read().split(b"\n", 1)
+        doc = json.loads(header)
+        doc["config"].update(config or {})
+        if first_value is not None:
+            body = np.array([first_value], dtype="<f8").tobytes() + body[8:]
+        bad = tmp_path / "edited.ckpt"
+        bad.write_bytes(json.dumps(doc).encode() + b"\n" + body)
+        return str(bad)
+
+    def test_config_shape_mismatch_exits_5(self, trained, tmp_path):
+        # d_e stays 36, but the 4x9 plane gives 24 conv features, not 25.
+        bad = self._edited(trained, tmp_path, config={"d_w": 4, "d_h": 9})
+        with pytest.raises(CheckpointError, match="w_fc"):
+            load_checkpoint(bad)
+        out = tmp_path / "report.json"
+        assert main(["eval", "--checkpoint", bad, "--out", str(out)]) == 5
+        assert not out.exists()
+
+    def test_non_finite_array_exits_5(self, trained, tmp_path):
+        bad = self._edited(trained, tmp_path, first_value=np.nan)
+        with pytest.raises(CheckpointError, match="ent"):
+            load_checkpoint(bad)
+        out = tmp_path / "report.json"
+        assert main(["eval", "--checkpoint", bad, "--out", str(out)]) == 5
+        assert not out.exists()
+
 
 class TestPredictCommand:
     def test_full_ranking_scores_non_increasing(self, trained, capsys):
@@ -163,7 +224,14 @@ class TestGradcheckCommand:
         assert all(b["max_rel_error"] <= 1e-4 for b in table["blocks"])
 
     def test_corrupted_backward_exits_6(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("CONVD_CORRUPT_BACKWARD", "w_fc")
+        exact = convd.cli.backward
+
+        def flipped(*args, **kwargs):
+            grads = exact(*args, **kwargs)
+            grads["w_fc"] = -grads["w_fc"]
+            return grads
+
+        monkeypatch.setattr(convd.cli, "backward", flipped)
         assert main(["gradcheck", "--config", self._config(tmp_path)]) == 6
         out = capsys.readouterr()
         assert "w_fc" in out.err

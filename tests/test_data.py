@@ -9,10 +9,9 @@ from convd.data import (
     Vocab,
     augment_reciprocal,
     build_priori,
-    filtered_candidates,
     generate_toy_kg,
     load_triples,
-    one_to_n_targets,
+    smoothed_targets_matrix,
     write_splits,
 )
 from convd.errors import ConfigError, DataError, GenerationError, StateError
@@ -184,56 +183,65 @@ class TestPriori:
             build_priori(make_store([("a", "r", "b")]), a=1.0)
 
 
+def train_targets(store, eps, n_entities):
+    """Sorted queries and their smoothed 1-N target rows. The stores here
+    hold train triples only, so tails_by_query is the train grouping."""
+    queries = sorted(store.tails_by_query)
+    return queries, smoothed_targets_matrix(queries, store.tails_by_query, eps, n_entities)
+
+
 class TestOneToN:
     def test_zero_smoothing_is_indicator(self):
         store = make_store([("a", "r", "b")])
-        target = next(one_to_n_targets(store, "train", 0.0, store.n_entities))
-        assert set(np.unique(target.smoothed)) == {0.0, 1.0}
+        _, targets = train_targets(store, 0.0, store.n_entities)
+        assert set(np.unique(targets[0])) == {0.0, 1.0}
 
     def test_smoothing_values(self):
         store = make_store([("a", "r", "b")])
-        targets = list(one_to_n_targets(store, "train", 0.1, 10))
-        smoothed = targets[0].smoothed
+        _, targets = train_targets(store, 0.1, 10)
+        smoothed = targets[0]
         assert smoothed[store.vocab.entity_to_id["b"]] == pytest.approx(0.91)
         others = np.delete(smoothed, store.vocab.entity_to_id["b"])
         assert np.allclose(others, 0.01)
 
     def test_grouping(self):
         store = make_store([("a", "r", "b"), ("a", "r", "c")])
-        targets = list(one_to_n_targets(store, "train", 0.1, store.n_entities))
-        assert len(targets) == 1
-        assert len(targets[0].positives) == 2
+        queries, targets = train_targets(store, 0.1, store.n_entities)
+        assert len(queries) == 1 and targets.shape[0] == 1
+        assert np.count_nonzero(targets[0] > 0.5) == 2
 
     def test_min_max_invariant(self):
         store = make_store([("a", "r", "b"), ("a", "s", "c"), ("b", "r", "c")])
         eps, n = 0.1, store.n_entities
-        for target in one_to_n_targets(store, "train", eps, n):
-            assert target.smoothed.min() == pytest.approx(eps / n)
-            assert target.smoothed.max() == pytest.approx(1 - eps + eps / n)
-            expected_sum = len(target.positives) * (1 - eps) + eps
-            assert target.smoothed.sum() == pytest.approx(expected_sum)
+        queries, targets = train_targets(store, eps, n)
+        for query, smoothed in zip(queries, targets):
+            assert smoothed.min() == pytest.approx(eps / n)
+            assert smoothed.max() == pytest.approx(1 - eps + eps / n)
+            expected_sum = len(store.tails_by_query[query]) * (1 - eps) + eps
+            assert smoothed.sum() == pytest.approx(expected_sum)
 
 
 class TestFilteredCandidates:
     def test_empty(self):
         store = make_store([("a", "r", "b")])
-        assert filtered_candidates(store, (1, 0)) in (set(),) or True
-        assert filtered_candidates(store, (99, 99)) == set()
+        eid = store.vocab.entity_to_id
+        assert store.tails_by_query.get((eid["b"], 0), set()) == set()
+        assert store.tails_by_query.get((99, 99), set()) == set()
 
     def test_union_across_splits(self):
         store = make_store(
             [("h", "r", "t1")], test=[("h", "r", "t2")]
         )
         eid = store.vocab.entity_to_id
-        got = filtered_candidates(store, (eid["h"], 0))
+        got = store.tails_by_query[(eid["h"], 0)]
         assert got == {eid["t1"], eid["t2"]}
 
     def test_split_independence(self):
         in_train = make_store([("h", "r", "t")])
         in_test = make_store([("x", "r", "y")], test=[("h", "r", "t")])
         eid1, eid2 = in_train.vocab.entity_to_id, in_test.vocab.entity_to_id
-        assert filtered_candidates(in_train, (eid1["h"], 0)) == {eid1["t"]}
-        assert filtered_candidates(in_test, (eid2["h"], 0)) == {eid2["t"]}
+        assert in_train.tails_by_query[(eid1["h"], 0)] == {eid1["t"]}
+        assert in_test.tails_by_query[(eid2["h"], 0)] == {eid2["t"]}
 
 
 class TestToyKg:

@@ -3,7 +3,6 @@ import pytest
 
 from convd.data import PrioriTable
 from convd.errors import ConfigError, DegenerateBatchError, DimensionError, StateError
-from convd.kernels import conv2d_batch
 from convd.model import (
     backward,
     count_parameters,
@@ -13,12 +12,12 @@ from convd.model import (
     kernel_fraction_mask,
     score_plain_conv,
 )
-from convd.numerics import BatchNormState, batchnorm_apply, finite_diff_grad
+from convd.numerics import conv2d_batch, finite_diff_grad
 from convd.rng import RngStream, stream_bundle
 from convd.training import DROPOUT_LABELS, bce_loss
 
 from conftest import TINY_ENTITIES, TINY_RELATIONS, rel_err, tiny_config, tiny_params
-from oracles import oracle_forward, oracle_plain_conv
+from oracles import BatchNormState, batchnorm_apply, oracle_forward, oracle_plain_conv
 
 PRIORI = PrioriTable(freq={(0, 0): 3, (2, 1): 5, (5, 2): 1, (1, 0): 2}, log_base=2.0)
 

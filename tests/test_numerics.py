@@ -1,30 +1,47 @@
 import numpy as np
 import pytest
 
-from convd.errors import DegenerateBatchError, DimensionError, NumericError
+from convd.attention import AttentionParams, attention_forward
+from convd.errors import ConfigError, DegenerateBatchError, DimensionError, NumericError
+from convd.model import ModelConfig
 from convd.numerics import (
-    BatchNormState,
     adam_init,
     adam_step,
-    batchnorm_apply,
-    conv2d_valid,
+    conv2d_batch,
     dropout_mask,
     finite_diff_grad,
-    softmax,
 )
 from convd.rng import RngStream
 
-from oracles import oracle_adam_scalar, oracle_conv2d
+from oracles import BatchNormState, batchnorm_apply, oracle_adam_scalar, oracle_conv2d
+
+
+def conv_one(image, kernel):
+    """One image and one kernel through the batched convolution."""
+    image = np.asarray(image, dtype=np.float64)
+    kernel = np.asarray(kernel, dtype=np.float64)
+    return conv2d_batch(image[None], kernel[None])[0]
+
+
+def attention_probs(logits):
+    """Attention probabilities whose logits are exactly `logits`: the query
+    projection is zero, so each logit is the priori bias 1 * 1 * u_i."""
+    u = np.asarray(logits, dtype=np.float64)
+    params = AttentionParams(
+        a_q=np.zeros((1, 1)), a_k=np.zeros((1, 1)), a_v=np.ones(1), u=u, lam=1.0
+    )
+    trace = attention_forward(np.zeros((1, 1)), np.zeros((1, u.size, 1, 1)), np.ones(1), params)
+    return trace.probs[0]
 
 
 class TestConv2d:
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
         image = rng.normal(size=(5, 6))
-        assert np.array_equal(conv2d_valid(image, [[1.0]]), image)
+        assert np.array_equal(conv_one(image, [[1.0]]), image)
 
     def test_zero_input(self):
-        out = conv2d_valid(np.zeros((4, 4)), np.ones((2, 2)))
+        out = conv_one(np.zeros((4, 4)), np.ones((2, 2)))
         assert out.shape == (3, 3)
         assert np.all(out == 0)
 
@@ -33,7 +50,7 @@ class TestConv2d:
         kernel = [[1, 0], [0, 1]]
         expected = oracle_conv2d(image, kernel)
         assert np.array_equal(expected, [[6, 8], [12, 14]])
-        assert np.array_equal(conv2d_valid(image, kernel), expected)
+        assert np.array_equal(conv_one(image, kernel), expected)
 
     def test_random_against_oracle(self):
         rng = np.random.default_rng(1)
@@ -43,7 +60,7 @@ class TestConv2d:
             kw = rng.integers(1, image.shape[1] + 1)
             kernel = rng.normal(size=(kh, kw))
             assert np.allclose(
-                conv2d_valid(image, kernel), oracle_conv2d(image, kernel), atol=1e-12
+                conv_one(image, kernel), oracle_conv2d(image, kernel), atol=1e-12
             )
 
     def test_bilinearity(self):
@@ -54,46 +71,48 @@ class TestConv2d:
             k = rng.normal(size=(3, 2))
             k2 = rng.normal(size=(3, 2))
             a, b = rng.normal(size=2)
-            lhs = conv2d_valid(a * x + b * y, k)
-            rhs = a * conv2d_valid(x, k) + b * conv2d_valid(y, k)
+            lhs = conv_one(a * x + b * y, k)
+            rhs = a * conv_one(x, k) + b * conv_one(y, k)
             assert np.allclose(lhs, rhs, atol=1e-10)
-            lhs_k = conv2d_valid(x, a * k + b * k2)
-            rhs_k = a * conv2d_valid(x, k) + b * conv2d_valid(x, k2)
+            lhs_k = conv_one(x, a * k + b * k2)
+            rhs_k = a * conv_one(x, k) + b * conv_one(x, k2)
             assert np.allclose(lhs_k, rhs_k, atol=1e-10)
 
     def test_kernel_larger_than_image_raises(self):
-        with pytest.raises(DimensionError):
-            conv2d_valid(np.ones((2, 2)), np.ones((3, 3)))
+        # The convolution itself does not check; the config guards every caller.
+        with pytest.raises(ConfigError):
+            ModelConfig(d_w=2, d_h=2, r_w=3, r_h=3, m=1).validate()
 
 
 class TestSoftmax:
     def test_uniform_logits(self):
         for c in (-3.0, 0.0, 17.5):
-            assert np.allclose(softmax(np.full(4, c)), 0.25, atol=1e-15)
+            assert np.allclose(attention_probs(np.full(4, c)), 0.25, atol=1e-15)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=9)
         for c in (-100.0, 0.5, 1234.0):
-            assert np.allclose(softmax(x + c), softmax(x), atol=1e-12)
+            assert np.allclose(attention_probs(x + c), attention_probs(x), atol=1e-12)
 
     def test_closed_form(self):
-        assert np.allclose(softmax(np.array([0.0, np.log(3.0)])), [0.25, 0.75], atol=1e-15)
+        assert np.allclose(attention_probs(np.array([0.0, np.log(3.0)])), [0.25, 0.75], atol=1e-15)
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
-            s = softmax(rng.normal(size=rng.integers(1, 30)) * 50)
+            s = attention_probs(rng.normal(size=rng.integers(1, 30)) * 50)
             assert abs(s.sum() - 1.0) < 1e-12
             assert np.all(s >= 0)
 
     def test_empty_rejected(self):
-        with pytest.raises(DimensionError):
-            softmax(np.array([]))
+        # An empty kernel set never reaches the softmax: m >= 1 is a config rule.
+        with pytest.raises(ConfigError):
+            ModelConfig(m=0).validate()
 
     def test_non_finite_rejected(self):
         with pytest.raises(NumericError):
-            softmax(np.array([0.0, np.inf]))
+            attention_probs(np.array([0.0, np.inf]))
 
 
 class TestBatchNorm:
