@@ -25,7 +25,6 @@ class AttentionParams:
     a_k: np.ndarray  # (k, r_w * r_h)
     a_v: np.ndarray  # (r_w * r_h,)
     u: np.ndarray  # (m,)
-    lam: float = 0.1
 
     @property
     def d_k(self) -> int:
@@ -72,6 +71,7 @@ class AttentionTrace:
     alpha: np.ndarray  # (B, m); inactive entries 0
     active: np.ndarray  # active kernel indices
     params: AttentionParams
+    lam: float  # priori weight the logits were biased with
 
 
 def attention_forward(
@@ -79,6 +79,7 @@ def attention_forward(
     banks: np.ndarray,
     p_hr: np.ndarray,
     params: AttentionParams,
+    lam: float,
     active: np.ndarray | None = None,
 ) -> AttentionTrace:
     """Batched attention over (B, d_e) entities and (B, m, r_w, r_h) banks.
@@ -97,8 +98,8 @@ def attention_forward(
     values = kappa @ params.a_v  # (B, m)
     logits = np.einsum("bk,bmk->bm", q, keys) / math.sqrt(params.d_k)
     u = params.u
-    if params.lam != 0.0 and u[active].max() != u[active].min():
-        logits = logits + params.lam * np.asarray(p_hr)[:, None] * u[None, :]
+    if lam != 0.0 and u[active].max() != u[active].min():
+        logits = logits + lam * np.asarray(p_hr)[:, None] * u[None, :]
     if not np.all(np.isfinite(logits)):
         raise NumericError("non-finite attention logits")
     sub = logits[:, active]
@@ -122,6 +123,7 @@ def attention_forward(
         alpha=alpha,
         active=np.asarray(active),
         params=params,
+        lam=lam,
     )
 
 
@@ -148,7 +150,7 @@ def attention_weights_backward(trace: AttentionTrace, grad_alpha: np.ndarray):
 
     g_q = np.einsum("bm,bmk->bk", g_logits, trace.keys) * scale
     g_keys = g_logits[:, :, None] * trace.q[:, None, :] * scale
-    lam_p = params.lam * trace.p_hr
+    lam_p = trace.lam * trace.p_hr
     g_u = np.einsum("b,bm->m", lam_p, g_logits)
 
     g_e_h = g_q @ params.a_q

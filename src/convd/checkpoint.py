@@ -2,9 +2,10 @@
 
 One UTF-8 JSON header line {format_version, config, manifest} terminated by
 a single LF, followed by the raw little-endian float64 arrays concatenated
-in manifest order. The manifest maps array name -> [rows, cols, byte offset
-into the binary section]; 1-D arrays are stored as a single row. Round
-trips are bit-exact.
+in manifest order. The arrays, their order and their shapes are those of
+model.param_layout under the stored config. The manifest maps array name ->
+[rows, cols, byte offset into the binary section]; 1-D arrays are stored as
+a single row. Round trips are bit-exact.
 """
 
 import json
@@ -13,75 +14,54 @@ from dataclasses import fields
 
 import numpy as np
 
-from .attention import AttentionParams
 from .errors import CheckpointError, ConfigError, NumericError
-from .model import ModelConfig, ModelParams
+from .model import ModelConfig, ModelParams, param_layout
 
 FORMAT_VERSION = 1
 
-_ARRAY_ORDER = (
-    "ent",
-    "rel",
-    "attn_q",
-    "attn_k",
-    "attn_v",
-    "attn_u",
-    "w_fc",
-    "b_fc",
-    "w_out",
-    "b_out",
-    "bn_gamma",
-    "bn_beta",
-    "bn_mean",
-    "bn_var",
-)
 
-_VECTOR_NAMES = frozenset(
-    ("attn_v", "attn_u", "b_fc", "b_out", "bn_gamma", "bn_beta", "bn_mean", "bn_var")
-)
+def _stored_shape(shape) -> list:
+    """Manifest [rows, cols] of an array shape: a vector is one row."""
+    return [1, shape[0]] if len(shape) == 1 else list(shape)
 
 
-def _expected_shapes(config: dict, n_entities: int, n_relations: int) -> dict:
-    """Manifest (rows, cols) of every array as the stored config implies
-    them; vectors are stored as a single row."""
+def _check_layout(config: dict, stored: dict) -> dict:
+    """The param_layout that `config` implies for the entity and relation
+    tables in `stored` (array name -> manifest [rows, cols]). Raises
+    CheckpointError unless `stored` holds exactly its arrays and shapes."""
     names = {f.name for f in fields(ModelConfig)}
     try:
         cfg = ModelConfig(**{k: v for k, v in config.items() if k in names})
         cfg.validate()
     except ConfigError as exc:
         raise CheckpointError(f"checkpoint config is invalid: {exc}") from exc
-    rr = cfg.r_w * cfg.r_h
-    return {
-        "ent": (n_entities, cfg.d_e),
-        "rel": (n_relations, cfg.d_r),
-        "attn_q": (cfg.k, cfg.d_e),
-        "attn_k": (cfg.k, rr),
-        "attn_v": (1, rr),
-        "attn_u": (1, cfg.m),
-        "w_fc": (cfg.conv_map, cfg.d_e),
-        "b_fc": (1, cfg.d_e),
-        "w_out": (cfg.d_e, cfg.d_e),
-        "b_out": (1, cfg.d_e),
-        "bn_gamma": (1, 1),
-        "bn_beta": (1, 1),
-        "bn_mean": (1, cfg.conv_map),
-        "bn_var": (1, cfg.conv_map),
-    }
+    if set(stored) != set(param_layout(cfg, 0, 0)):
+        raise CheckpointError("checkpoint manifest does not hold exactly the model's arrays")
+    layout = param_layout(cfg, stored["ent"][0], stored["rel"][0])
+    for name, shape in layout.items():
+        if list(stored[name]) != _stored_shape(shape):
+            got, want = ("x".join(map(str, s)) for s in (stored[name], _stored_shape(shape)))
+            raise CheckpointError(f"array {name!r} is {got}, but the config implies {want}")
+    return layout
 
 
-def _all_arrays(params: ModelParams) -> dict:
-    return {**params.named_arrays(), **params.running_arrays()}
+def check_params(config: dict, params: ModelParams) -> dict:
+    """The param_layout that `config` implies for `params`; raises
+    CheckpointError naming the first array whose shape disagrees."""
+    arrays = {**params.named_arrays(), **params.running_arrays()}
+    return _check_layout(config, {name: _stored_shape(a.shape) for name, a in arrays.items()})
 
 
 def save_checkpoint(path, config: dict, params: ModelParams) -> None:
-    arrays = _all_arrays(params)
+    """Writes `params` with `config` as the stored config, which must imply
+    their layout, so that every saved file loads."""
+    arrays = {**params.named_arrays(), **params.running_arrays()}
     manifest = {}
     offset = 0
     blobs = []
-    for name in _ARRAY_ORDER:
+    for name in check_params(config, params):
         arr = np.ascontiguousarray(arrays[name], dtype=np.float64)
-        rows, cols = (1, arr.shape[0]) if arr.ndim == 1 else arr.shape
-        manifest[name] = [rows, cols, offset]
+        manifest[name] = _stored_shape(arr.shape) + [offset]
         blob = arr.astype("<f8", copy=False).tobytes()
         blobs.append(blob)
         offset += len(blob)
@@ -101,8 +81,8 @@ def save_checkpoint(path, config: dict, params: ModelParams) -> None:
 
 def load_checkpoint(path):
     """Returns (config dict, ModelParams). Raises CheckpointError on version
-    mismatch, truncation, a malformed header, array shapes that disagree
-    with the stored config, or non-finite values."""
+    mismatch, truncation, a malformed header or manifest entry, array shapes
+    that disagree with the stored config, or non-finite values."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         body = fh.read()
@@ -115,54 +95,34 @@ def load_checkpoint(path):
     version = header.get("format_version")
     if version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint format_version {version!r}")
-    manifest = header.get("manifest", {})
-    if set(manifest) != set(_ARRAY_ORDER):
-        raise CheckpointError("checkpoint manifest is missing arrays")
+    manifest = header.get("manifest")
+    if not isinstance(manifest, dict):
+        raise CheckpointError("checkpoint header lacks a manifest object")
+    for name, entry in manifest.items():
+        # Three non-negative ints; JSON true is not 1, as in ModelConfig.validate.
+        if not (isinstance(entry, list) and len(entry) == 3 and all(
+                type(v) is int and v >= 0 for v in entry)):
+            raise CheckpointError(
+                f"manifest entry {name!r} is not [rows, cols, offset] of non-negative ints: "
+                f"{entry!r}"
+            )
     config = header.get("config")
     if not isinstance(config, dict):
         raise CheckpointError("checkpoint header lacks a config object")
-    expected = _expected_shapes(config, manifest["ent"][0], manifest["rel"][0])
-    for name in _ARRAY_ORDER:
-        rows, cols = manifest[name][:2]
-        if (rows, cols) != expected[name]:
-            want = "x".join(map(str, expected[name]))
-            raise CheckpointError(
-                f"array {name!r} is {rows}x{cols}, but the stored config implies {want}"
-            )
+    layout = _check_layout(config, {name: entry[:2] for name, entry in manifest.items()})
     arrays = {}
     total = 0
-    for name in _ARRAY_ORDER:
+    for name, shape in layout.items():
         rows, cols, offset = manifest[name]
         nbytes = rows * cols * 8
         if offset + nbytes > len(body):
             raise CheckpointError(f"checkpoint truncated inside array {name!r}")
         flat = np.frombuffer(body, dtype="<f8", count=rows * cols, offset=offset)
-        if name in _VECTOR_NAMES:
-            arrays[name] = flat.astype(np.float64)
-        else:
-            arrays[name] = flat.astype(np.float64).reshape(rows, cols)
+        arrays[name] = flat.astype(np.float64).reshape(shape)
         total = max(total, offset + nbytes)
     if total != len(body):
         raise CheckpointError("checkpoint has trailing or missing bytes")
-    params = ModelParams(
-        ent=arrays["ent"],
-        rel=arrays["rel"],
-        attn=AttentionParams(
-            a_q=arrays["attn_q"],
-            a_k=arrays["attn_k"],
-            a_v=arrays["attn_v"],
-            u=arrays["attn_u"],
-            lam=float(config.get("priori_weight", 0.0)),
-        ),
-        w_fc=arrays["w_fc"],
-        b_fc=arrays["b_fc"],
-        w_out=arrays["w_out"],
-        b_out=arrays["b_out"],
-        bn_gamma=arrays["bn_gamma"],
-        bn_beta=arrays["bn_beta"],
-        bn_mean=arrays["bn_mean"],
-        bn_var=arrays["bn_var"],
-    )
+    params = ModelParams.from_arrays(arrays)
     try:
         params.check_finite()
     except NumericError as exc:

@@ -17,7 +17,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import check_params, load_checkpoint, save_checkpoint
 from .data import (
     TripleStore,
     augment_reciprocal,
@@ -242,6 +242,7 @@ def cmd_eval(args) -> int:
     cfg, io, params = _params_from_checkpoint(args.checkpoint)
     if args.config:
         cfg, io = load_run_config(args.config, args.set or ())
+        check_params(asdict(cfg), params)
     split = args.split or io.get("split", "test")
     store = _prepare(io)
     priori = build_priori(store, cfg.priori_base)

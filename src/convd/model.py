@@ -4,7 +4,9 @@ plain-convolution baseline and parameter accounting.
 Scoring pipeline for one (head, relation) query:
   1. entity row -> input dropout -> 2D plane (d_w x d_h)
   2. relation row -> m kernel slices (r_w x r_h each)
-  3. attention turns the pair into m contribution weights alpha
+  3. attention turns the pair into m contribution weights alpha, its logits
+     biased by lambda = cfg.priori_weight (read from the config, never
+     stored with the arrays)
   4. one valid convolution of the plane with sum_i alpha_i * kernel_i
      (equal, by bilinearity, to summing m per-kernel convolutions)
   5. batch norm (scalar gamma/beta, per-feature statistics), ReLU,
@@ -12,7 +14,12 @@ Scoring pipeline for one (head, relation) query:
   6. fully connected projection to d_e
   7. output dropout, ReLU, second projection d_e -> d_e
   8. logits = entity_table @ hidden, one score per candidate entity
-Probabilities are produced by the loss (sigmoid there, not here).
+Steps 1-4 are the dynamic front-end; steps 5-8 are scorer_head, which the
+plain-convolution baseline shares. Probabilities are produced by the loss
+(sigmoid there, not here).
+
+param_layout is the one statement of which arrays a model holds and their
+shapes: parameter counts and the checkpoint format are derived from it.
 """
 
 import math
@@ -131,29 +138,83 @@ def kernel_fraction_mask(cfg: ModelConfig, fraction: float) -> np.ndarray:
     return np.arange(math.ceil(fraction * cfg.m))
 
 
+def _head_layout(cfg: ModelConfig, n_features: int) -> dict:
+    """Arrays of the scorer head over n_features convolution features."""
+    return {
+        "w_fc": (n_features, cfg.d_e),
+        "b_fc": (cfg.d_e,),
+        "w_out": (cfg.d_e, cfg.d_e),
+        "b_out": (cfg.d_e,),
+        "bn_gamma": (1,),
+        "bn_beta": (1,),
+        "bn_mean": (n_features,),
+        "bn_var": (n_features,),
+    }
+
+
+RUNNING_STATS = ("bn_mean", "bn_var")
+
+
+def param_layout(cfg: ModelConfig, n_entities: int, n_relations: int) -> dict:
+    """Name -> shape of every stored array, in checkpoint order. The batch-norm
+    running statistics (RUNNING_STATS) come last and are not learned."""
+    rr = cfg.r_w * cfg.r_h
+    return {
+        "ent": (n_entities, cfg.d_e),
+        "rel": (n_relations, cfg.d_r),
+        "attn_q": (cfg.k, cfg.d_e),
+        "attn_k": (cfg.k, rr),
+        "attn_v": (rr,),
+        "attn_u": (cfg.m,),
+        **_head_layout(cfg, cfg.conv_map),
+    }
+
+
 @dataclass
 class ModelParams:
-    """Every learned array, plus batch-norm running statistics.
+    """Every array of param_layout: the learned ones plus the batch-norm
+    running statistics.
 
     gamma/beta are single scalars (one normalized channel); the running
-    statistics are per feature of the flattened convolution map and are not
-    counted as learned parameters.
+    statistics are per feature of the flattened convolution map.
     """
 
-    ent: np.ndarray  # (n_entities, d_e)
-    rel: np.ndarray  # (n_relations, d_r)
+    ent: np.ndarray
+    rel: np.ndarray
     attn: AttentionParams
-    w_fc: np.ndarray  # (conv_map, d_e)
-    b_fc: np.ndarray  # (d_e,)
-    w_out: np.ndarray  # (d_e, d_e)
-    b_out: np.ndarray  # (d_e,)
-    bn_gamma: np.ndarray  # (1,)
-    bn_beta: np.ndarray  # (1,)
-    bn_mean: np.ndarray  # (conv_map,) running mean
-    bn_var: np.ndarray  # (conv_map,) running variance
+    w_fc: np.ndarray
+    b_fc: np.ndarray
+    w_out: np.ndarray
+    b_out: np.ndarray
+    bn_gamma: np.ndarray
+    bn_beta: np.ndarray
+    bn_mean: np.ndarray
+    bn_var: np.ndarray
+
+    @classmethod
+    def from_arrays(cls, arrays: dict) -> "ModelParams":
+        """ModelParams around the arrays of param_layout, by name (no copies)."""
+        return cls(
+            ent=arrays["ent"],
+            rel=arrays["rel"],
+            attn=AttentionParams(
+                a_q=arrays["attn_q"],
+                a_k=arrays["attn_k"],
+                a_v=arrays["attn_v"],
+                u=arrays["attn_u"],
+            ),
+            w_fc=arrays["w_fc"],
+            b_fc=arrays["b_fc"],
+            w_out=arrays["w_out"],
+            b_out=arrays["b_out"],
+            bn_gamma=arrays["bn_gamma"],
+            bn_beta=arrays["bn_beta"],
+            bn_mean=arrays["bn_mean"],
+            bn_var=arrays["bn_var"],
+        )
 
     def named_arrays(self) -> dict:
-        """Learned arrays in checkpoint/optimizer order (live views)."""
+        """Learned arrays in layout order (live views)."""
         return {
             "ent": self.ent,
             "rel": self.rel,
@@ -170,33 +231,16 @@ class ModelParams:
         }
 
     def running_arrays(self) -> dict:
-        return {"bn_mean": self.bn_mean, "bn_var": self.bn_var}
+        return {name: getattr(self, name) for name in RUNNING_STATS}
 
     def with_arrays(self, arrays: dict) -> "ModelParams":
         """New ModelParams around the given learned arrays (stats copied)."""
-        return ModelParams(
-            ent=arrays["ent"],
-            rel=arrays["rel"],
-            attn=AttentionParams(
-                a_q=arrays["attn_q"],
-                a_k=arrays["attn_k"],
-                a_v=arrays["attn_v"],
-                u=arrays["attn_u"],
-                lam=self.attn.lam,
-            ),
-            w_fc=arrays["w_fc"],
-            b_fc=arrays["b_fc"],
-            w_out=arrays["w_out"],
-            b_out=arrays["b_out"],
-            bn_gamma=arrays["bn_gamma"],
-            bn_beta=arrays["bn_beta"],
-            bn_mean=self.bn_mean.copy(),
-            bn_var=self.bn_var.copy(),
+        return ModelParams.from_arrays(
+            {**arrays, **{k: v.copy() for k, v in self.running_arrays().items()}}
         )
 
     def copy(self) -> "ModelParams":
-        p = self.with_arrays({k: v.copy() for k, v in self.named_arrays().items()})
-        return p
+        return self.with_arrays({k: v.copy() for k, v in self.named_arrays().items()})
 
     def check_finite(self) -> None:
         for name, arr in {**self.named_arrays(), **self.running_arrays()}.items():
@@ -223,7 +267,6 @@ def init_params(cfg: ModelConfig, n_entities: int, n_relations: int, rng: RngStr
             a_k=_fan_uniform(rng, cfg.k, rr),
             a_v=_fan_uniform(rng, 1, rr)[0],
             u=np.linspace(-0.1, 0.1, cfg.m),
-            lam=cfg.priori_weight,
         ),
         w_fc=_fan_uniform(rng, f, cfg.d_e),
         b_fc=np.zeros(cfg.d_e),
@@ -238,35 +281,21 @@ def init_params(cfg: ModelConfig, n_entities: int, n_relations: int, rng: RngStr
 
 def count_parameters(cfg: ModelConfig, n_entities: int, n_relations: int,
                      include_baseline: bool = False) -> int:
-    """Exact count of learned scalars (running stats excluded)."""
-    rr = cfg.r_w * cfg.r_h
+    """Exact count of learned scalars: the layout without its running stats.
+    The baseline swaps the attention for n_static external kernels and
+    widens the head to its stacked-plane features."""
+    layout = param_layout(cfg, n_entities, n_relations)
     if include_baseline:
         if cfg.d_r != cfg.d_e:
             raise ConfigError("plain-conv baseline requires d_e == d_r")
-        f2 = cfg.n_static * (2 * cfg.d_w - cfg.r_w + 1) * (cfg.d_h - cfg.r_h + 1)
-        return (
-            n_entities * cfg.d_e
-            + n_relations * cfg.d_r
-            + cfg.n_static * rr
-            + f2 * cfg.d_e
-            + cfg.d_e
-            + cfg.d_e * cfg.d_e
-            + cfg.d_e
-            + 2
-        )
-    return (
-        n_entities * cfg.d_e
-        + n_relations * cfg.d_r
-        + cfg.k * cfg.d_e
-        + cfg.k * rr
-        + rr
-        + cfg.m
-        + cfg.conv_map * cfg.d_e
-        + cfg.d_e
-        + cfg.d_e * cfg.d_e
-        + cfg.d_e
-        + 2
-    )
+        oh, ow = baseline_conv_shape(cfg)
+        layout = {
+            "ent": layout["ent"],
+            "rel": layout["rel"],
+            "kernels": (cfg.n_static, cfg.r_w, cfg.r_h),
+            **_head_layout(cfg, cfg.n_static * oh * ow),
+        }
+    return sum(math.prod(shape) for name, shape in layout.items() if name not in RUNNING_STATS)
 
 
 @dataclass
@@ -276,7 +305,6 @@ class ForwardTrace:
     h_ids: np.ndarray
     r_ids: np.ndarray
     mode: str
-    batch_stats: bool  # True when batch statistics were used for norm
     e_h: np.ndarray  # (B, d_e) raw entity rows
     mask_in: np.ndarray  # (B, d_e)
     plane: np.ndarray  # (B, d_w, d_h) post-dropout
@@ -284,6 +312,8 @@ class ForwardTrace:
     attn: object  # AttentionTrace
     w_mix: np.ndarray  # (B, r_w, r_h)
     conv: np.ndarray  # (B, oh, ow)
+    # Steps 5-8, as scorer_head returns them.
+    batch_stats: bool  # True when batch statistics were used for norm
     norm_mean: np.ndarray  # (F,) statistics actually used
     norm_var: np.ndarray  # (F,)
     new_running: tuple | None  # (mean, var) to commit after the step
@@ -353,7 +383,8 @@ def forward_batch(
         p_vals = np.zeros(b)
     else:
         p_vals = priori.values(h_ids, r_ids)
-    attn_trace = attention_forward(e_h, banks, p_vals, params.attn, active=active)
+    attn_trace = attention_forward(e_h, banks, p_vals, params.attn, cfg.priori_weight,
+                                   active=active)
     if cfg.ablation in ("no_attention", "no_both"):
         # Equal-weight multi-kernel sum: uniform softmax, unit values.
         probs = np.zeros_like(attn_trace.probs)
@@ -366,12 +397,35 @@ def forward_batch(
     # summing the m per-kernel feature maps.
     w_mix = np.einsum("bm,bmwh->bwh", attn_trace.alpha, banks)
     conv = conv2d_batch(plane, w_mix)
-    feats = conv.reshape(b, cfg.conv_map)
+    logits, head = scorer_head(conv.reshape(b, cfg.conv_map), params, cfg, training,
+                               training and not cfg.bn_frozen, rng)
+    trace = ForwardTrace(
+        h_ids=h_ids,
+        r_ids=r_ids,
+        mode=mode,
+        e_h=e_h,
+        mask_in=mask_in,
+        plane=plane,
+        banks=banks,
+        attn=attn_trace,
+        w_mix=w_mix,
+        conv=conv,
+        params_ref=params,
+        cfg_ref=cfg,
+        **head,
+    )
+    return logits, trace
 
-    use_batch_stats = training and not cfg.bn_frozen
+
+def scorer_head(feats, params, cfg: ModelConfig, training: bool, batch_stats: bool, rng):
+    """Pipeline steps 5-8 over (B, F) convolution features, shared by both
+    front-ends: batch norm -> ReLU -> feature dropout -> FC -> output
+    dropout -> ReLU -> FC -> 1-N dot. Normalizes with batch statistics when
+    batch_stats, else with the running ones. Returns (logits (B, n_entities),
+    the ForwardTrace fields of these steps)."""
     new_running = None
-    if use_batch_stats:
-        if b < 2:
+    if batch_stats:
+        if feats.shape[0] < 2:
             raise DegenerateBatchError(
                 "batch statistics need batch size >= 2; freeze the norm for single queries"
             )
@@ -388,11 +442,11 @@ def forward_batch(
     y_bn = params.bn_gamma[0] * x_hat + params.bn_beta[0]
 
     a1 = np.maximum(y_bn, 0.0)
-    mask_feat = _dropout(rng, "dropout.feat", cfg.dropout_feat, (b, cfg.conv_map), training)
+    mask_feat = _dropout(rng, "dropout.feat", cfg.dropout_feat, feats.shape, training)
     a2 = a1 * mask_feat
 
     v_out = a2 @ params.w_fc + params.b_fc
-    mask_out = _dropout(rng, "dropout.out", cfg.dropout_out, (b, cfg.d_e), training)
+    mask_out = _dropout(rng, "dropout.out", cfg.dropout_out, v_out.shape, training)
     h1 = np.maximum(v_out * mask_out, 0.0)
     z = h1 @ params.w_out + params.b_out
     if cfg.sigmoid_pre_dot:
@@ -401,34 +455,11 @@ def forward_batch(
         logits = z @ params.ent.T
     if not np.all(np.isfinite(logits)):
         raise NumericError("non-finite logits")
-
-    trace = ForwardTrace(
-        h_ids=h_ids,
-        r_ids=r_ids,
-        mode=mode,
-        batch_stats=use_batch_stats,
-        e_h=e_h,
-        mask_in=mask_in,
-        plane=plane,
-        banks=banks,
-        attn=attn_trace,
-        w_mix=w_mix,
-        conv=conv,
-        norm_mean=mean,
-        norm_var=var,
-        new_running=new_running,
-        x_hat=x_hat,
-        y_bn=y_bn,
-        mask_feat=mask_feat,
-        a2=a2,
-        v_out=v_out,
-        mask_out=mask_out,
-        h1=h1,
-        z=z,
-        params_ref=params,
-        cfg_ref=cfg,
+    return logits, dict(
+        batch_stats=batch_stats, norm_mean=mean, norm_var=var, new_running=new_running,
+        x_hat=x_hat, y_bn=y_bn, mask_feat=mask_feat, a2=a2, v_out=v_out,
+        mask_out=mask_out, h1=h1, z=z,
     )
-    return logits, trace
 
 
 def forward_score(h_id, r_id, params, priori, cfg, mode="eval", rng=None):
@@ -590,8 +621,8 @@ def init_baseline_params(cfg, n_entities, n_relations, rng: RngStream) -> Baseli
 def score_plain_conv(h_id, r_id, params: BaselineParams, cfg: ModelConfig,
                      mode: str = "eval", rng: dict | None = None) -> np.ndarray:
     """Static-kernel reference scorer: stack the entity plane on top of the
-    relation plane, convolve with the shared external kernels, then follow
-    pipeline steps 5-8. Requires d_e == d_r."""
+    relation plane, convolve with the shared external kernels, then run
+    scorer_head. Requires d_e == d_r."""
     if cfg.d_r != cfg.d_e:
         raise ConfigError("plain-conv baseline requires d_e == d_r")
     if mode not in ("train", "eval"):
@@ -604,20 +635,7 @@ def score_plain_conv(h_id, r_id, params: BaselineParams, cfg: ModelConfig,
     mask_in = _dropout(rng, "dropout.in", cfg.dropout_in, stacked.shape, training)
     stacked = stacked * mask_in
 
-    n = cfg.n_static
-    maps = conv2d_batch(np.repeat(stacked[None], n, axis=0), params.kernels)
-    feats = maps.reshape(-1)
-
+    maps = conv2d_batch(np.repeat(stacked[None], cfg.n_static, axis=0), params.kernels)
     # Scoring-only reference: normalization always uses the running stats.
-    x_hat = (feats - params.bn_mean) / np.sqrt(params.bn_var + BN_EPS)
-    y = params.bn_gamma[0] * x_hat + params.bn_beta[0]
-    a1 = np.maximum(y, 0.0)
-    mask_feat = _dropout(rng, "dropout.feat", cfg.dropout_feat, a1.shape, training)
-    v_out = (a1 * mask_feat) @ params.w_fc + params.b_fc
-    mask_out = _dropout(rng, "dropout.out", cfg.dropout_out, v_out.shape, training)
-    h1 = np.maximum(v_out * mask_out, 0.0)
-    z = h1 @ params.w_out + params.b_out
-    logits = params.ent @ z
-    if not np.all(np.isfinite(logits)):
-        raise NumericError("non-finite logits")
-    return logits
+    logits, _ = scorer_head(maps.reshape(1, -1), params, cfg, training, False, rng)
+    return logits[0]

@@ -120,8 +120,8 @@ def test_criterion_04_softmax_shift_degeneracy():
             bank = bank_of(draw.uniform_signed(D_R, 1.0), M, R_W, R_H)
             ref = None
             for lam, p_hr in ((0.0, 0.0), (0.1, 1.0), (0.4, 5.0)):
-                params = make_params(seed=trial, lam=lam, u=np.full(M, 0.37))
-                alpha, _, _ = attend_one(e_h, bank, p_hr, params)
+                params = make_params(seed=trial, u=np.full(M, 0.37))
+                alpha, _, _ = attend_one(e_h, bank, p_hr, params, lam)
                 if ref is None:
                     ref = alpha
                 else:
@@ -132,8 +132,8 @@ def test_criterion_04_softmax_shift_degeneracy():
             e_h = draw.uniform_signed(D_E, 1.0)
             bank = bank_of(draw.uniform_signed(D_R, 1.0), M, R_W, R_H)
             p_hr = 0.5 + float(draw.uniform(1)[0] * 3.0)
-            a1, _, _ = attend_one(e_h, bank, p_hr, make_params(seed=trial, lam=0.1))
-            a2, _, _ = attend_one(e_h, bank, p_hr, make_params(seed=trial, lam=0.4))
+            a1, _, _ = attend_one(e_h, bank, p_hr, make_params(seed=trial), 0.1)
+            a2, _, _ = attend_one(e_h, bank, p_hr, make_params(seed=trial), 0.4)
             changed += not np.array_equal(a1, a2)
         assert changed >= 99, changed
 

@@ -19,14 +19,13 @@ D_E, M, R_W, R_H, K = 12, 4, 2, 2, 2
 D_R = M * R_W * R_H
 
 
-def make_params(seed=0, lam=0.1, u=None):
+def make_params(seed=0, u=None):
     rng = RngStream(seed, "attn")
     return AttentionParams(
         a_q=rng.uniform_signed(K * D_E, 0.7).reshape(K, D_E),
         a_k=rng.uniform_signed(K * R_W * R_H, 0.7).reshape(K, R_W * R_H),
         a_v=rng.uniform_signed(R_W * R_H, 0.7),
         u=np.linspace(-0.1, 0.1, M) if u is None else np.asarray(u, dtype=np.float64),
-        lam=lam,
     )
 
 
@@ -35,9 +34,9 @@ def bank_of(e_r, m, r_w, r_h):
     return slice_batch(np.asarray(e_r, dtype=np.float64)[None], m, r_w, r_h)[0]
 
 
-def attend_one(e_h, bank, p_hr, params):
+def attend_one(e_h, bank, p_hr, params, lam):
     """attention_forward on a batch of one. Returns (alpha, probs, logits)."""
-    trace = attention_forward(np.asarray(e_h)[None], bank[None], np.array([p_hr]), params)
+    trace = attention_forward(np.asarray(e_h)[None], bank[None], np.array([p_hr]), params, lam)
     return trace.alpha[0], trace.probs[0], trace.logits[0]
 
 
@@ -73,7 +72,7 @@ class TestKernelSlices:
 
 class TestAttentionWeights:
     def test_identical_kernels_lambda_zero_gives_uniform(self):
-        params = make_params(lam=0.0)
+        params = make_params()
         block = np.arange(4.0).reshape(2, 2)
         # Build e_r so all four slices are the same block.
         grid = np.block([[block, block], [block, block]])
@@ -81,7 +80,7 @@ class TestAttentionWeights:
         for k in bank:
             assert np.array_equal(k, bank[0])
         e_h = RngStream(1, "e").uniform(D_E)
-        alpha, probs, _ = attend_one(e_h, bank, 1.5, params)
+        alpha, probs, _ = attend_one(e_h, bank, 1.5, params, 0.0)
         assert np.allclose(probs, 0.25, atol=1e-12)
         assert np.allclose(alpha, alpha[0], atol=1e-12)
 
@@ -91,8 +90,8 @@ class TestAttentionWeights:
         bank = bank_of(e_r, M, R_W, R_H)
         results = []
         for lam, p_hr in ((0.0, 0.0), (0.1, 2.0), (0.4, 7.3)):
-            params = make_params(lam=lam, u=np.full(M, 0.37))
-            alpha, probs, _ = attend_one(e_h, bank, p_hr, params)
+            params = make_params(u=np.full(M, 0.37))
+            alpha, probs, _ = attend_one(e_h, bank, p_hr, params, lam)
             results.append((alpha, probs))
         for alpha, probs in results[1:]:
             assert np.array_equal(alpha, results[0][0])
@@ -101,20 +100,20 @@ class TestAttentionWeights:
     def test_learned_u_reacts_to_lambda(self):
         e_h = RngStream(4, "e").uniform(D_E)
         bank = bank_of(RngStream(4, "r").uniform(D_R), M, R_W, R_H)
-        a1, _, _ = attend_one(e_h, bank, 2.0, make_params(lam=0.1))
-        a2, _, _ = attend_one(e_h, bank, 2.0, make_params(lam=0.4))
+        a1, _, _ = attend_one(e_h, bank, 2.0, make_params(), 0.1)
+        a2, _, _ = attend_one(e_h, bank, 2.0, make_params(), 0.4)
         assert not np.allclose(a1, a2)
 
     def test_tiny_config_against_oracle(self):
         rng = RngStream(9, "data")
         e_h = rng.uniform_signed(D_E, 1.0)
         e_r = rng.uniform_signed(D_R, 1.0)
-        params = make_params(seed=9, lam=0.1)
+        params = make_params(seed=9)
         bank = bank_of(e_r, M, R_W, R_H)
-        alpha, probs, logits = attend_one(e_h, bank, 2.0, params)
+        alpha, probs, logits = attend_one(e_h, bank, 2.0, params, 0.1)
         o_alpha, o_probs, o_logits = oracle_attention(
             e_h, e_r, M, R_W, R_H, params.a_q, params.a_k, params.a_v, params.u,
-            params.lam, 2.0,
+            0.1, 2.0,
         )
         assert np.allclose(alpha, o_alpha, atol=1e-12)
         assert np.allclose(probs, o_probs, atol=1e-12)
@@ -125,7 +124,7 @@ class TestAttentionWeights:
         for trial in range(20):
             e_h = rng.uniform_signed(D_E, 2.0)
             bank = bank_of(rng.uniform_signed(D_R, 2.0), M, R_W, R_H)
-            _, probs, _ = attend_one(e_h, bank, rng.uniform(1)[0], make_params(seed=trial))
+            _, probs, _ = attend_one(e_h, bank, rng.uniform(1)[0], make_params(seed=trial), 0.1)
             assert abs(probs.sum() - 1.0) < 1e-12
             assert np.all(probs >= 0)
 
@@ -135,9 +134,9 @@ class TestAttentionBackward:
         rng = RngStream(seed, "case")
         e_h = rng.uniform_signed(D_E, 1.0)[None]
         e_r = rng.uniform_signed(D_R, 1.0)[None]
-        params = make_params(seed=seed + 100, lam=lam)
+        params = make_params(seed=seed + 100)
         banks = slice_batch(e_r, M, R_W, R_H)
-        trace = attention_forward(e_h, banks, np.array([p]), params)
+        trace = attention_forward(e_h, banks, np.array([p]), params, lam)
         return e_h, e_r, params, trace
 
     def test_zero_grad_gives_zero(self):
@@ -155,10 +154,9 @@ class TestAttentionBackward:
             a_k=rng.uniform_signed(K * R_W * R_H, 0.5).reshape(K, R_W * R_H),
             a_v=rng.uniform_signed(R_W * R_H, 0.5),
             u=np.zeros(1),
-            lam=0.3,
         )
         banks = slice_batch(e_r, 1, R_W, R_H)
-        trace = attention_forward(e_h, banks, np.array([2.0]), params)
+        trace = attention_forward(e_h, banks, np.array([2.0]), params, 0.3)
         assert trace.probs[0, 0] == 1.0
         assert trace.alpha[0, 0] == pytest.approx(trace.values[0, 0])
         g = np.array([[1.7]])
@@ -167,16 +165,17 @@ class TestAttentionBackward:
         assert np.allclose(grads["attn_v"], 1.7 * trace.kappa[0, 0], atol=1e-12)
 
     def test_matches_finite_differences(self):
-        e_h, e_r, params, _ = self._forward(seed=3)
+        lam = 0.2
+        e_h, e_r, params, _ = self._forward(seed=3, lam=lam)
         weights = RngStream(33, "w").uniform_signed(M, 1.0)
 
         def loss_for(arrays):
             p = AttentionParams(
                 a_q=arrays["attn_q"], a_k=arrays["attn_k"], a_v=arrays["attn_v"],
-                u=arrays["attn_u"], lam=params.lam,
+                u=arrays["attn_u"],
             )
             banks = slice_batch(arrays["e_r"], M, R_W, R_H)
-            trace = attention_forward(arrays["e_h"], banks, np.array([1.7]), p)
+            trace = attention_forward(arrays["e_h"], banks, np.array([1.7]), p, lam)
             return float(np.sum(trace.alpha * weights))
 
         arrays = {
@@ -186,7 +185,7 @@ class TestAttentionBackward:
         fd = finite_diff_grad(loss_for, arrays, h=1e-5)
 
         banks = slice_batch(e_r, M, R_W, R_H)
-        trace = attention_forward(e_h, banks, np.array([1.7]), params)
+        trace = attention_forward(e_h, banks, np.array([1.7]), params, lam)
         g_eh, g_kappa, grads = attention_weights_backward(trace, weights[None])
         g_er = unslice_batch(g_kappa.reshape(1, M, R_W, R_H), M, R_W, R_H)
 
@@ -201,9 +200,9 @@ class TestAttentionBackward:
         for trial in range(100):
             e_h = rng.uniform_signed(D_E, 1.0)[None]
             e_r = rng.uniform_signed(D_R, 1.0)[None]
-            params = make_params(seed=trial, lam=0.2)
+            params = make_params(seed=trial)
             banks = slice_batch(e_r, M, R_W, R_H)
-            trace = attention_forward(e_h, banks, np.array([1.0]), params)
+            trace = attention_forward(e_h, banks, np.array([1.0]), params, 0.2)
             g_eh, g_kappa, _ = attention_weights_backward(
                 trace, rng.uniform_signed(M, 1.0)[None]
             )
@@ -216,7 +215,7 @@ class TestAttentionBackward:
         rng = RngStream(8, "p")
         e_h = rng.uniform_signed(D_E, 1.0)
         bank = bank_of(rng.uniform_signed(D_R, 1.0), M, R_W, R_H)
-        params = make_params(lam=0.0)
-        a1, p1, l1 = attend_one(e_h, bank, 0.0, params)
-        a2, p2, l2 = attend_one(e_h, bank, 123.0, params)
+        params = make_params()
+        a1, p1, l1 = attend_one(e_h, bank, 0.0, params, 0.0)
+        a2, p2, l2 = attend_one(e_h, bank, 123.0, params, 0.0)
         assert np.array_equal(a1, a2) and np.array_equal(p1, p2) and np.array_equal(l1, l2)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import asdict
 
@@ -8,6 +9,10 @@ from convd.checkpoint import load_checkpoint, save_checkpoint
 from convd.errors import CheckpointError
 
 from conftest import tiny_config, tiny_params
+
+# sha256 of the format_version 1 file that save_checkpoint writes for
+# tiny_params(tiny_config()); a reordered or re-encoded layout changes it.
+TINY_V1_SHA256 = "6cecc0b16b7d396455bb852441721de7fd0967a84c7c023352b6b478e812254c"
 
 
 def roundtrip(tmp_path, cfg, params):
@@ -35,6 +40,19 @@ def test_save_load_save_identical_bytes(tmp_path):
     second = tmp_path / "again.ckpt"
     save_checkpoint(str(second), asdict(cfg), loaded)
     assert path.read_bytes() == second.read_bytes()
+
+
+def test_format_v1_bytes_are_pinned(tmp_path):
+    cfg = tiny_config()
+    path, _ = roundtrip(tmp_path, cfg, tiny_params(cfg))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TINY_V1_SHA256
+
+
+def test_save_refuses_a_config_that_does_not_match(tmp_path):
+    params = tiny_params(tiny_config())
+    with pytest.raises(CheckpointError, match="attn_q"):
+        save_checkpoint(str(tmp_path / "m.ckpt"), asdict(tiny_config(k=3)), params)
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 def test_header_is_single_json_line(tmp_path):

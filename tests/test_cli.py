@@ -157,13 +157,16 @@ class TestEvalCommand:
         assert main(["eval", "--checkpoint", str(bad), "--out", str(out)]) == 5
         assert not out.exists()
 
-    def _edited(self, trained, tmp_path, config=None, first_value=None):
-        """A copy of the trained checkpoint with header config keys replaced
-        and/or the first stored float (ent[0, 0]) overwritten."""
+    def _edited(self, trained, tmp_path, config=None, first_value=None, ent_entry=None):
+        """A copy of the trained checkpoint with header config keys replaced,
+        the manifest entry of `ent` rewritten by `ent_entry`, and/or the
+        first stored float (ent[0, 0]) overwritten."""
         _, out_dir = trained
         header, body = open(os.path.join(out_dir, "best.ckpt"), "rb").read().split(b"\n", 1)
         doc = json.loads(header)
         doc["config"].update(config or {})
+        if ent_entry is not None:
+            doc["manifest"]["ent"] = ent_entry(doc["manifest"]["ent"])
         if first_value is not None:
             body = np.array([first_value], dtype="<f8").tobytes() + body[8:]
         bad = tmp_path / "edited.ckpt"
@@ -185,6 +188,32 @@ class TestEvalCommand:
             load_checkpoint(bad)
         out = tmp_path / "report.json"
         assert main(["eval", "--checkpoint", bad, "--out", str(out)]) == 5
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ent_entry", [
+        lambda entry: [1],
+        lambda entry: "x",
+        lambda entry: entry[:2] + [-8],
+        lambda entry: [float(entry[0])] + entry[1:],
+    ], ids=["short", "string", "negative_offset", "float_rows"])
+    def test_malformed_manifest_entry_exits_5(self, trained, tmp_path, capsys, ent_entry):
+        bad = self._edited(trained, tmp_path, ent_entry=ent_entry)
+        out = tmp_path / "report.json"
+        assert main(["eval", "--checkpoint", bad, "--out", str(out)]) == 5
+        assert "checkpoint error: manifest entry 'ent'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_config_not_matching_the_arrays_exits_5(self, trained, tmp_path, toy_dir,
+                                                         capsys):
+        # The checkpoint is 6x6; a 4x9 plane keeps d_e = 36 but gives 24
+        # conv features, not 25, so w_fc cannot serve it.
+        _, out_dir = trained
+        cfg = write_config(tmp_path / "x.json", d_w=4, d_h=9, data_dir=toy_dir,
+                           output_dir=str(tmp_path))
+        out = tmp_path / "report.json"
+        assert main(["eval", "--checkpoint", os.path.join(out_dir, "best.ckpt"),
+                     "--config", cfg, "--out", str(out)]) == 5
+        assert "w_fc" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -10,6 +10,7 @@ from convd.model import (
     forward_score,
     init_baseline_params,
     kernel_fraction_mask,
+    param_layout,
     score_plain_conv,
 )
 from convd.numerics import conv2d_batch, finite_diff_grad
@@ -173,6 +174,13 @@ class TestAblationFlags:
         assert np.allclose(cut.attn.alpha, 1.0 / 4)
         assert not np.array_equal(full.attn.alpha, cut.attn.alpha)
 
+    def test_lambda_is_read_from_the_config(self):
+        params = tiny_params(tiny_config())
+        h_ids, r_ids = np.array([0, 2]), np.array([0, 1])
+        l1, _ = forward_batch(h_ids, r_ids, params, PRIORI, tiny_config(priori_weight=0.1))
+        l2, _ = forward_batch(h_ids, r_ids, params, PRIORI, tiny_config(priori_weight=0.4))
+        assert not np.array_equal(l1, l2)
+
     def test_no_priori_equals_lambda_zero(self):
         bundle1, bundle2 = self._bundle(), self._bundle()
         cfg_cut = tiny_config(ablation="no_priori", priori_weight=0.3)
@@ -295,6 +303,11 @@ class TestCountParameters:
         params = tiny_params(cfg)
         enumerated = sum(v.size for v in params.named_arrays().values())
         assert count_parameters(cfg, TINY_ENTITIES, TINY_RELATIONS) == enumerated
+
+    def test_layout_names_init_arrays_in_order(self):
+        cfg = tiny_config()
+        shapes = [(name, arr.shape) for name, arr in arrays_of(tiny_params(cfg)).items()]
+        assert shapes == list(param_layout(cfg, TINY_ENTITIES, TINY_RELATIONS).items())
 
     def test_monotone_in_m(self):
         prev = None

@@ -27,10 +27,10 @@ def attention_probs(logits):
     """Attention probabilities whose logits are exactly `logits`: the query
     projection is zero, so each logit is the priori bias 1 * 1 * u_i."""
     u = np.asarray(logits, dtype=np.float64)
-    params = AttentionParams(
-        a_q=np.zeros((1, 1)), a_k=np.zeros((1, 1)), a_v=np.ones(1), u=u, lam=1.0
+    params = AttentionParams(a_q=np.zeros((1, 1)), a_k=np.zeros((1, 1)), a_v=np.ones(1), u=u)
+    trace = attention_forward(
+        np.zeros((1, 1)), np.zeros((1, u.size, 1, 1)), np.ones(1), params, 1.0
     )
-    trace = attention_forward(np.zeros((1, 1)), np.zeros((1, u.size, 1, 1)), np.ones(1), params)
     return trace.probs[0]
 
 
