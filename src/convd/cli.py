@@ -239,6 +239,8 @@ def _params_from_checkpoint(path):
 def cmd_eval(args) -> int:
     import time
 
+    if args.set and not args.config:
+        raise ConfigError("--set needs --config")
     cfg, io, params = _params_from_checkpoint(args.checkpoint)
     if args.config:
         cfg, io = load_run_config(args.config, args.set or ())
@@ -470,7 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on a split")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--config", help="optional config overriding the stored one")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
+    p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                   help="override a key of --config (requires --config)")
     p.add_argument("--split", choices=["train", "valid", "test"])
     p.add_argument("--out", help="report path")
     p.add_argument("--pretty", action="store_true")

@@ -6,6 +6,7 @@ Triple file format: UTF-8, LF line endings, one `head<TAB>relation<TAB>tail`
 per line, no header, tabs forbidden inside symbols.
 """
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -216,12 +217,18 @@ def build_priori(store: TripleStore, a: float = 2.0) -> PrioriTable:
 
 
 def smoothed_targets_matrix(queries, positives_by_query, label_smoothing, n_entities):
-    """Dense (len(queries), n_entities) target matrix for a batch of queries."""
+    """Dense (len(queries), n_entities) target matrix for a batch of queries.
+
+    Every cell holds label_smoothing / n_entities; each positive (row, tail)
+    cell gets 1 - label_smoothing added once, by one fancy-index add.
+    """
     out = np.full(
         (len(queries), n_entities), label_smoothing / n_entities, dtype=np.float64
     )
-    for row, q in enumerate(queries):
-        out[row, sorted(positives_by_query[q])] += 1.0 - label_smoothing
+    tails = [positives_by_query[q] for q in queries]
+    rows = np.repeat(np.arange(len(queries)), [len(t) for t in tails])
+    cols = np.fromiter(itertools.chain.from_iterable(tails), dtype=np.int64, count=rows.size)
+    out[rows, cols] += 1.0 - label_smoothing
     return out
 
 

@@ -1,9 +1,9 @@
 """Dense numerical primitives: convolution, dropout masks, Adam, and a
 central-difference gradient oracle.
 
-Everything is 64-bit float and referentially transparent: randomness and
-optimizer state enter only through explicit arguments, and mutation happens
-only through returned updated states.
+Everything is 64-bit float. Randomness and optimizer state enter only
+through explicit arguments. Adam is the one routine that mutates its
+arguments: it updates the parameters and both moments in place.
 """
 
 from dataclasses import dataclass
@@ -86,24 +86,64 @@ def adam_init(params: dict, beta1=0.9, beta2=0.999, epsilon=1e-8) -> AdamState:
     )
 
 
+# Elements per Adam block: the block and the two float64 scratch buffers
+# (2 x 128 KiB) stay in L2 across the block's elementwise passes.
+ADAM_BLOCK = 16384
+
+
+def _flat_view(arr: np.ndarray, name: str) -> np.ndarray:
+    if not arr.flags.c_contiguous:
+        raise DimensionError(f"adam_step updates {name!r} in place and needs it C-contiguous")
+    return arr.reshape(-1)
+
+
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
-    """One bias-corrected Adam update. Returns (new_params, new_state)."""
-    new_params = {}
-    m = {}
-    v = {}
+    """One bias-corrected Adam update, in place on the param arrays and on
+    the moments in state. Returns (params, state): the objects it was given.
+
+    The arithmetic and its order are those of the textbook form
+    p - lr * (m / bc1) / (sqrt(v / bc2) + eps), so the bytes match it; the
+    update runs in blocks of ADAM_BLOCK elements through two scratch buffers.
+    """
     t = state.step + 1
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    b1, b2 = state.beta1, state.beta2
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
+    # Every check runs before the first write, so a rejected call changes nothing.
+    flat = []
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
             raise DimensionError(f"gradient shape {g.shape} != param shape {p.shape} for {name!r}")
-        m[name] = state.beta1 * state.first_moment[name] + (1 - state.beta1) * g
-        v[name] = state.beta2 * state.second_moment[name] + (1 - state.beta2) * g * g
-        m_hat = m[name] / bc1
-        v_hat = v[name] / bc2
-        new_params[name] = p - lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    return new_params, AdamState(m, v, t, state.beta1, state.beta2, state.epsilon)
+        flat.append((
+            _flat_view(p, name),
+            np.ravel(g),
+            _flat_view(state.first_moment[name], name),
+            _flat_view(state.second_moment[name], name),
+        ))
+    scratch_a = np.empty(ADAM_BLOCK, dtype=np.float64)
+    scratch_b = np.empty(ADAM_BLOCK, dtype=np.float64)
+    for p_flat, g_flat, m_flat, v_flat in flat:
+        for lo in range(0, p_flat.size, ADAM_BLOCK):
+            hi = min(lo + ADAM_BLOCK, p_flat.size)
+            pb, gb, mb, vb = p_flat[lo:hi], g_flat[lo:hi], m_flat[lo:hi], v_flat[lo:hi]
+            a, b = scratch_a[: hi - lo], scratch_b[: hi - lo]
+            mb *= b1
+            np.multiply(gb, 1 - b1, out=a)
+            mb += a
+            vb *= b2
+            np.multiply(gb, 1 - b2, out=b)
+            b *= gb
+            vb += b
+            np.divide(mb, bc1, out=a)
+            a *= lr
+            np.divide(vb, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += state.epsilon
+            a /= b
+            pb -= a
+    state.step = t
+    return params, state
 
 
 def finite_diff_grad(loss_fn, params: dict, h: float = 1e-5) -> dict:

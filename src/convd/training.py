@@ -83,31 +83,33 @@ class TrainHistory:
         return [r for r in self.records if r.valid_mrr is not None]
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
 def bce_loss(logits: np.ndarray, target: np.ndarray):
     """Mean binary cross-entropy over candidate entities, in stable
-    softplus form. Returns (loss, grad_logits) with grad = (sigmoid - y)/n."""
+    softplus form. Returns (loss, grad_logits) with grad = (sigmoid - y)/n.
+
+    One exp per logit: with e = exp(-|z|), softplus(z) = max(z, 0) +
+    log1p(e), and sigmoid(z) is 1/(1+e) for z >= 0 and e/(1+e) otherwise,
+    so no exp overflows."""
     logits = np.asarray(logits, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if logits.shape != target.shape:
         raise ConfigError(f"logits shape {logits.shape} != target shape {target.shape}")
     if not np.all(np.isfinite(logits)):
         raise NumericError("non-finite logits in the loss")
-    softplus = np.maximum(logits, 0.0) + np.log1p(np.exp(-np.abs(logits)))
+    e = np.exp(-np.abs(logits))
     # y*softplus(-z) + (1-y)*softplus(z) == softplus(z) - y*z
-    per_entity = softplus - target * logits
+    per_entity = np.maximum(logits, 0.0)
+    per_entity += np.log1p(e)
+    per_entity -= target * logits
     loss = per_entity.mean()
+    grad = np.where(logits >= 0, 1.0, e)
+    e += 1.0
+    grad /= e
+    grad -= target
     # Batched input averages over queries as well, so the gradient scale is
     # the full element count either way.
-    return loss, (sigmoid(logits) - target) / per_entity.size
+    grad /= grad.size
+    return loss, grad
 
 
 def early_stop(history: TrainHistory, patience: int) -> bool:
@@ -179,7 +181,6 @@ def train(cfg: TrainConfig, store: TripleStore, priori: PrioriTable,
             targets = smoothed_targets_matrix(
                 batch_queries, grouped, cfg.label_smoothing, n_entities
             )
-            arrays = params.named_arrays()
             logits, trace = forward_batch(
                 h_ids, r_ids, params, priori, mcfg, mode="train", rng=rng
             )
@@ -187,8 +188,8 @@ def train(cfg: TrainConfig, store: TripleStore, priori: PrioriTable,
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite training loss at epoch {epoch}")
             grads = backward(trace, grad_logits, params, mcfg)
-            new_arrays, adam = adam_step(arrays, grads, adam, cfg.lr)
-            params = params.with_arrays(new_arrays)
+            # In place: params keeps its arrays for the whole run.
+            adam_step(params.named_arrays(), grads, adam, cfg.lr)
             commit_running_stats(params, trace)
             total_loss += loss * len(batch_idx)
             total_queries += len(batch_idx)

@@ -245,3 +245,29 @@ def oracle_adam_scalar(w0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         v_hat = v / (1 - beta2**t)
         w = w - lr * m_hat / (math.sqrt(v_hat) + eps)
     return w
+
+
+def oracle_adam(params, grad_steps, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Textbook Adam over a list of gradient dicts, a new array per
+    operation. Returns the final (params, first moments, second moments)."""
+    p = {name: np.array(arr, copy=True) for name, arr in params.items()}
+    m = {name: np.zeros_like(arr) for name, arr in params.items()}
+    v = {name: np.zeros_like(arr) for name, arr in params.items()}
+    for t, grads in enumerate(grad_steps, start=1):
+        for name in p:
+            g = grads[name]
+            m[name] = beta1 * m[name] + (1 - beta1) * g
+            v[name] = beta2 * v[name] + (1 - beta2) * g * g
+            m_hat = m[name] / (1 - beta1**t)
+            v_hat = v[name] / (1 - beta2**t)
+            p[name] = p[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return p, m, v
+
+
+def oracle_smoothed_targets(queries, positives_by_query, label_smoothing, n_entities):
+    """Per-row, per-cell loop over the smoothed 1-N target matrix."""
+    out = np.full((len(queries), n_entities), label_smoothing / n_entities)
+    for row, q in enumerate(queries):
+        for tail in sorted(positives_by_query[q]):
+            out[row, tail] += 1.0 - label_smoothing
+    return out

@@ -203,6 +203,14 @@ class TestEvalCommand:
         assert "checkpoint error: manifest entry 'ent'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_eval_set_without_config_exits_2(self, trained, tmp_path, capsys):
+        _, out_dir = trained
+        out = tmp_path / "report.json"
+        assert main(["eval", "--checkpoint", os.path.join(out_dir, "best.ckpt"),
+                     "--set", "priori_weight=0.4", "--out", str(out)]) == 2
+        assert "config error: --set needs --config" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_eval_config_not_matching_the_arrays_exits_5(self, trained, tmp_path, toy_dir,
                                                          capsys):
         # The checkpoint is 6x6; a 4x9 plane keeps d_e = 36 but gives 24

@@ -16,6 +16,8 @@ from convd.data import (
 )
 from convd.errors import ConfigError, DataError, GenerationError, StateError
 
+from oracles import oracle_smoothed_targets
+
 
 def write(tmp_path, name, lines):
     path = tmp_path / name
@@ -191,6 +193,21 @@ def train_targets(store, eps, n_entities):
 
 
 class TestOneToN:
+    def test_matches_per_row_loop_reference(self):
+        # Toy relations are functions, so key the positives by head alone:
+        # each head then has one tail per relation, several per query.
+        store = generate_toy_kg(7, 60, 4, 2)
+        by_head = {}
+        for h, _, t in store.train:
+            by_head.setdefault(int(h), set()).add(int(t))
+        queries = sorted(by_head, key=lambda h: (-h % 7, h))
+        assert max(len(by_head[q]) for q in queries) > 1
+        for batch in (queries, queries[:1]):
+            got = smoothed_targets_matrix(batch, by_head, 0.1, store.n_entities)
+            want = oracle_smoothed_targets(batch, by_head, 0.1, store.n_entities)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     def test_zero_smoothing_is_indicator(self):
         store = make_store([("a", "r", "b")])
         _, targets = train_targets(store, 0.0, store.n_entities)

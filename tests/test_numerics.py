@@ -13,7 +13,13 @@ from convd.numerics import (
 )
 from convd.rng import RngStream
 
-from oracles import BatchNormState, batchnorm_apply, oracle_adam_scalar, oracle_conv2d
+from oracles import (
+    BatchNormState,
+    batchnorm_apply,
+    oracle_adam,
+    oracle_adam_scalar,
+    oracle_conv2d,
+)
 
 
 def conv_one(image, kernel):
@@ -168,18 +174,20 @@ class TestDropout:
 class TestAdam:
     def test_zero_gradient_fixed_point(self):
         params = {"w": np.array([1.0, -2.0, 3.0])}
+        start = params["w"].copy()  # adam_step updates params in place
         state = adam_init(params)
         zeros = {"w": np.zeros(3)}
         current = params
         for _ in range(5):
             current, state = adam_step(current, zeros, state, lr=0.1)
-        assert np.array_equal(current["w"], params["w"])
+        assert np.array_equal(current["w"], start)
 
     def test_first_step_is_signed_lr(self):
         params = {"w": np.array([0.5, -1.5, 2.0])}
+        before = {"w": params["w"].copy()}  # adam_step updates params in place
         grads = {"w": np.array([3.0, -0.01, 1e-6])}
         new, _ = adam_step(params, grads, adam_init(params), lr=0.1)
-        step = new["w"] - params["w"]
+        step = new["w"] - before["w"]
         assert np.allclose(step, -0.1 * np.sign(grads["w"]), atol=1e-3)
 
     def test_three_steps_match_hand_trace(self):
@@ -201,9 +209,57 @@ class TestAdam:
     def test_step_counter_increments(self):
         params = {"w": np.zeros(2)}
         state = adam_init(params)
+        seen = [state.step]  # the state is updated in place, so record as we go
         _, s1 = adam_step(params, {"w": np.ones(2)}, state, 0.01)
+        seen.append(s1.step)
         _, s2 = adam_step(params, {"w": np.ones(2)}, s1, 0.01)
-        assert (state.step, s1.step, s2.step) == (0, 1, 2)
+        seen.append(s2.step)
+        assert tuple(seen) == (0, 1, 2)
+
+    @staticmethod
+    def _adam_case(seed):
+        # 40,003 elements: two full blocks plus a partial one.
+        rng = np.random.default_rng(seed)
+        shapes = {"long": (40003,), "matrix": (37, 11), "single": (1,)}
+        params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        grad_steps = [
+            {name: rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 2, size=shape)
+             for name, shape in shapes.items()}
+            for _ in range(3)
+        ]
+        return params, grad_steps
+
+    def test_in_place_matches_textbook_oracle_bit_for_bit(self):
+        params, grad_steps = self._adam_case(41)
+        want_p, want_m, want_v = oracle_adam(params, grad_steps, lr=0.003)
+        state = adam_init(params)
+        for grads in grad_steps:
+            adam_step(params, grads, state, 0.003)
+        assert state.step == 3
+        for name in params:
+            assert params[name].tobytes() == want_p[name].tobytes(), name
+            assert state.first_moment[name].tobytes() == want_m[name].tobytes(), name
+            assert state.second_moment[name].tobytes() == want_v[name].tobytes(), name
+
+    def test_returns_the_objects_it_was_given(self):
+        params, grad_steps = self._adam_case(42)
+        arrays = dict(params)
+        state = adam_init(params)
+        moments = (dict(state.first_moment), dict(state.second_moment))
+        out_params, out_state = adam_step(params, grad_steps[0], state, 0.01)
+        assert out_params is params and out_state is state
+        for name, arr in arrays.items():
+            assert out_params[name] is arr
+            assert out_state.first_moment[name] is moments[0][name]
+            assert out_state.second_moment[name] is moments[1][name]
+
+    def test_rejected_call_changes_nothing(self):
+        params = {"a": np.ones(3), "b": np.ones((4, 2))[:, 0]}  # b is a strided view
+        state = adam_init(params)
+        with pytest.raises(DimensionError):
+            adam_step(params, {"a": np.ones(3), "b": np.ones(4)}, state, 0.1)
+        assert np.array_equal(params["a"], np.ones(3))
+        assert state.step == 0 and not state.first_moment["a"].any()
 
 
 class TestFiniteDiff:

@@ -69,6 +69,37 @@ class TestBceLoss:
         with pytest.raises(NumericError):
             bce_loss(np.array([np.nan]), np.array([0.5]))
 
+    def test_gradient_matches_two_exp_oracle(self):
+        # 0/1 labels keep sigmoid - y well conditioned, so the only
+        # difference left is the rounding of the sigmoid itself.
+        rng = np.random.default_rng(29)
+        logits = rng.uniform(-40.0, 40.0, size=10_000)
+        target = (rng.uniform(size=logits.size) < 0.5).astype(np.float64)
+        _, grad = bce_loss(logits, target)
+        oracle = (1.0 / (1.0 + np.exp(-logits)) - target) / logits.size
+        np.testing.assert_allclose(grad, oracle, rtol=1e-14, atol=0.0)
+
+    def test_soft_target_gradient_within_operand_rounding(self):
+        # With soft labels sigmoid - y can cancel; bound the difference by
+        # the size of the operands instead of the result.
+        rng = np.random.default_rng(30)
+        logits = rng.uniform(-40.0, 40.0, size=10_000)
+        target = rng.uniform(size=logits.size)
+        _, grad = bce_loss(logits, target)
+        sig = 1.0 / (1.0 + np.exp(-logits))
+        oracle = (sig - target) / logits.size
+        assert np.all(np.abs(grad - oracle) <= 1e-14 * (sig + target) / logits.size)
+
+    def test_extreme_logits_raise_no_floating_point_error(self):
+        logits = np.array([1e4, -1e4, 1e4, -1e4])
+        target = np.array([1.0, 0.0, 0.0, 1.0])
+        with np.errstate(over="raise", invalid="raise"):
+            loss, grad = bce_loss(logits, target)
+        assert np.isfinite(loss) and np.all(np.isfinite(grad))
+        # Two confident hits cost nothing; two confident misses cost |z| each.
+        assert loss == pytest.approx(2e4 / 4)
+        assert np.array_equal(grad, np.array([0.0, 0.0, 1.0, -1.0]) / 4)
+
 
 class TestEarlyStop:
     def history(self, mrrs):
