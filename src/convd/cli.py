@@ -23,6 +23,7 @@ from .data import (
     augment_reciprocal,
     build_priori,
     generate_toy_kg,
+    tails_index,
     write_splits,
 )
 from .errors import (
@@ -57,12 +58,12 @@ _IO_KEYS = {
     "data_dir": str,
     "output_dir": str,
     "split": str,
-    "top_k": int,
     "fractions": list,
     "modes": list,
-    "filter_known": bool,
     "strict_vocab": bool,
 }
+# Element types of the list-valued keys; a bool is not a number.
+_IO_ELEMENTS = {"fractions": ((int, float), "numbers"), "modes": (str, "strings")}
 
 
 def _coerce(value: str):
@@ -93,6 +94,12 @@ def load_run_config(path, overrides=()):
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     io = {k: raw.pop(k) for k in list(raw) if k in _IO_KEYS}
+    for key, value in io.items():
+        if not isinstance(value, _IO_KEYS[key]):
+            raise ConfigError(f"{key} must be of type {_IO_KEYS[key].__name__}, got {value!r}")
+        kind, noun = _IO_ELEMENTS.get(key, (None, None))
+        if kind and not all(isinstance(v, kind) and not isinstance(v, bool) for v in value):
+            raise ConfigError(f"{key} must hold {noun}, got {value!r}")
     try:
         cfg = TrainConfig(**raw)
     except TypeError as exc:
@@ -279,6 +286,8 @@ def _nearest(symbol, candidates, n=3):
 
 
 def cmd_predict(args) -> int:
+    if args.top_k < 0:
+        raise ConfigError(f"--top-k must be >= 0, got {args.top_k}")
     cfg, io, params = _params_from_checkpoint(args.checkpoint)
     store = _prepare(io)
     vocab = store.vocab
@@ -303,19 +312,11 @@ def cmd_predict(args) -> int:
         np.array([h]), np.array([r]), params, priori, cfg.model_config(), mode="eval"
     )
     scores = logits[0]
-    if args.filter_known:
-        known = {
-            t
-            for (qh, qr, t) in ((int(a), int(b), int(c)) for a, b, c in store.train)
-            if qh == h and qr == r
-        }
-        for t in known:
-            scores[t] = -np.inf
-    top_k = args.top_k or store.n_entities
-    order = np.argsort(-scores, kind="stable")[:top_k]
+    known = tails_index(store.train).get((h, r), set()) if args.filter_known else set()
+    order = [i for i in np.argsort(-scores, kind="stable").tolist() if i not in known]
     rows = [
-        {"entity": vocab.id_to_entity[int(i)], "score": float(scores[int(i)])}
-        for i in order
+        {"entity": vocab.id_to_entity[i], "score": float(scores[i])}
+        for i in order[: args.top_k or None]
     ]
     print(_dump(rows, args.pretty), end="")
     return EXIT_OK
@@ -404,11 +405,11 @@ def cmd_ablate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg, io = load_run_config(args.config, args.set or ())
-    fractions = (
-        [float(x) for x in args.fractions.split(",")]
-        if args.fractions
-        else [float(x) for x in io.get("fractions", [0.25, 0.5, 1.0])]
-    )
+    raw = args.fractions.split(",") if args.fractions else io.get("fractions", [0.25, 0.5, 1.0])
+    try:
+        fractions = [float(x) for x in raw]
+    except ValueError as exc:
+        raise ConfigError(f"--fractions expects numbers, got {args.fractions!r}") from exc
     store = _prepare(io)
     priori = build_priori(store, cfg.priori_base)
     rows = run_fraction_sweep(cfg, store, priori, fractions)
@@ -483,7 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--head", required=True)
     p.add_argument("--relation", required=True)
-    p.add_argument("--top-k", type=int, default=10, dest="top_k")
+    p.add_argument("--top-k", type=int, default=10, dest="top_k",
+                   help="rows to print after filtering; 0 prints all")
     p.add_argument("--filter-known", action="store_true", dest="filter_known",
                    help="hide tails already true in the train split")
     p.add_argument("--pretty", action="store_true")

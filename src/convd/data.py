@@ -1,6 +1,6 @@
 """Triple ingestion, vocabularies, reciprocal augmentation, 1-N targets,
-priori frequency statistics, filtered-candidate indexes, and a deterministic
-toy graph generator for desk-scale runs.
+priori frequency statistics, the (head, relation) -> tails index, and a
+deterministic toy graph generator for desk-scale runs.
 
 Triple file format: UTF-8, LF line endings, one `head<TAB>relation<TAB>tail`
 per line, no header, tabs forbidden inside symbols.
@@ -9,6 +9,7 @@ per line, no header, tabs forbidden inside symbols.
 import itertools
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,6 +98,15 @@ def load_triples(path, vocab: Vocab | None = None, strict: bool = True):
     return vocab, ids
 
 
+def tails_index(triples) -> dict:
+    """Map each (head, relation) of an (n, 3) id array to the set of its
+    tails; keys and tails are Python ints."""
+    index: dict = {}
+    for h, r, t in triples.tolist():
+        index.setdefault((h, r), set()).add(t)
+    return index
+
+
 @dataclass
 class TripleStore:
     """Train/valid/test id triples plus the filtered-candidates index."""
@@ -107,24 +117,19 @@ class TripleStore:
     test: np.ndarray
     augmented: bool = False
     n_base_relations: int = 0
-    all_true: set = field(default_factory=set)
-    tails_by_query: dict = field(default_factory=dict)
+    tails_by_query: dict = field(init=False)
 
     def __post_init__(self):
         if self.n_base_relations == 0:
             self.n_base_relations = self.vocab.n_relations
-        self._reindex()
-
-    def _reindex(self):
-        self.all_true = set()
-        self.tails_by_query = {}
+        triples = np.concatenate([self.train, self.valid, self.test])
         n_ent, n_rel = self.vocab.n_entities, self.vocab.n_relations
-        for split in (self.train, self.valid, self.test):
-            for h, r, t in split:
-                if not (0 <= h < n_ent and 0 <= t < n_ent and 0 <= r < n_rel):
-                    raise DataError(f"triple ({h}, {r}, {t}) outside vocabulary bounds")
-                self.all_true.add((int(h), int(r), int(t)))
-                self.tails_by_query.setdefault((int(h), int(r)), set()).add(int(t))
+        outside = (triples < 0) | (triples >= np.array([n_ent, n_rel, n_ent]))
+        bad = np.flatnonzero(outside.any(axis=1))
+        if bad.size:
+            h, r, t = triples[bad[0]].tolist()
+            raise DataError(f"triple ({h}, {r}, {t}) outside vocabulary bounds")
+        self.tails_by_query = tails_index(triples)
 
     def split(self, name: str) -> np.ndarray:
         try:
@@ -209,10 +214,7 @@ def build_priori(store: TripleStore, a: float = 2.0) -> PrioriTable:
     """Count (head, relation) pairs over the train split only (no leakage)."""
     if not a > 1.0:
         raise ConfigError(f"priori log base must be > 1, got {a}")
-    freq: dict = {}
-    for h, r, _ in store.train:
-        key = (int(h), int(r))
-        freq[key] = freq.get(key, 0) + 1
+    freq = dict(Counter((h, r) for h, r, _ in store.train.tolist()))
     return PrioriTable(freq=freq, log_base=a)
 
 

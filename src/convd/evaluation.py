@@ -106,24 +106,6 @@ def evaluate(params, store: TripleStore, split: str, cfg: ModelConfig,
     )
 
 
-def constant_scorer_mrr(store: TripleStore, split: str) -> float:
-    """Closed-form filtered MRR of a scorer giving every entity one score:
-    each query's tie-average rank is (candidates + 1) / 2."""
-    if not store.augmented:
-        raise StateError("expects a reciprocal-augmented store")
-    base = store.n_base_relations
-    n = store.n_entities
-    rrs = []
-    for h, r, t in store.split(split):
-        if r >= base:
-            continue
-        for (qh, qr, true_id) in ((int(h), int(r), int(t)), (int(t), int(r) + base, int(h))):
-            known = store.tails_by_query.get((qh, qr), set())
-            candidates = n - len(known - {true_id})
-            rrs.append(2.0 / (candidates + 1.0))
-    return float(np.mean(rrs))
-
-
 def run_ablation(cfg, store: TripleStore, priori: PrioriTable, modes) -> list:
     """Train one model per ablation mode with the shared seed and config;
     one comparison row per mode."""

@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import PrioriTable, TripleStore, smoothed_targets_matrix
+from .data import PrioriTable, TripleStore, smoothed_targets_matrix, tails_index
 from .errors import ConfigError, NumericError, StateError
 from .model import (
     ModelConfig,
@@ -153,9 +153,7 @@ def train(cfg: TrainConfig, store: TripleStore, priori: PrioriTable,
     if store.train.shape[0] == 0:
         raise ConfigError("empty train split")
 
-    grouped: dict = {}
-    for h, r, t in store.train:
-        grouped.setdefault((int(h), int(r)), set()).add(int(t))
+    grouped = tails_index(store.train)
     queries = sorted(grouped)
     n_entities = store.n_entities
 

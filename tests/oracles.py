@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from convd.errors import DegenerateBatchError, DimensionError
+from convd.errors import DegenerateBatchError, DimensionError, StateError
 
 
 def oracle_conv2d(image, kernel):
@@ -233,6 +233,33 @@ def oracle_evaluate(score_fn, store, split):
         "hits": {n: float(np.mean(ranks <= n)) for n in (1, 3, 10)},
         "n_queries": len(ranks),
     }
+
+
+def constant_scorer_mrr(store, split):
+    """Closed-form filtered MRR of a scorer giving every entity one score:
+    each query's tie-average rank is (candidates + 1) / 2."""
+    if not store.augmented:
+        raise StateError("expects a reciprocal-augmented store")
+    base = store.n_base_relations
+    n = store.n_entities
+    rrs = []
+    for h, r, t in store.split(split):
+        if r >= base:
+            continue
+        for (qh, qr, true_id) in ((int(h), int(r), int(t)), (int(t), int(r) + base, int(h))):
+            known = store.tails_by_query.get((qh, qr), set())
+            candidates = n - len(known - {true_id})
+            rrs.append(2.0 / (candidates + 1.0))
+    return float(np.mean(rrs))
+
+
+def oracle_tails_by_query(store):
+    """(head, relation) -> tails over every split, one numpy row at a time."""
+    index = {}
+    for split in (store.train, store.valid, store.test):
+        for h, r, t in split:
+            index.setdefault((int(h), int(r)), set()).add(int(t))
+    return index
 
 
 def oracle_adam_scalar(w0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):

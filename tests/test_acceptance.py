@@ -15,7 +15,7 @@ from convd.data import (
     build_priori,
     generate_toy_kg,
 )
-from convd.evaluation import constant_scorer_mrr, evaluate, run_ablation, run_fraction_sweep
+from convd.evaluation import evaluate, run_ablation, run_fraction_sweep
 from convd.model import (
     ModelConfig,
     count_parameters,
@@ -34,7 +34,7 @@ from conftest import (
     tiny_config,
     tiny_params,
 )
-from oracles import oracle_evaluate, oracle_forward
+from oracles import constant_scorer_mrr, oracle_evaluate, oracle_forward
 from test_model import arrays_of, dims_of
 
 

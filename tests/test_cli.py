@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +94,11 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("override", [
         'm="4"', "batch_size=1.5", "max_epochs=null", 'lr="fast"', "eval_every=2.5",
+        "data_dir=5", 'output_dir=["o"]', "split=1", 'strict_vocab="yes"',
+        'fractions="abc"', "fractions=0.5", 'fractions=[0.5,"abc"]', "fractions=[0.5,true]",
+        'modes="full"', "modes=[1]",
+        # Never read by any command, so no longer accepted.
+        "top_k=3", "filter_known=true",
     ])
     def test_mistyped_value_exits_2(self, tmp_path, toy_dir, capsys, override):
         cfg_path = write_config(tmp_path / "c.json", data_dir=toy_dir,
@@ -150,7 +156,7 @@ class TestEvalCommand:
 
     def test_truncated_checkpoint_exits_5(self, trained, tmp_path):
         _, out_dir = trained
-        raw = open(os.path.join(out_dir, "best.ckpt"), "rb").read()
+        raw = Path(out_dir, "best.ckpt").read_bytes()
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(raw[:-32])
         out = tmp_path / "report.json"
@@ -162,7 +168,7 @@ class TestEvalCommand:
         the manifest entry of `ent` rewritten by `ent_entry`, and/or the
         first stored float (ent[0, 0]) overwritten."""
         _, out_dir = trained
-        header, body = open(os.path.join(out_dir, "best.ckpt"), "rb").read().split(b"\n", 1)
+        header, body = Path(out_dir, "best.ckpt").read_bytes().split(b"\n", 1)
         doc = json.loads(header)
         doc["config"].update(config or {})
         if ent_entry is not None:
@@ -236,6 +242,41 @@ class TestPredictCommand:
         assert scores == sorted(scores, reverse=True)
         assert len(rows) == 40
 
+    @staticmethod
+    def _strict_json(text):
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+        return json.loads(text, parse_constant=reject)
+
+    @staticmethod
+    def _first_train_query(toy_dir):
+        """A (head, relation) of the train split and all its train tails."""
+        rows = [line.split("\t") for line in
+                Path(toy_dir, "train.txt").read_text(encoding="utf-8").splitlines()]
+        head, relation, _ = rows[0]
+        return head, relation, {t for h, r, t in rows if (h, r) == (head, relation)}
+
+    @pytest.mark.parametrize("top_k", [0, 5])
+    def test_filter_known_drops_train_tails(self, trained, toy_dir, capsys, top_k):
+        _, out_dir = trained
+        head, relation, known = self._first_train_query(toy_dir)
+        assert main(["predict", "--checkpoint", os.path.join(out_dir, "best.ckpt"),
+                     "--head", head, "--relation", relation,
+                     "--top-k", str(top_k), "--filter-known"]) == 0
+        rows = self._strict_json(capsys.readouterr().out)
+        assert not known & {row["entity"] for row in rows}
+        assert len(rows) == (top_k or 40 - len(known))
+        scores = [row["score"] for row in rows]
+        assert scores == sorted(scores, reverse=True)
+
+    def test_negative_top_k_exits_2(self, trained, capsys):
+        _, out_dir = trained
+        assert main(["predict", "--checkpoint", os.path.join(out_dir, "best.ckpt"),
+                     "--head", "e00000", "--relation", "r000", "--top-k", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert "config error: --top-k" in captured.err
+        assert captured.out == ""
+
     def test_unknown_head_exits_3_with_suggestions(self, trained, capsys):
         _, out_dir = trained
         ckpt = os.path.join(out_dir, "best.ckpt")
@@ -294,6 +335,12 @@ class TestTableCommands:
         rows = json.loads(capsys.readouterr().out)
         assert [r["fraction"] for r in rows] == [0.25, 0.5, 1.0]
         assert [r["active_kernels"] for r in rows] == [1, 2, 4]
+
+    def test_sweep_non_numeric_fraction_exits_2(self, tmp_path, toy_dir, capsys):
+        cfg_path = write_config(tmp_path / "c.json", data_dir=toy_dir,
+                                output_dir=str(tmp_path / "o"), max_epochs=1, eval_every=1)
+        assert main(["sweep", "--config", cfg_path, "--fractions", "0.5,abc"]) == 2
+        assert "config error: --fractions" in capsys.readouterr().err
 
     def test_search_leaderboard_counts(self, tmp_path, toy_dir, capsys):
         cfg_path = write_config(

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from convd.data import (
 )
 from convd.errors import ConfigError, DataError, GenerationError, StateError
 
-from oracles import oracle_smoothed_targets
+from oracles import oracle_smoothed_targets, oracle_tails_by_query
 
 
 def write(tmp_path, name, lines):
@@ -50,7 +51,9 @@ class TestLoadTriples:
         store = TripleStore(vocab=vocab, train=triples,
                             valid=np.empty((0, 3), dtype=np.int64),
                             test=np.empty((0, 3), dtype=np.int64))
-        assert len(store.all_true) == 2
+        a, b, c = (vocab.entity_to_id[s] for s in "abc")
+        # The duplicate a -> b is held once.
+        assert store.tails_by_query == {(a, 0): {b}, (b, 0): {c}}
 
     def test_empty_file(self, tmp_path):
         path = write(tmp_path, "empty.txt", [])
@@ -118,7 +121,7 @@ class TestAugment:
         base = aug.n_base_relations
         for h, r, t in aug.train:
             mirrored = (int(t), int(r) + base if r < base else int(r) - base, int(h))
-            assert mirrored in aug.all_true
+            assert mirrored[2] in aug.tails_by_query[mirrored[:2]]
 
     def test_double_augmentation_rejected(self):
         aug = augment_reciprocal(make_store([("a", "r", "b")]))
@@ -259,6 +262,51 @@ class TestFilteredCandidates:
         eid1, eid2 = in_train.vocab.entity_to_id, in_test.vocab.entity_to_id
         assert in_train.tails_by_query[(eid1["h"], 0)] == {eid1["t"]}
         assert in_test.tails_by_query[(eid2["h"], 0)] == {eid2["t"]}
+
+
+def many_to_many_rows():
+    """Several tails per (head, relation) and several heads per tail, dealt
+    round-robin to train/valid/test."""
+    rows = [
+        (f"e{h}", f"r{r}", f"e{(h * 7 + r * 3 + k * k) % 23}")
+        for h in range(23) for r in range(3) for k in range(1 + h % 5)
+    ]
+    return rows[0::3], rows[1::3], rows[2::3]
+
+
+class TestTailsIndex:
+    @pytest.mark.parametrize("make", [
+        lambda: make_store(
+            [("a", "r", "b"), ("a", "r", "b"), ("a", "r", "c"), ("b", "s", "a")],
+            valid=[("a", "r", "d"), ("a", "r", "b")],
+            test=[("a", "r", "c"), ("b", "s", "d")],
+        ),
+        lambda: augment_reciprocal(generate_toy_kg(5, 40, 3, 2)),
+        lambda: make_store(*many_to_many_rows()),
+    ], ids=["duplicates_across_splits", "augmented_toy", "many_to_many"])
+    def test_matches_per_row_oracle(self, make):
+        store = make()
+        want = oracle_tails_by_query(store)
+        assert store.tails_by_query == want
+        assert all(type(x) is int for key, tails in store.tails_by_query.items()
+                   for x in (*key, *tails))
+
+    def test_many_to_many_store_has_multi_tail_queries(self):
+        store = make_store(*many_to_many_rows())
+        assert max(len(t) for t in store.tails_by_query.values()) > 1
+
+    @pytest.mark.parametrize("split, triple", [
+        ("train", (-1, 0, 1)),
+        ("test", (0, 0, 3)),
+        ("valid", (0, 2, 1)),
+    ], ids=["negative_head", "tail_equals_n_entities", "relation_equals_n_relations"])
+    def test_out_of_vocabulary_id_names_the_triple(self, split, triple):
+        vocab = Vocab.from_symbols(["a", "b", "c"], ["r", "s"])
+        good = np.array([[0, 0, 1], [2, 1, 0]], dtype=np.int64)
+        splits = {"train": good, "valid": good, "test": good}
+        splits[split] = np.concatenate([good, np.array([triple, (5, 5, 5)])])
+        with pytest.raises(DataError, match=re.escape(f"triple {triple} outside")):
+            TripleStore(vocab=vocab, **splits)
 
 
 class TestToyKg:

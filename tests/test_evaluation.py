@@ -4,7 +4,6 @@ import pytest
 from convd.data import augment_reciprocal, build_priori, generate_toy_kg
 from convd.errors import DimensionError, StateError
 from convd.evaluation import (
-    constant_scorer_mrr,
     evaluate,
     rank_of,
     run_ablation,
@@ -15,7 +14,7 @@ from convd.model import forward_batch, init_params
 from convd.rng import RngStream
 
 from conftest import small_toy_train_config
-from oracles import oracle_evaluate, oracle_rank
+from oracles import constant_scorer_mrr, oracle_evaluate, oracle_rank
 
 
 class TestRankOf:
