@@ -73,6 +73,18 @@ def _coerce(value: str):
         return value
 
 
+def _checked_io(io: dict, error) -> dict:
+    """Returns io after checking the type of each I/O key and of the
+    elements of the list-valued ones; raises `error` on the first bad one."""
+    for key, value in io.items():
+        if not isinstance(value, _IO_KEYS[key]):
+            raise error(f"{key} must be of type {_IO_KEYS[key].__name__}, got {value!r}")
+        kind, noun = _IO_ELEMENTS.get(key, (None, None))
+        if kind and not all(isinstance(v, kind) and not isinstance(v, bool) for v in value):
+            raise error(f"{key} must hold {noun}, got {value!r}")
+    return io
+
+
 def load_run_config(path, overrides=()):
     """Strictly parsed flat config: unknown keys are rejected."""
     try:
@@ -93,13 +105,7 @@ def load_run_config(path, overrides=()):
     unknown = sorted(set(raw) - known)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    io = {k: raw.pop(k) for k in list(raw) if k in _IO_KEYS}
-    for key, value in io.items():
-        if not isinstance(value, _IO_KEYS[key]):
-            raise ConfigError(f"{key} must be of type {_IO_KEYS[key].__name__}, got {value!r}")
-        kind, noun = _IO_ELEMENTS.get(key, (None, None))
-        if kind and not all(isinstance(v, kind) and not isinstance(v, bool) for v in value):
-            raise ConfigError(f"{key} must hold {noun}, got {value!r}")
+    io = _checked_io({k: raw.pop(k) for k in list(raw) if k in _IO_KEYS}, ConfigError)
     try:
         cfg = TrainConfig(**raw)
     except TypeError as exc:
@@ -239,7 +245,7 @@ def _params_from_checkpoint(path):
     raw_cfg, params = load_checkpoint(path)
     model_keys = set(TrainConfig.__dataclass_fields__)
     cfg = TrainConfig(**{k: v for k, v in raw_cfg.items() if k in model_keys})
-    io = {k: v for k, v in raw_cfg.items() if k in _IO_KEYS}
+    io = _checked_io({k: v for k, v in raw_cfg.items() if k in _IO_KEYS}, CheckpointError)
     return cfg, io, params
 
 

@@ -51,14 +51,17 @@ class Vocab:
 
 def _parse_lines(path):
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected head<TAB>relation<TAB>tail")
-            yield parts
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 3:
+                    raise DataError(f"{path}:{lineno}: expected head<TAB>relation<TAB>tail")
+                yield parts
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not valid UTF-8 text ({exc.reason})") from exc
 
 
 def load_triples(path, vocab: Vocab | None = None, strict: bool = True):

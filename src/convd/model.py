@@ -490,11 +490,14 @@ def backward(trace: ForwardTrace, grad_logits: np.ndarray, params: ModelParams,
         raise DimensionError(f"grad_logits shape {grad_logits.shape} does not match the trace")
     b = grad_logits.shape[0]
 
-    grads = {k: np.zeros_like(v) for k, v in params.named_arrays().items()}
-
-    # (8) logits = z @ ent.T
+    # (8) logits = z @ ent.T. The dense 1-N route covers every row of the
+    # entity gradient, so it is that block's first value; the head-entity
+    # route (1) adds to it.
+    grads = {
+        k: grad_logits.T @ trace.z if k == "ent" else np.zeros_like(v)
+        for k, v in params.named_arrays().items()
+    }
     g_z = grad_logits @ params.ent  # (B, d_e)
-    grads["ent"] += grad_logits.T @ trace.z  # dense 1-N route
 
     # (7) z = h1 @ w_out + b_out; h1 = relu(v_out * mask_out)
     grads["w_out"] += trace.h1.T @ g_z

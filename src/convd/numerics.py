@@ -4,6 +4,10 @@ central-difference gradient oracle.
 Everything is 64-bit float. Randomness and optimizer state enter only
 through explicit arguments. Adam is the one routine that mutates its
 arguments: it updates the parameters and both moments in place.
+
+BLOCK is the one block size of the elementwise passes over large arrays:
+Adam here and the 1-N loss in training.py walk their arrays BLOCK
+elements at a time, so each block stays in cache across its passes.
 """
 
 from dataclasses import dataclass
@@ -86,9 +90,9 @@ def adam_init(params: dict, beta1=0.9, beta2=0.999, epsilon=1e-8) -> AdamState:
     )
 
 
-# Elements per Adam block: the block and the two float64 scratch buffers
-# (2 x 128 KiB) stay in L2 across the block's elementwise passes.
-ADAM_BLOCK = 16384
+# Elements per block: a block and two float64 scratch buffers (2 x 128 KiB)
+# stay in L2 across the block's elementwise passes.
+BLOCK = 16384
 
 
 def _flat_view(arr: np.ndarray, name: str) -> np.ndarray:
@@ -103,7 +107,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
 
     The arithmetic and its order are those of the textbook form
     p - lr * (m / bc1) / (sqrt(v / bc2) + eps), so the bytes match it; the
-    update runs in blocks of ADAM_BLOCK elements through two scratch buffers.
+    update runs in blocks of BLOCK elements through two scratch buffers.
     """
     t = state.step + 1
     b1, b2 = state.beta1, state.beta2
@@ -121,11 +125,11 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
             _flat_view(state.first_moment[name], name),
             _flat_view(state.second_moment[name], name),
         ))
-    scratch_a = np.empty(ADAM_BLOCK, dtype=np.float64)
-    scratch_b = np.empty(ADAM_BLOCK, dtype=np.float64)
+    scratch_a = np.empty(BLOCK, dtype=np.float64)
+    scratch_b = np.empty(BLOCK, dtype=np.float64)
     for p_flat, g_flat, m_flat, v_flat in flat:
-        for lo in range(0, p_flat.size, ADAM_BLOCK):
-            hi = min(lo + ADAM_BLOCK, p_flat.size)
+        for lo in range(0, p_flat.size, BLOCK):
+            hi = min(lo + BLOCK, p_flat.size)
             pb, gb, mb, vb = p_flat[lo:hi], g_flat[lo:hi], m_flat[lo:hi], v_flat[lo:hi]
             a, b = scratch_a[: hi - lo], scratch_b[: hi - lo]
             mb *= b1

@@ -20,7 +20,7 @@ from .model import (
     forward_batch,
     init_params,
 )
-from .numerics import adam_init, adam_step
+from .numerics import BLOCK, adam_init, adam_step
 from .rng import RngStream, stream_bundle
 
 DROPOUT_LABELS = ("dropout.in", "dropout.feat", "dropout.out")
@@ -89,27 +89,43 @@ def bce_loss(logits: np.ndarray, target: np.ndarray):
 
     One exp per logit: with e = exp(-|z|), softplus(z) = max(z, 0) +
     log1p(e), and sigmoid(z) is 1/(1+e) for z >= 0 and e/(1+e) otherwise,
-    so no exp overflows."""
+    so no exp overflows. The passes run over BLOCK elements at a time, so
+    a block stays in cache; the per-element loss terms are kept whole and
+    reduced by one mean, so the loss bytes do not depend on the blocking."""
     logits = np.asarray(logits, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if logits.shape != target.shape:
         raise ConfigError(f"logits shape {logits.shape} != target shape {target.shape}")
-    if not np.all(np.isfinite(logits)):
-        raise NumericError("non-finite logits in the loss")
-    e = np.exp(-np.abs(logits))
-    # y*softplus(-z) + (1-y)*softplus(z) == softplus(z) - y*z
-    per_entity = np.maximum(logits, 0.0)
-    per_entity += np.log1p(e)
-    per_entity -= target * logits
-    loss = per_entity.mean()
-    grad = np.where(logits >= 0, 1.0, e)
-    e += 1.0
-    grad /= e
-    grad -= target
-    # Batched input averages over queries as well, so the gradient scale is
-    # the full element count either way.
-    grad /= grad.size
-    return loss, grad
+    n = logits.size
+    per_entity = np.empty(logits.shape)
+    grad = np.empty(logits.shape)
+    z_flat, y_flat = np.ravel(logits), np.ravel(target)
+    loss_flat, grad_flat = per_entity.reshape(-1), grad.reshape(-1)
+    scratch_e = np.empty(min(n, BLOCK))
+    scratch_t = np.empty(min(n, BLOCK))
+    for lo in range(0, n, BLOCK):
+        hi = min(lo + BLOCK, n)
+        z, y, lb, gb = z_flat[lo:hi], y_flat[lo:hi], loss_flat[lo:hi], grad_flat[lo:hi]
+        e, t = scratch_e[: hi - lo], scratch_t[: hi - lo]
+        if not np.isfinite(z).all():
+            raise NumericError("non-finite logits in the loss")
+        np.abs(z, out=e)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        # y*softplus(-z) + (1-y)*softplus(z) == softplus(z) - y*z
+        np.maximum(z, 0.0, out=lb)
+        lb += np.log1p(e, out=t)
+        lb -= np.multiply(y, z, out=t)
+        # 1 where z >= 0, else e: equal to np.where(z >= 0, 1, e) since
+        # 0 <= e <= 1, without a branch per element.
+        np.maximum(e, z >= 0, out=gb)
+        e += 1.0
+        gb /= e
+        gb -= y
+        # Batched input averages over queries as well, so the gradient
+        # scale is the full element count either way.
+        gb /= n
+    return per_entity.mean(), grad
 
 
 def early_stop(history: TrainHistory, patience: int) -> bool:

@@ -10,7 +10,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from convd.errors import DegenerateBatchError, DimensionError, StateError
+from convd.errors import (
+    ConfigError,
+    DegenerateBatchError,
+    DimensionError,
+    NumericError,
+    StateError,
+)
 
 
 def oracle_conv2d(image, kernel):
@@ -298,3 +304,28 @@ def oracle_smoothed_targets(queries, positives_by_query, label_smoothing, n_enti
         for tail in sorted(positives_by_query[q]):
             out[row, tail] += 1.0 - label_smoothing
     return out
+
+
+def oracle_bce(logits, target):
+    """Whole-array mean BCE in one-exp softplus form, one pass per operation.
+    Returns (loss, grad_logits) with grad = (sigmoid - y)/n."""
+    logits = np.asarray(logits, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    if logits.shape != target.shape:
+        raise ConfigError(f"logits shape {logits.shape} != target shape {target.shape}")
+    if not np.all(np.isfinite(logits)):
+        raise NumericError("non-finite logits in the loss")
+    e = np.exp(-np.abs(logits))
+    # y*softplus(-z) + (1-y)*softplus(z) == softplus(z) - y*z
+    per_entity = np.maximum(logits, 0.0)
+    per_entity += np.log1p(e)
+    per_entity -= target * logits
+    loss = per_entity.mean()
+    grad = np.where(logits >= 0, 1.0, e)
+    e += 1.0
+    grad /= e
+    grad -= target
+    # Batched input averages over queries as well, so the gradient scale is
+    # the full element count either way.
+    grad /= grad.size
+    return loss, grad

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -121,6 +122,26 @@ class TestTrainCommand:
                                 output_dir=str(tmp_path / "o"))
         assert main(["train", "--config", cfg_path]) == 3
 
+    @pytest.mark.parametrize("split,edit", [
+        ("train.txt", lambda raw: raw + b"e00001\tr000\n"),
+        ("valid.txt", lambda raw: raw + b"e00001\tr000\tnot_an_entity\n"),
+        ("train.txt", lambda raw: raw + b"\xff\xfe\x00junk\n"),
+        ("test.txt", None),
+    ], ids=["wrong_column_count", "unknown_symbol_strict", "invalid_utf8", "missing_split"])
+    def test_malformed_triple_file_exits_3(self, tmp_path, toy_dir, capsys, split, edit):
+        data = tmp_path / "data"
+        shutil.copytree(toy_dir, data)
+        if edit is None:
+            (data / split).unlink()
+        else:
+            (data / split).write_bytes(edit((data / split).read_bytes()))
+        cfg_path = write_config(tmp_path / "c.json", data_dir=str(data),
+                                output_dir=str(tmp_path / "o"), max_epochs=1)
+        assert main(["train", "--config", cfg_path]) == 3
+        err = capsys.readouterr().err
+        assert "data error:" in err and split in err
+        assert "Traceback" not in err
+
     def test_numeric_blowup_exits_4(self, tmp_path, toy_dir):
         import warnings
 
@@ -207,6 +228,17 @@ class TestEvalCommand:
         out = tmp_path / "report.json"
         assert main(["eval", "--checkpoint", bad, "--out", str(out)]) == 5
         assert "checkpoint error: manifest entry 'ent'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config", [
+        {"data_dir": 5}, {"strict_vocab": "yes"}, {"modes": "full"},
+    ], ids=["data_dir", "strict_vocab", "modes"])
+    def test_mistyped_io_key_in_header_exits_5(self, trained, tmp_path, capsys, config):
+        bad = self._edited(trained, tmp_path, config=config)
+        out = tmp_path / "report.json"
+        assert main(["eval", "--checkpoint", bad, "--out", str(out)]) == 5
+        key = next(iter(config))
+        assert f"checkpoint error: {key} must" in capsys.readouterr().err
         assert not out.exists()
 
     def test_eval_set_without_config_exits_2(self, trained, tmp_path, capsys):

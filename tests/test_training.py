@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from convd.data import PrioriTable, build_priori, generate_toy_kg
-from convd.errors import ConfigError, StateError
+import convd.training
+from convd.data import PrioriTable, augment_reciprocal, build_priori, generate_toy_kg
+from convd.errors import ConfigError, NumericError, StateError
 from convd.model import forward_batch, backward
-from convd.numerics import adam_init, adam_step, finite_diff_grad
+from convd.numerics import BLOCK, adam_init, adam_step, finite_diff_grad
 from convd.rng import RngStream
 from convd.training import (
     EpochRecord,
@@ -20,6 +21,7 @@ from convd.training import (
 from convd.evaluation import evaluate
 
 from conftest import TINY_ENTITIES, rel_err, small_toy_train_config, tiny_config, tiny_params
+from oracles import oracle_bce
 
 PRIORI = PrioriTable(freq={(0, 0): 2, (1, 1): 1}, log_base=2.0)
 
@@ -64,8 +66,6 @@ class TestBceLoss:
         assert np.allclose(grad, (0.5 - 0.25) / 24)
 
     def test_non_finite_rejected(self):
-        from convd.errors import NumericError
-
         with pytest.raises(NumericError):
             bce_loss(np.array([np.nan]), np.array([0.5]))
 
@@ -99,6 +99,33 @@ class TestBceLoss:
         # Two confident hits cost nothing; two confident misses cost |z| each.
         assert loss == pytest.approx(2e4 / 4)
         assert np.array_equal(grad, np.array([0.0, 0.0, 1.0, -1.0]) / 4)
+
+    @pytest.mark.parametrize("shape", [
+        (BLOCK - 1,), (BLOCK,), (BLOCK + 1,), (3 * BLOCK + 7,), (64, 600), (3, 40, 500),
+    ])
+    @pytest.mark.parametrize("soft", [False, True], ids=["binary", "soft"])
+    def test_blocked_matches_dense_oracle_bit_for_bit(self, shape, soft):
+        # A seed per case, so no case repeats the arrays of the one before.
+        rng = np.random.default_rng([31, int(soft), *shape])
+        logits = rng.uniform(-40.0, 40.0, size=shape)
+        flat = logits.reshape(-1)
+        # Signed zeros, and exps that underflow to 0, at both ends.
+        flat[:4] = flat[-4:] = [-0.0, 0.0, 800.0, -800.0]
+        target = rng.uniform(size=shape)
+        if not soft:
+            target = (target < 0.5).astype(np.float64)
+        loss, grad = bce_loss(logits, target)
+        want_loss, want_grad = oracle_bce(logits, target)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert grad.shape == want_grad.shape
+        assert grad.tobytes() == want_grad.tobytes()
+
+    def test_non_finite_in_last_block_rejected(self):
+        n = 2 * BLOCK + 1
+        logits = np.zeros(n)
+        logits[n - 1] = np.nan
+        with pytest.raises(NumericError):
+            bce_loss(logits, np.full(n, 0.5))
 
 
 class TestEarlyStop:
@@ -225,6 +252,17 @@ class TestTrain:
             }
             passes += current_loss(params.with_arrays(stepped)) < loss
         assert passes >= 19
+
+    def test_blocked_loss_trains_the_oracle_bytes(self, monkeypatch):
+        # 64 queries x 600 entities = 38,400 logits: three loss blocks a step.
+        store = augment_reciprocal(generate_toy_kg(5, 600, 3, 2))
+        priori = build_priori(store)
+        cfg = small_toy_train_config(max_epochs=1, eval_every=1, batch_size=64)
+        blocked, _ = train(cfg, store, priori)
+        monkeypatch.setattr(convd.training, "bce_loss", oracle_bce)
+        dense, _ = train(cfg, store, priori)
+        for name, arr in blocked.named_arrays().items():
+            assert arr.tobytes() == dense.named_arrays()[name].tobytes(), name
 
     def test_empty_train_split_rejected(self, small_toy_store):
         import numpy as np
