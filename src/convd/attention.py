@@ -5,6 +5,13 @@ embedding is cut into m kernel slices, each slice is projected to a key and
 reduced to a scalar value, the entity embedding is projected to a single
 query, and the softmax over the biased key/query logits is multiplied
 elementwise by the values.
+
+The learned arrays are read by their param_layout names from a
+model.ModelParams: attn_q (k, d_e) projects the entity to the query,
+attn_k (k, r_w * r_h) and attn_v (r_w * r_h,) project each slice to its key
+and value, and attn_u (m,) is the per-kernel priori modulation. A constant
+attn_u provably cancels under the softmax, which is why it is learned per
+kernel (see attention_forward).
 """
 
 import math
@@ -13,22 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError
-
-
-@dataclass
-class AttentionParams:
-    """Learned projections. u is the per-kernel priori modulation; a constant
-    u provably cancels under the softmax, which is why it must be learned
-    per kernel (see attention_forward)."""
-
-    a_q: np.ndarray  # (k, d_e)
-    a_k: np.ndarray  # (k, r_w * r_h)
-    a_v: np.ndarray  # (r_w * r_h,)
-    u: np.ndarray  # (m,)
-
-    @property
-    def d_k(self) -> int:
-        return self.a_q.shape[0]
 
 
 def _sqrt_m(m: int) -> int:
@@ -70,7 +61,7 @@ class AttentionTrace:
     probs: np.ndarray  # (B, m); inactive entries 0
     alpha: np.ndarray  # (B, m); inactive entries 0
     active: np.ndarray  # active kernel indices
-    params: AttentionParams
+    params: object  # model.ModelParams
     lam: float  # priori weight the logits were biased with
 
 
@@ -78,7 +69,7 @@ def attention_forward(
     e_h: np.ndarray,
     banks: np.ndarray,
     p_hr: np.ndarray,
-    params: AttentionParams,
+    params,
     lam: float,
     active: np.ndarray | None = None,
 ) -> AttentionTrace:
@@ -93,11 +84,11 @@ def attention_forward(
     kappa = banks.reshape(b, m, -1)
     if active is None:
         active = np.arange(m)
-    q = e_h @ params.a_q.T  # (B, k)
-    keys = kappa @ params.a_k.T  # (B, m, k)
-    values = kappa @ params.a_v  # (B, m)
-    logits = np.einsum("bk,bmk->bm", q, keys) / math.sqrt(params.d_k)
-    u = params.u
+    q = e_h @ params.attn_q.T  # (B, k)
+    keys = kappa @ params.attn_k.T  # (B, m, k)
+    values = kappa @ params.attn_v  # (B, m)
+    logits = np.einsum("bk,bmk->bm", q, keys) / math.sqrt(params.attn_q.shape[0])
+    u = params.attn_u
     if lam != 0.0 and u[active].max() != u[active].min():
         logits = logits + lam * np.asarray(p_hr)[:, None] * u[None, :]
     if not np.all(np.isfinite(logits)):
@@ -139,7 +130,7 @@ def attention_weights_backward(trace: AttentionTrace, grad_alpha: np.ndarray):
             f"grad_alpha shape {grad_alpha.shape} != alpha shape {trace.alpha.shape}"
         )
     params = trace.params
-    scale = 1.0 / math.sqrt(params.d_k)
+    scale = 1.0 / math.sqrt(params.attn_q.shape[0])
     probs, values = trace.probs, trace.values
 
     g_probs = grad_alpha * values
@@ -153,10 +144,10 @@ def attention_weights_backward(trace: AttentionTrace, grad_alpha: np.ndarray):
     lam_p = trace.lam * trace.p_hr
     g_u = np.einsum("b,bm->m", lam_p, g_logits)
 
-    g_e_h = g_q @ params.a_q
+    g_e_h = g_q @ params.attn_q
     g_a_q = np.einsum("bk,bd->kd", g_q, trace.e_h)
-    g_kappa = np.einsum("bmk,kf->bmf", g_keys, params.a_k)
-    g_kappa += g_values[:, :, None] * params.a_v[None, None, :]
+    g_kappa = np.einsum("bmk,kf->bmf", g_keys, params.attn_k)
+    g_kappa += g_values[:, :, None] * params.attn_v[None, None, :]
     g_a_k = np.einsum("bmk,bmf->kf", g_keys, trace.kappa)
     g_a_v = np.einsum("bm,bmf->f", g_values, trace.kappa)
 

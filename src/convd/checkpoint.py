@@ -122,7 +122,7 @@ def load_checkpoint(path):
         total = max(total, offset + nbytes)
     if total != len(body):
         raise CheckpointError("checkpoint has trailing or missing bytes")
-    params = ModelParams.from_arrays(arrays)
+    params = ModelParams(arrays)
     try:
         params.check_finite()
     except NumericError as exc:

@@ -134,19 +134,15 @@ def _dump(obj, pretty: bool) -> str:
 
 
 def _load_store(io: dict) -> TripleStore:
+    """The reciprocal-augmented store of the config's data_dir."""
     data_dir = io.get("data_dir")
     if not data_dir:
         raise ConfigError("config key data_dir is required")
     strict = io.get("strict_vocab", True)
     try:
-        return TripleStore.from_dir(data_dir, strict=strict)
+        return augment_reciprocal(TripleStore.from_dir(data_dir, strict=strict))
     except FileNotFoundError as exc:
         raise DataError(f"missing split file: {exc}") from exc
-
-
-def _prepare(io):
-    store = augment_reciprocal(_load_store(io))
-    return store
 
 
 def _resolved_config(cfg: TrainConfig, io: dict) -> dict:
@@ -163,12 +159,22 @@ def _write_resolved(cfg, io, out_dir, pretty):
     )
 
 
+def _emit(cfg, io, name, payload, pretty) -> None:
+    """Writes resolved-config.json and the payload as `name` into the
+    config's output_dir when it is set, then prints the payload."""
+    out_dir = io.get("output_dir")
+    if out_dir:
+        _write_resolved(cfg, io, out_dir, pretty)
+        _atomic_write(os.path.join(out_dir, name), _dump(payload, pretty))
+    print(_dump(payload, pretty), end="")
+
+
 def cmd_train(args) -> int:
     cfg, io = load_run_config(args.config, args.set or ())
     out_dir = io.get("output_dir")
     if not out_dir:
         raise ConfigError("config key output_dir is required")
-    store = _prepare(io)
+    store = _load_store(io)
     priori = build_priori(store, cfg.priori_base)
     _write_resolved(cfg, io, out_dir, args.pretty)
     chash = config_hash(cfg)
@@ -259,7 +265,7 @@ def cmd_eval(args) -> int:
         cfg, io = load_run_config(args.config, args.set or ())
         check_params(asdict(cfg), params)
     split = args.split or io.get("split", "test")
-    store = _prepare(io)
+    store = _load_store(io)
     priori = build_priori(store, cfg.priori_base)
     tic = time.perf_counter()
     report = evaluate(params, store, split, cfg.model_config(), priori=priori)
@@ -295,7 +301,7 @@ def cmd_predict(args) -> int:
     if args.top_k < 0:
         raise ConfigError(f"--top-k must be >= 0, got {args.top_k}")
     cfg, io, params = _params_from_checkpoint(args.checkpoint)
-    store = _prepare(io)
+    store = _load_store(io)
     vocab = store.vocab
     if args.head not in vocab.entity_to_id:
         print(
@@ -335,11 +341,7 @@ def cmd_gradcheck(args) -> int:
     if not cfg.bn_frozen:
         raise ConfigError("gradcheck requires bn_frozen=true")
     table, ok = gradcheck_table(cfg, n_entities=7, n_relations=3)
-    out_dir = io.get("output_dir")
-    if out_dir:
-        _write_resolved(cfg, io, out_dir, args.pretty)
-        _atomic_write(os.path.join(out_dir, "gradcheck.json"), _dump(table, args.pretty))
-    print(_dump(table, args.pretty), end="")
+    _emit(cfg, io, "gradcheck.json", table, args.pretty)
     if not ok:
         worst = max(table["blocks"], key=lambda b: b["max_rel_error"])
         print(
@@ -398,14 +400,10 @@ def cmd_ablate(args) -> int:
     modes = args.modes.split(",") if args.modes else io.get(
         "modes", ["full", "no_priori", "no_attention", "no_both"]
     )
-    store = _prepare(io)
+    store = _load_store(io)
     priori = build_priori(store, cfg.priori_base)
     rows = run_ablation(cfg, store, priori, modes)
-    out_dir = io.get("output_dir")
-    if out_dir:
-        _write_resolved(cfg, io, out_dir, args.pretty)
-        _atomic_write(os.path.join(out_dir, "ablation.json"), _dump(rows, args.pretty))
-    print(_dump(rows, args.pretty), end="")
+    _emit(cfg, io, "ablation.json", rows, args.pretty)
     return EXIT_OK
 
 
@@ -416,29 +414,21 @@ def cmd_sweep(args) -> int:
         fractions = [float(x) for x in raw]
     except ValueError as exc:
         raise ConfigError(f"--fractions expects numbers, got {args.fractions!r}") from exc
-    store = _prepare(io)
+    store = _load_store(io)
     priori = build_priori(store, cfg.priori_base)
     rows = run_fraction_sweep(cfg, store, priori, fractions)
     serializable = [{k: v for k, v in row.items() if k != "params"} for row in rows]
-    out_dir = io.get("output_dir")
-    if out_dir:
-        _write_resolved(cfg, io, out_dir, args.pretty)
-        _atomic_write(os.path.join(out_dir, "sweep.json"), _dump(serializable, args.pretty))
-    print(_dump(serializable, args.pretty), end="")
+    _emit(cfg, io, "sweep.json", serializable, args.pretty)
     return EXIT_OK
 
 
 def cmd_search(args) -> int:
     cfg, io = load_run_config(args.config, args.set or ())
-    store = _prepare(io)
+    store = _load_store(io)
     priori = build_priori(store, cfg.priori_base)
     best, leaderboard = hyper_search(cfg, store, priori)
     payload = {"best": asdict(best), "best_hash": config_hash(best), "leaderboard": leaderboard}
-    out_dir = io.get("output_dir")
-    if out_dir:
-        _write_resolved(cfg, io, out_dir, args.pretty)
-        _atomic_write(os.path.join(out_dir, "search.json"), _dump(payload, args.pretty))
-    print(_dump(payload, args.pretty), end="")
+    _emit(cfg, io, "search.json", payload, args.pretty)
     return EXIT_OK
 
 

@@ -112,7 +112,9 @@ def tails_index(triples) -> dict:
 
 @dataclass
 class TripleStore:
-    """Train/valid/test id triples plus the filtered-candidates index."""
+    """Train/valid/test id triples plus, once augmented with reciprocal
+    relations, the filtered-candidates index over all three splits (None
+    before: only augmented stores are trained on or evaluated)."""
 
     vocab: Vocab
     train: np.ndarray
@@ -120,7 +122,7 @@ class TripleStore:
     test: np.ndarray
     augmented: bool = False
     n_base_relations: int = 0
-    tails_by_query: dict = field(init=False)
+    tails_by_query: dict | None = field(init=False)
 
     def __post_init__(self):
         if self.n_base_relations == 0:
@@ -132,7 +134,7 @@ class TripleStore:
         if bad.size:
             h, r, t = triples[bad[0]].tolist()
             raise DataError(f"triple ({h}, {r}, {t}) outside vocabulary bounds")
-        self.tails_by_query = tails_index(triples)
+        self.tails_by_query = tails_index(triples) if self.augmented else None
 
     def split(self, name: str) -> np.ndarray:
         try:
@@ -150,10 +152,15 @@ class TripleStore:
 
     @classmethod
     def from_dir(cls, directory, strict: bool = True) -> "TripleStore":
-        vocab, train = load_triples(os.path.join(directory, "train.txt"))
-        _, valid = load_triples(os.path.join(directory, "valid.txt"), vocab, strict=strict)
-        _, test = load_triples(os.path.join(directory, "test.txt"), vocab, strict=strict)
-        return cls(vocab=vocab, train=train, valid=valid, test=test)
+        """Loads train.txt, valid.txt and test.txt; the vocabulary comes from
+        train.txt. Raises DataError naming the first file without triples."""
+        vocab, splits = None, {}
+        for name in ("train", "valid", "test"):
+            path = os.path.join(directory, f"{name}.txt")
+            vocab, splits[name] = load_triples(path, vocab, strict=strict)
+            if splits[name].shape[0] == 0:
+                raise DataError(f"{path}: no triples; every split needs at least one")
+        return cls(vocab=vocab, **splits)
 
 
 def augment_reciprocal(store: TripleStore) -> TripleStore:

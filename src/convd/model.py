@@ -1,5 +1,6 @@
 """The dynamic-convolution scorer and its exact analytic backward, plus a
-plain-convolution baseline and parameter accounting.
+plain-convolution baseline, their parameter layouts and parameter
+accounting.
 
 Scoring pipeline for one (head, relation) query:
   1. entity row -> input dropout -> 2D plane (d_w x d_h)
@@ -18,8 +19,10 @@ Steps 1-4 are the dynamic front-end; steps 5-8 are scorer_head, which the
 plain-convolution baseline shares. Probabilities are produced by the loss
 (sigmoid there, not here).
 
-param_layout is the one statement of which arrays a model holds and their
-shapes: parameter counts and the checkpoint format are derived from it.
+param_layout (the dynamic model) and baseline_layout (the plain-convolution
+baseline) are the one statement of which arrays a model holds and their
+shapes. One ModelParams container holds the arrays of either layout, and
+init, parameter counts and the checkpoint format are derived from them.
 """
 
 import math
@@ -28,7 +31,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .attention import (
-    AttentionParams,
     attention_forward,
     attention_weights_backward,
     slice_batch,
@@ -170,80 +172,53 @@ def param_layout(cfg: ModelConfig, n_entities: int, n_relations: int) -> dict:
     }
 
 
-@dataclass
+def baseline_layout(cfg: ModelConfig, n_entities: int, n_relations: int) -> dict:
+    """Name -> shape of every array of the plain-convolution baseline: the
+    same tables, n_static external kernels over the stacked entity and
+    relation planes, and a head widened to their features. Stacking the
+    planes requires d_e == d_r."""
+    if cfg.d_r != cfg.d_e:
+        raise ConfigError(
+            f"plain convolution stacks the two planes and therefore requires "
+            f"d_e == d_r, got d_e={cfg.d_e}, d_r={cfg.d_r}"
+        )
+    oh, ow = 2 * cfg.d_w - cfg.r_w + 1, cfg.d_h - cfg.r_h + 1
+    return {
+        "ent": (n_entities, cfg.d_e),
+        "rel": (n_relations, cfg.d_r),
+        "kernels": (cfg.n_static, cfg.r_w, cfg.r_h),
+        **_head_layout(cfg, cfg.n_static * oh * ow),
+    }
+
+
 class ModelParams:
-    """Every array of param_layout: the learned ones plus the batch-norm
-    running statistics.
+    """The arrays of one layout (param_layout or baseline_layout), held as
+    attributes named by the layout, in layout order: the learned ones plus
+    the batch-norm running statistics.
 
     gamma/beta are single scalars (one normalized channel); the running
     statistics are per feature of the flattened convolution map.
     """
 
-    ent: np.ndarray
-    rel: np.ndarray
-    attn: AttentionParams
-    w_fc: np.ndarray
-    b_fc: np.ndarray
-    w_out: np.ndarray
-    b_out: np.ndarray
-    bn_gamma: np.ndarray
-    bn_beta: np.ndarray
-    bn_mean: np.ndarray
-    bn_var: np.ndarray
-
-    @classmethod
-    def from_arrays(cls, arrays: dict) -> "ModelParams":
-        """ModelParams around the arrays of param_layout, by name (no copies)."""
-        return cls(
-            ent=arrays["ent"],
-            rel=arrays["rel"],
-            attn=AttentionParams(
-                a_q=arrays["attn_q"],
-                a_k=arrays["attn_k"],
-                a_v=arrays["attn_v"],
-                u=arrays["attn_u"],
-            ),
-            w_fc=arrays["w_fc"],
-            b_fc=arrays["b_fc"],
-            w_out=arrays["w_out"],
-            b_out=arrays["b_out"],
-            bn_gamma=arrays["bn_gamma"],
-            bn_beta=arrays["bn_beta"],
-            bn_mean=arrays["bn_mean"],
-            bn_var=arrays["bn_var"],
-        )
+    def __init__(self, arrays: dict):
+        vars(self).update(arrays)
 
     def named_arrays(self) -> dict:
         """Learned arrays in layout order (live views)."""
-        return {
-            "ent": self.ent,
-            "rel": self.rel,
-            "attn_q": self.attn.a_q,
-            "attn_k": self.attn.a_k,
-            "attn_v": self.attn.a_v,
-            "attn_u": self.attn.u,
-            "w_fc": self.w_fc,
-            "b_fc": self.b_fc,
-            "w_out": self.w_out,
-            "b_out": self.b_out,
-            "bn_gamma": self.bn_gamma,
-            "bn_beta": self.bn_beta,
-        }
+        return {k: v for k, v in vars(self).items() if k not in RUNNING_STATS}
 
     def running_arrays(self) -> dict:
         return {name: getattr(self, name) for name in RUNNING_STATS}
 
     def with_arrays(self, arrays: dict) -> "ModelParams":
         """New ModelParams around the given learned arrays (stats copied)."""
-        return ModelParams.from_arrays(
-            {**arrays, **{k: v.copy() for k, v in self.running_arrays().items()}}
-        )
+        return ModelParams({**arrays, **{k: v.copy() for k, v in self.running_arrays().items()}})
 
     def copy(self) -> "ModelParams":
         return self.with_arrays({k: v.copy() for k, v in self.named_arrays().items()})
 
     def check_finite(self) -> None:
-        for name, arr in {**self.named_arrays(), **self.running_arrays()}.items():
+        for name, arr in vars(self).items():
             if not np.all(np.isfinite(arr)):
                 raise NumericError(f"non-finite values in parameter block {name!r}")
 
@@ -253,48 +228,45 @@ def _fan_uniform(rng: RngStream, rows: int, cols: int) -> np.ndarray:
     return rng.uniform_signed(rows * cols, bound).reshape(rows, cols)
 
 
+def _init_layout(layout: dict, rng: RngStream) -> ModelParams:
+    """Arrays of `layout`, drawn in layout order: u spread over [-0.1, 0.1]
+    so the priori path is not born degenerate; gamma and the running
+    variance one; biases, beta and the running mean zero; every other array
+    symmetric uniform over its fan (first axis, the rest), a vector counting
+    as one row."""
+    arrays = {}
+    for name, shape in layout.items():
+        if name == "attn_u":
+            arrays[name] = np.linspace(-0.1, 0.1, shape[0])
+        elif name in ("bn_gamma", "bn_var"):
+            arrays[name] = np.ones(shape)
+        elif name in ("b_fc", "b_out", "bn_beta", "bn_mean"):
+            arrays[name] = np.zeros(shape)
+        else:
+            rows, cols = (1, shape[0]) if len(shape) == 1 else (shape[0], math.prod(shape[1:]))
+            arrays[name] = _fan_uniform(rng, rows, cols).reshape(shape)
+    return ModelParams(arrays)
+
+
 def init_params(cfg: ModelConfig, n_entities: int, n_relations: int, rng: RngStream) -> ModelParams:
-    """Symmetric uniform fan-based init; biases zero; u spread over
-    [-0.1, 0.1] so the priori path is not born degenerate."""
+    """Initial arrays of param_layout, drawn as _init_layout says."""
     cfg.validate()
-    f = cfg.conv_map
-    rr = cfg.r_w * cfg.r_h
-    return ModelParams(
-        ent=_fan_uniform(rng, n_entities, cfg.d_e),
-        rel=_fan_uniform(rng, n_relations, cfg.d_r),
-        attn=AttentionParams(
-            a_q=_fan_uniform(rng, cfg.k, cfg.d_e),
-            a_k=_fan_uniform(rng, cfg.k, rr),
-            a_v=_fan_uniform(rng, 1, rr)[0],
-            u=np.linspace(-0.1, 0.1, cfg.m),
-        ),
-        w_fc=_fan_uniform(rng, f, cfg.d_e),
-        b_fc=np.zeros(cfg.d_e),
-        w_out=_fan_uniform(rng, cfg.d_e, cfg.d_e),
-        b_out=np.zeros(cfg.d_e),
-        bn_gamma=np.ones(1),
-        bn_beta=np.zeros(1),
-        bn_mean=np.zeros(f),
-        bn_var=np.ones(f),
-    )
+    return _init_layout(param_layout(cfg, n_entities, n_relations), rng)
+
+
+def init_baseline_params(cfg: ModelConfig, n_entities: int, n_relations: int,
+                         rng: RngStream) -> ModelParams:
+    """Initial arrays of baseline_layout, drawn as _init_layout says."""
+    cfg.validate()
+    return _init_layout(baseline_layout(cfg, n_entities, n_relations), rng)
 
 
 def count_parameters(cfg: ModelConfig, n_entities: int, n_relations: int,
                      include_baseline: bool = False) -> int:
-    """Exact count of learned scalars: the layout without its running stats.
-    The baseline swaps the attention for n_static external kernels and
-    widens the head to its stacked-plane features."""
-    layout = param_layout(cfg, n_entities, n_relations)
-    if include_baseline:
-        if cfg.d_r != cfg.d_e:
-            raise ConfigError("plain-conv baseline requires d_e == d_r")
-        oh, ow = baseline_conv_shape(cfg)
-        layout = {
-            "ent": layout["ent"],
-            "rel": layout["rel"],
-            "kernels": (cfg.n_static, cfg.r_w, cfg.r_h),
-            **_head_layout(cfg, cfg.n_static * oh * ow),
-        }
+    """Exact count of learned scalars: the layout (the baseline's if
+    include_baseline) without its running stats."""
+    layout = (baseline_layout if include_baseline else param_layout)(
+        cfg, n_entities, n_relations)
     return sum(math.prod(shape) for name, shape in layout.items() if name not in RUNNING_STATS)
 
 
@@ -383,7 +355,7 @@ def forward_batch(
         p_vals = np.zeros(b)
     else:
         p_vals = priori.values(h_ids, r_ids)
-    attn_trace = attention_forward(e_h, banks, p_vals, params.attn, cfg.priori_weight,
+    attn_trace = attention_forward(e_h, banks, p_vals, params, cfg.priori_weight,
                                    active=active)
     if cfg.ablation in ("no_attention", "no_both"):
         # Equal-weight multi-kernel sum: uniform softmax, unit values.
@@ -562,72 +534,13 @@ def commit_running_stats(params: ModelParams, trace: ForwardTrace) -> None:
         params.bn_var = trace.new_running[1]
 
 
-@dataclass
-class BaselineParams:
-    """Plain-convolution baseline: stacked planes, external static kernels."""
-
-    ent: np.ndarray
-    rel: np.ndarray
-    kernels: np.ndarray  # (n_static, r_w, r_h)
-    w_fc: np.ndarray  # (n_static * conv_map2, d_e)
-    b_fc: np.ndarray
-    w_out: np.ndarray
-    b_out: np.ndarray
-    bn_gamma: np.ndarray
-    bn_beta: np.ndarray
-    bn_mean: np.ndarray
-    bn_var: np.ndarray
-
-    def named_arrays(self) -> dict:
-        return {
-            "ent": self.ent,
-            "rel": self.rel,
-            "kernels": self.kernels,
-            "w_fc": self.w_fc,
-            "b_fc": self.b_fc,
-            "w_out": self.w_out,
-            "b_out": self.b_out,
-            "bn_gamma": self.bn_gamma,
-            "bn_beta": self.bn_beta,
-        }
-
-
-def baseline_conv_shape(cfg: ModelConfig) -> tuple:
-    return (2 * cfg.d_w - cfg.r_w + 1, cfg.d_h - cfg.r_h + 1)
-
-
-def init_baseline_params(cfg, n_entities, n_relations, rng: RngStream) -> BaselineParams:
-    cfg.validate()
-    if cfg.d_r != cfg.d_e:
-        raise ConfigError(
-            f"plain convolution stacks the two planes and therefore requires "
-            f"d_e == d_r, got d_e={cfg.d_e}, d_r={cfg.d_r}"
-        )
-    oh, ow = baseline_conv_shape(cfg)
-    f2 = cfg.n_static * oh * ow
-    rr = cfg.r_w * cfg.r_h
-    return BaselineParams(
-        ent=_fan_uniform(rng, n_entities, cfg.d_e),
-        rel=_fan_uniform(rng, n_relations, cfg.d_r),
-        kernels=_fan_uniform(rng, cfg.n_static, rr).reshape(cfg.n_static, cfg.r_w, cfg.r_h),
-        w_fc=_fan_uniform(rng, f2, cfg.d_e),
-        b_fc=np.zeros(cfg.d_e),
-        w_out=_fan_uniform(rng, cfg.d_e, cfg.d_e),
-        b_out=np.zeros(cfg.d_e),
-        bn_gamma=np.ones(1),
-        bn_beta=np.zeros(1),
-        bn_mean=np.zeros(f2),
-        bn_var=np.ones(f2),
-    )
-
-
-def score_plain_conv(h_id, r_id, params: BaselineParams, cfg: ModelConfig,
+def score_plain_conv(h_id, r_id, params: ModelParams, cfg: ModelConfig,
                      mode: str = "eval", rng: dict | None = None) -> np.ndarray:
-    """Static-kernel reference scorer: stack the entity plane on top of the
-    relation plane, convolve with the shared external kernels, then run
-    scorer_head. Requires d_e == d_r."""
-    if cfg.d_r != cfg.d_e:
-        raise ConfigError("plain-conv baseline requires d_e == d_r")
+    """Static-kernel reference scorer over the arrays of baseline_layout:
+    stack the entity plane on top of the relation plane, convolve with the
+    shared external kernels, then run scorer_head."""
+    if params.ent.shape[1] != cfg.d_e or params.rel.shape[1] != cfg.d_e:
+        raise ConfigError("parameter shapes do not match the configuration")
     if mode not in ("train", "eval"):
         raise ConfigError(f"unknown mode {mode!r}")
     training = mode == "train"

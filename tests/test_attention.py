@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from convd.attention import (
-    AttentionParams,
     attention_forward,
     attention_weights_backward,
     slice_batch,
     unslice_batch,
 )
 from convd.errors import ConfigError
+from convd.model import ModelParams
 from convd.numerics import finite_diff_grad
 from convd.rng import RngStream
 
@@ -21,12 +21,12 @@ D_R = M * R_W * R_H
 
 def make_params(seed=0, u=None):
     rng = RngStream(seed, "attn")
-    return AttentionParams(
-        a_q=rng.uniform_signed(K * D_E, 0.7).reshape(K, D_E),
-        a_k=rng.uniform_signed(K * R_W * R_H, 0.7).reshape(K, R_W * R_H),
-        a_v=rng.uniform_signed(R_W * R_H, 0.7),
-        u=np.linspace(-0.1, 0.1, M) if u is None else np.asarray(u, dtype=np.float64),
-    )
+    return ModelParams({
+        "attn_q": rng.uniform_signed(K * D_E, 0.7).reshape(K, D_E),
+        "attn_k": rng.uniform_signed(K * R_W * R_H, 0.7).reshape(K, R_W * R_H),
+        "attn_v": rng.uniform_signed(R_W * R_H, 0.7),
+        "attn_u": np.linspace(-0.1, 0.1, M) if u is None else np.asarray(u, dtype=np.float64),
+    })
 
 
 def bank_of(e_r, m, r_w, r_h):
@@ -112,7 +112,7 @@ class TestAttentionWeights:
         bank = bank_of(e_r, M, R_W, R_H)
         alpha, probs, logits = attend_one(e_h, bank, 2.0, params, 0.1)
         o_alpha, o_probs, o_logits = oracle_attention(
-            e_h, e_r, M, R_W, R_H, params.a_q, params.a_k, params.a_v, params.u,
+            e_h, e_r, M, R_W, R_H, params.attn_q, params.attn_k, params.attn_v, params.attn_u,
             0.1, 2.0,
         )
         assert np.allclose(alpha, o_alpha, atol=1e-12)
@@ -149,12 +149,12 @@ class TestAttentionBackward:
         rng = RngStream(5, "m1")
         e_h = rng.uniform_signed(D_E, 1.0)[None]
         e_r = rng.uniform_signed(R_W * R_H, 1.0)[None]
-        params = AttentionParams(
-            a_q=rng.uniform_signed(K * D_E, 0.5).reshape(K, D_E),
-            a_k=rng.uniform_signed(K * R_W * R_H, 0.5).reshape(K, R_W * R_H),
-            a_v=rng.uniform_signed(R_W * R_H, 0.5),
-            u=np.zeros(1),
-        )
+        params = ModelParams({
+            "attn_q": rng.uniform_signed(K * D_E, 0.5).reshape(K, D_E),
+            "attn_k": rng.uniform_signed(K * R_W * R_H, 0.5).reshape(K, R_W * R_H),
+            "attn_v": rng.uniform_signed(R_W * R_H, 0.5),
+            "attn_u": np.zeros(1),
+        })
         banks = slice_batch(e_r, 1, R_W, R_H)
         trace = attention_forward(e_h, banks, np.array([2.0]), params, 0.3)
         assert trace.probs[0, 0] == 1.0
@@ -170,17 +170,14 @@ class TestAttentionBackward:
         weights = RngStream(33, "w").uniform_signed(M, 1.0)
 
         def loss_for(arrays):
-            p = AttentionParams(
-                a_q=arrays["attn_q"], a_k=arrays["attn_k"], a_v=arrays["attn_v"],
-                u=arrays["attn_u"],
-            )
+            p = ModelParams(arrays)
             banks = slice_batch(arrays["e_r"], M, R_W, R_H)
             trace = attention_forward(arrays["e_h"], banks, np.array([1.7]), p, lam)
             return float(np.sum(trace.alpha * weights))
 
         arrays = {
-            "attn_q": params.a_q, "attn_k": params.a_k, "attn_v": params.a_v,
-            "attn_u": params.u, "e_h": e_h, "e_r": e_r,
+            "attn_q": params.attn_q, "attn_k": params.attn_k, "attn_v": params.attn_v,
+            "attn_u": params.attn_u, "e_h": e_h, "e_r": e_r,
         }
         fd = finite_diff_grad(loss_for, arrays, h=1e-5)
 

@@ -127,7 +127,11 @@ class TestTrainCommand:
         ("valid.txt", lambda raw: raw + b"e00001\tr000\tnot_an_entity\n"),
         ("train.txt", lambda raw: raw + b"\xff\xfe\x00junk\n"),
         ("test.txt", None),
-    ], ids=["wrong_column_count", "unknown_symbol_strict", "invalid_utf8", "missing_split"])
+        ("train.txt", lambda raw: b""),
+        ("valid.txt", lambda raw: b""),
+        ("test.txt", lambda raw: b"\n"),
+    ], ids=["wrong_column_count", "unknown_symbol_strict", "invalid_utf8", "missing_split",
+            "empty_train", "empty_valid", "empty_test"])
     def test_malformed_triple_file_exits_3(self, tmp_path, toy_dir, capsys, split, edit):
         data = tmp_path / "data"
         shutil.copytree(toy_dir, data)

@@ -13,6 +13,7 @@ from convd.data import (
     generate_toy_kg,
     load_triples,
     smoothed_targets_matrix,
+    tails_index,
     write_splits,
 )
 from convd.errors import ConfigError, DataError, GenerationError, StateError
@@ -48,12 +49,9 @@ class TestLoadTriples:
         path = write(tmp_path, "train.txt", ["a\tr\tb", "b\tr\tc", "a\tr\tb"])
         vocab, triples = load_triples(path)
         assert triples.shape == (3, 3)
-        store = TripleStore(vocab=vocab, train=triples,
-                            valid=np.empty((0, 3), dtype=np.int64),
-                            test=np.empty((0, 3), dtype=np.int64))
         a, b, c = (vocab.entity_to_id[s] for s in "abc")
         # The duplicate a -> b is held once.
-        assert store.tails_by_query == {(a, 0): {b}, (b, 0): {c}}
+        assert tails_index(triples) == {(a, 0): {b}, (b, 0): {c}}
 
     def test_empty_file(self, tmp_path):
         path = write(tmp_path, "empty.txt", [])
@@ -189,10 +187,10 @@ class TestPriori:
 
 
 def train_targets(store, eps, n_entities):
-    """Sorted queries and their smoothed 1-N target rows. The stores here
-    hold train triples only, so tails_by_query is the train grouping."""
-    queries = sorted(store.tails_by_query)
-    return queries, smoothed_targets_matrix(queries, store.tails_by_query, eps, n_entities)
+    """Sorted train queries and their smoothed 1-N target rows."""
+    index = tails_index(store.train)
+    queries = sorted(index)
+    return queries, smoothed_targets_matrix(queries, index, eps, n_entities)
 
 
 class TestOneToN:
@@ -237,28 +235,28 @@ class TestOneToN:
         for query, smoothed in zip(queries, targets):
             assert smoothed.min() == pytest.approx(eps / n)
             assert smoothed.max() == pytest.approx(1 - eps + eps / n)
-            expected_sum = len(store.tails_by_query[query]) * (1 - eps) + eps
+            expected_sum = len(tails_index(store.train)[query]) * (1 - eps) + eps
             assert smoothed.sum() == pytest.approx(expected_sum)
 
 
 class TestFilteredCandidates:
     def test_empty(self):
-        store = make_store([("a", "r", "b")])
+        store = augment_reciprocal(make_store([("a", "r", "b")]))
         eid = store.vocab.entity_to_id
         assert store.tails_by_query.get((eid["b"], 0), set()) == set()
         assert store.tails_by_query.get((99, 99), set()) == set()
 
     def test_union_across_splits(self):
-        store = make_store(
+        store = augment_reciprocal(make_store(
             [("h", "r", "t1")], test=[("h", "r", "t2")]
-        )
+        ))
         eid = store.vocab.entity_to_id
         got = store.tails_by_query[(eid["h"], 0)]
         assert got == {eid["t1"], eid["t2"]}
 
     def test_split_independence(self):
-        in_train = make_store([("h", "r", "t")])
-        in_test = make_store([("x", "r", "y")], test=[("h", "r", "t")])
+        in_train = augment_reciprocal(make_store([("h", "r", "t")]))
+        in_test = augment_reciprocal(make_store([("x", "r", "y")], test=[("h", "r", "t")]))
         eid1, eid2 = in_train.vocab.entity_to_id, in_test.vocab.entity_to_id
         assert in_train.tails_by_query[(eid1["h"], 0)] == {eid1["t"]}
         assert in_test.tails_by_query[(eid2["h"], 0)] == {eid2["t"]}
@@ -276,13 +274,13 @@ def many_to_many_rows():
 
 class TestTailsIndex:
     @pytest.mark.parametrize("make", [
-        lambda: make_store(
+        lambda: augment_reciprocal(make_store(
             [("a", "r", "b"), ("a", "r", "b"), ("a", "r", "c"), ("b", "s", "a")],
             valid=[("a", "r", "d"), ("a", "r", "b")],
             test=[("a", "r", "c"), ("b", "s", "d")],
-        ),
+        )),
         lambda: augment_reciprocal(generate_toy_kg(5, 40, 3, 2)),
-        lambda: make_store(*many_to_many_rows()),
+        lambda: augment_reciprocal(make_store(*many_to_many_rows())),
     ], ids=["duplicates_across_splits", "augmented_toy", "many_to_many"])
     def test_matches_per_row_oracle(self, make):
         store = make()
@@ -291,8 +289,13 @@ class TestTailsIndex:
         assert all(type(x) is int for key, tails in store.tails_by_query.items()
                    for x in (*key, *tails))
 
-    def test_many_to_many_store_has_multi_tail_queries(self):
+    def test_only_augmented_stores_are_indexed(self):
         store = make_store(*many_to_many_rows())
+        assert store.tails_by_query is None
+        assert augment_reciprocal(store).tails_by_query is not None
+
+    def test_many_to_many_store_has_multi_tail_queries(self):
+        store = augment_reciprocal(make_store(*many_to_many_rows()))
         assert max(len(t) for t in store.tails_by_query.values()) > 1
 
     @pytest.mark.parametrize("split, triple", [

@@ -1,14 +1,20 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from convd.data import PrioriTable
 from convd.errors import ConfigError, DegenerateBatchError, DimensionError, StateError
 from convd.model import (
+    RUNNING_STATS,
+    ModelConfig,
     backward,
+    baseline_layout,
     count_parameters,
     forward_batch,
     forward_score,
     init_baseline_params,
+    init_params,
     kernel_fraction_mask,
     param_layout,
     score_plain_conv,
@@ -46,7 +52,7 @@ class TestForward:
         params = tiny_params(cfg)
         # One kernel, softmax prob 1; scale a_v so the value is exactly 1.
         kappa = params.rel[1].copy()
-        params.attn.a_v = kappa / float(kappa @ kappa)
+        params.attn_v = kappa / float(kappa @ kappa)
         logits, trace = forward_score(3, 1, params, PRIORI, cfg, mode="eval")
         assert trace.attn.alpha[0, 0] == pytest.approx(1.0, abs=1e-12)
 
@@ -306,8 +312,13 @@ class TestCountParameters:
 
     def test_layout_names_init_arrays_in_order(self):
         cfg = tiny_config()
-        shapes = [(name, arr.shape) for name, arr in arrays_of(tiny_params(cfg)).items()]
-        assert shapes == list(param_layout(cfg, TINY_ENTITIES, TINY_RELATIONS).items())
+        square = tiny_config(**TestPlainConvBaseline.CFG)
+        for params, layout in (
+            (tiny_params(cfg), param_layout(cfg, TINY_ENTITIES, TINY_RELATIONS)),
+            (init_baseline_params(square, 6, 3, RngStream(3, "init")), baseline_layout(square, 6, 3)),
+        ):
+            shapes = [(name, arr.shape) for name, arr in arrays_of(params).items()]
+            assert shapes == list(layout.items())
 
     def test_monotone_in_m(self):
         prev = None
@@ -321,8 +332,55 @@ class TestCountParameters:
     def test_baseline_enumeration(self):
         cfg = tiny_config(d_w=4, d_h=4, m=4, r_w=2, r_h=2)
         params = init_baseline_params(cfg, 6, 3, RngStream(3, "init"))
+        learned = {k: v for k, v in baseline_layout(cfg, 6, 3).items() if k not in RUNNING_STATS}
+        assert {k: v.shape for k, v in params.named_arrays().items()} == learned
         enumerated = sum(v.size for v in params.named_arrays().values())
         assert count_parameters(cfg, 6, 3, include_baseline=True) == enumerated
+
+
+# First 16 hex digits of the SHA-256 of each initial array, per init, for
+# INIT_CONFIG, 6 entities, 3 relations and RngStream(3, "init"). Any change
+# to the draw order, the fan bounds or the constant inits moves them.
+INIT_CONFIG = dict(d_w=4, d_h=4, r_w=2, r_h=2, m=4, k=3, n_static=3)
+INIT_SHA256 = {
+    "init_params": {
+        "ent": "cd1df3d2db2adc88",
+        "rel": "247683feec510eea",
+        "attn_q": "6678aef06f304fad",
+        "attn_k": "980f76da9cdda830",
+        "attn_v": "5e4a6b8bd4296642",
+        "attn_u": "7a247506d2032cb7",
+        "w_fc": "0b27508dcfd58828",
+        "b_fc": "38723a2e5e8a17aa",
+        "w_out": "7fd7709396500d90",
+        "b_out": "38723a2e5e8a17aa",
+        "bn_gamma": "6c3c396ed6b5c36d",
+        "bn_beta": "af5570f5a1810b7a",
+        "bn_mean": "834a709ba2534ebe",
+        "bn_var": "19088d37e44fec2a",
+    },
+    "init_baseline_params": {
+        "ent": "cd1df3d2db2adc88",
+        "rel": "247683feec510eea",
+        "kernels": "cdb678a022232878",
+        "w_fc": "bdf2ca9300d33f8d",
+        "b_fc": "38723a2e5e8a17aa",
+        "w_out": "a73b87322c9da983",
+        "b_out": "38723a2e5e8a17aa",
+        "bn_gamma": "6c3c396ed6b5c36d",
+        "bn_beta": "af5570f5a1810b7a",
+        "bn_mean": "696bda342649ec92",
+        "bn_var": "35bcfe1256e32004",
+    },
+}
+
+
+@pytest.mark.parametrize("init", [init_params, init_baseline_params], ids=["dynamic", "baseline"])
+def test_init_bytes_are_pinned(init):
+    params = init(ModelConfig(**INIT_CONFIG), 6, 3, RngStream(3, "init"))
+    digests = {name: hashlib.sha256(arr.tobytes()).hexdigest()[:16]
+               for name, arr in arrays_of(params).items()}
+    assert list(digests.items()) == list(INIT_SHA256[init.__name__].items())
 
 
 class TestPlainConvBaseline:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from convd.attention import AttentionParams, attention_forward
+from convd.attention import attention_forward
 from convd.errors import ConfigError, DegenerateBatchError, DimensionError, NumericError
-from convd.model import ModelConfig
+from convd.model import ModelConfig, ModelParams
 from convd.numerics import (
     adam_init,
     adam_step,
@@ -33,7 +33,9 @@ def attention_probs(logits):
     """Attention probabilities whose logits are exactly `logits`: the query
     projection is zero, so each logit is the priori bias 1 * 1 * u_i."""
     u = np.asarray(logits, dtype=np.float64)
-    params = AttentionParams(a_q=np.zeros((1, 1)), a_k=np.zeros((1, 1)), a_v=np.ones(1), u=u)
+    params = ModelParams(
+        {"attn_q": np.zeros((1, 1)), "attn_k": np.zeros((1, 1)), "attn_v": np.ones(1), "attn_u": u}
+    )
     trace = attention_forward(
         np.zeros((1, 1)), np.zeros((1, u.size, 1, 1)), np.ones(1), params, 1.0
     )
