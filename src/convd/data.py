@@ -6,10 +6,10 @@ Triple file format: UTF-8, LF line endings, one `head<TAB>relation<TAB>tail`
 per line, no header, tabs forbidden inside symbols.
 """
 
+import functools
 import itertools
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,7 +114,14 @@ def tails_index(triples) -> dict:
 class TripleStore:
     """Train/valid/test id triples plus, once augmented with reciprocal
     relations, the filtered-candidates index over all three splits (None
-    before: only augmented stores are trained on or evaluated)."""
+    before: only augmented stores are trained on or evaluated).
+
+    The index is held in two forms, built together: `tails_by_query` maps
+    (head, relation) to its set of tails, and `known_query`/`known_tail`
+    hold every triple's key head * n_relations + relation, sorted, with the
+    tails aligned to it (duplicate triples repeat), for batch lookups by
+    `known_cells`.
+    """
 
     vocab: Vocab
     train: np.ndarray
@@ -123,6 +130,8 @@ class TripleStore:
     augmented: bool = False
     n_base_relations: int = 0
     tails_by_query: dict | None = field(init=False)
+    known_query: np.ndarray | None = field(init=False, repr=False)
+    known_tail: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n_base_relations == 0:
@@ -134,7 +143,26 @@ class TripleStore:
         if bad.size:
             h, r, t = triples[bad[0]].tolist()
             raise DataError(f"triple ({h}, {r}, {t}) outside vocabulary bounds")
-        self.tails_by_query = tails_index(triples) if self.augmented else None
+        self.tails_by_query = self.known_query = self.known_tail = None
+        if self.augmented:
+            self.tails_by_query = tails_index(triples)
+            keys = triples[:, 0] * n_rel + triples[:, 1]
+            order = np.argsort(keys, kind="stable")
+            self.known_query = keys[order]
+            self.known_tail = triples[order, 2]
+
+    def known_cells(self, h_ids, r_ids):
+        """Every known (row, tail) cell of a batch of (head, relation)
+        queries, from the sorted index: rows ascend, and a tail repeats as
+        often as its triple does."""
+        keys = np.asarray(h_ids) * self.n_relations + np.asarray(r_ids)
+        lo = np.searchsorted(self.known_query, keys, side="left")
+        counts = np.searchsorted(self.known_query, keys, side="right") - lo
+        rows = np.repeat(np.arange(keys.shape[0]), counts)
+        # Cell i of row j sits at lo[j] + (i - first cell of row j).
+        first = np.cumsum(counts) - counts
+        pos = np.arange(rows.shape[0]) + np.repeat(lo - first, counts)
+        return rows, self.known_tail[pos]
 
     def split(self, name: str) -> np.ndarray:
         try:
@@ -209,22 +237,50 @@ class PrioriTable:
     freq: dict
     log_base: float
 
-    def value(self, h: int, r: int) -> float:
-        count = self.freq.get((int(h), int(r)), 0)
+    def _smoothed(self, count: int) -> float:
         # log_a(n+1) as a ratio of base-2 logs; exact for the default a = 2.
         return math.log2(count + 1) / math.log2(self.log_base)
 
+    def value(self, h: int, r: int) -> float:
+        return self._smoothed(self.freq.get((int(h), int(r)), 0))
+
+    @functools.cached_property
+    def _index(self):
+        """The keys head * R + relation, sorted, with the value of each,
+        computed once by `value`'s arithmetic; R bounds the table's own
+        relation ids. Built at the first batch lookup."""
+        pairs = np.fromiter(itertools.chain.from_iterable(self.freq), dtype=np.int64,
+                            count=2 * len(self.freq)).reshape(-1, 2)
+        counts = np.fromiter(self.freq.values(), dtype=np.int64, count=len(self.freq))
+        max_head = int(pairs[:, 0].max(initial=-1))
+        n_rel = int(pairs[:, 1].max(initial=-1)) + 1
+        keys = pairs[:, 0] * n_rel + pairs[:, 1]
+        order = np.argsort(keys)
+        distinct, which = np.unique(counts[order], return_inverse=True)
+        vals = np.array([self._smoothed(c) for c in distinct.tolist()], dtype=np.float64)
+        return keys[order], vals[which], max_head, n_rel
+
     def values(self, h_ids, r_ids) -> np.ndarray:
-        return np.array(
-            [self.value(h, r) for h, r in zip(h_ids, r_ids)], dtype=np.float64
-        )
+        """`value` of each (h_ids[i], r_ids[i]), by one searchsorted."""
+        keys, vals, max_head, n_rel = self._index
+        h_ids, r_ids = np.asarray(h_ids), np.asarray(r_ids)
+        out = np.full(h_ids.shape, self._smoothed(0), dtype=np.float64)
+        inside = (h_ids >= 0) & (h_ids <= max_head) & (r_ids >= 0) & (r_ids < n_rel)
+        query = h_ids[inside] * n_rel + r_ids[inside]
+        pos = np.minimum(np.searchsorted(keys, query), keys.shape[0] - 1)
+        found = keys[pos] == query
+        out[np.flatnonzero(inside)[found]] = vals[pos[found]]
+        return out
 
 
 def build_priori(store: TripleStore, a: float = 2.0) -> PrioriTable:
     """Count (head, relation) pairs over the train split only (no leakage)."""
     if not a > 1.0:
         raise ConfigError(f"priori log base must be > 1, got {a}")
-    freq = dict(Counter((h, r) for h, r, _ in store.train.tolist()))
+    n_rel = store.n_relations
+    keys, counts = np.unique(store.train[:, 0] * n_rel + store.train[:, 1], return_counts=True)
+    heads, rels = np.divmod(keys, n_rel)
+    freq = dict(zip(zip(heads.tolist(), rels.tolist()), counts.tolist()))
     return PrioriTable(freq=freq, log_base=a)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from convd.data import augment_reciprocal, build_priori, generate_toy_kg
+from convd.data import TripleStore, Vocab, augment_reciprocal, build_priori, generate_toy_kg
 from convd.model import ModelConfig, init_params
 from convd.rng import RngStream
 from convd.training import TrainConfig, train
@@ -62,6 +62,35 @@ def small_toy_train_config(**overrides) -> TrainConfig:
     cfg = TrainConfig(**base)
     cfg.validate()
     return cfg
+
+
+def make_store(train, valid=(), test=()):
+    """A raw store over (head, relation, tail) symbol rows, with one
+    lexicographic vocabulary over all three splits."""
+    symbols_e = [s for h, _, t in list(train) + list(valid) + list(test) for s in (h, t)]
+    symbols_r = [r for _, r, _ in list(train) + list(valid) + list(test)]
+    vocab = Vocab.from_symbols(symbols_e, symbols_r)
+
+    def ids(rows):
+        return np.array(
+            [
+                (vocab.entity_to_id[h], vocab.relation_to_id[r], vocab.entity_to_id[t])
+                for h, r, t in rows
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 3)
+
+    return TripleStore(vocab=vocab, train=ids(train), valid=ids(valid), test=ids(test))
+
+
+def many_to_many_rows():
+    """Several tails per (head, relation) and several heads per tail, dealt
+    round-robin to train/valid/test."""
+    rows = [
+        (f"e{h}", f"r{r}", f"e{(h * 7 + r * 3 + k * k) % 23}")
+        for h in range(23) for r in range(3) for k in range(1 + h % 5)
+    ]
+    return rows[0::3], rows[1::3], rows[2::3]
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from convd.data import (
+    PrioriTable,
     TripleStore,
     Vocab,
     augment_reciprocal,
@@ -18,6 +19,7 @@ from convd.data import (
 )
 from convd.errors import ConfigError, DataError, GenerationError, StateError
 
+from conftest import make_store, many_to_many_rows
 from oracles import oracle_smoothed_targets, oracle_tails_by_query
 
 
@@ -25,23 +27,6 @@ def write(tmp_path, name, lines):
     path = tmp_path / name
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     return str(path)
-
-
-def make_store(train, valid=(), test=()):
-    symbols_e = [s for h, _, t in list(train) + list(valid) + list(test) for s in (h, t)]
-    symbols_r = [r for _, r, _ in list(train) + list(valid) + list(test)]
-    vocab = Vocab.from_symbols(symbols_e, symbols_r)
-
-    def ids(rows):
-        return np.array(
-            [
-                (vocab.entity_to_id[h], vocab.relation_to_id[r], vocab.entity_to_id[t])
-                for h, r, t in rows
-            ],
-            dtype=np.int64,
-        ).reshape(-1, 3)
-
-    return TripleStore(vocab=vocab, train=ids(train), valid=ids(valid), test=ids(test))
 
 
 class TestLoadTriples:
@@ -185,6 +170,21 @@ class TestPriori:
         with pytest.raises(ConfigError):
             build_priori(make_store([("a", "r", "b")]), a=1.0)
 
+    @pytest.mark.parametrize("base", [2.0, 3.0])
+    def test_values_equal_value_loop(self, base):
+        rng = np.random.default_rng(5)
+        store = make_store(*many_to_many_rows())
+        table = build_priori(store, a=base)
+        # Heads and relations past every key, and negative ids, are unseen.
+        h_ids = rng.integers(-2, store.n_entities + 3, size=400)
+        r_ids = rng.integers(-2, store.n_relations + 3, size=400)
+        seen = sum((h, r) in table.freq for h, r in zip(h_ids.tolist(), r_ids.tolist()))
+        assert 0 < seen < 400
+        want = np.array([table.value(h, r) for h, r in zip(h_ids, r_ids)], dtype=np.float64)
+        assert table.values(h_ids, r_ids).tobytes() == want.tobytes()
+        empty = PrioriTable(freq={}, log_base=base)
+        assert empty.values(h_ids, r_ids).tobytes() == np.zeros(400).tobytes()
+
 
 def train_targets(store, eps, n_entities):
     """Sorted train queries and their smoothed 1-N target rows."""
@@ -262,16 +262,6 @@ class TestFilteredCandidates:
         assert in_test.tails_by_query[(eid2["h"], 0)] == {eid2["t"]}
 
 
-def many_to_many_rows():
-    """Several tails per (head, relation) and several heads per tail, dealt
-    round-robin to train/valid/test."""
-    rows = [
-        (f"e{h}", f"r{r}", f"e{(h * 7 + r * 3 + k * k) % 23}")
-        for h in range(23) for r in range(3) for k in range(1 + h % 5)
-    ]
-    return rows[0::3], rows[1::3], rows[2::3]
-
-
 class TestTailsIndex:
     @pytest.mark.parametrize("make", [
         lambda: augment_reciprocal(make_store(
@@ -288,6 +278,23 @@ class TestTailsIndex:
         assert store.tails_by_query == want
         assert all(type(x) is int for key, tails in store.tails_by_query.items()
                    for x in (*key, *tails))
+        # The sorted form holds one cell per triple, keyed head * R + relation.
+        n_triples = sum(store.split(name).shape[0] for name in ("train", "valid", "test"))
+        assert store.known_query.shape == store.known_tail.shape == (n_triples,)
+        assert np.all(np.diff(store.known_query) >= 0)
+        expanded = {}
+        for key, tail in zip(store.known_query.tolist(), store.known_tail.tolist()):
+            expanded.setdefault(divmod(key, store.n_relations), set()).add(tail)
+        assert expanded == want
+        # known_cells expands a batch of queries, one with no triple included.
+        queries = sorted(want, reverse=True) + [(store.n_entities, 0)]
+        rows, cols = store.known_cells(np.array([h for h, _ in queries]),
+                                       np.array([r for _, r in queries]))
+        assert np.all(np.diff(rows) >= 0)
+        got = {}
+        for row, col in zip(rows.tolist(), cols.tolist()):
+            got.setdefault(queries[row], set()).add(col)
+        assert got == {q: want[q] for q in queries if q in want}
 
     def test_only_augmented_stores_are_indexed(self):
         store = make_store(*many_to_many_rows())

@@ -1,7 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
 
 from convd.data import augment_reciprocal, build_priori, generate_toy_kg
+from convd import evaluation
 from convd.errors import DimensionError, StateError
 from convd.evaluation import (
     evaluate,
@@ -13,24 +16,32 @@ from convd.evaluation import (
 from convd.model import forward_batch, init_params
 from convd.rng import RngStream
 
-from conftest import small_toy_train_config
+from conftest import make_store, many_to_many_rows, small_toy_train_config
 from oracles import constant_scorer_mrr, oracle_evaluate, oracle_rank
+
+
+def rank_one(scores, true_id, filter_out):
+    """rank_of on a one-row chunk: the rank of one score vector."""
+    cols = np.array(sorted(filter_out), dtype=np.int64)
+    ranks = rank_of(np.asarray(scores)[None, :], np.array([true_id]),
+                    np.zeros_like(cols), cols)
+    return float(ranks[0])
 
 
 class TestRankOf:
     def test_unique_max_is_rank_one(self):
-        assert rank_of(np.array([0.1, 0.9, 0.3]), 1, set()) == 1.0
+        assert rank_one(np.array([0.1, 0.9, 0.3]), 1, set()) == 1.0
 
     def test_filtered_competitor_case(self):
-        assert rank_of(np.array([0.9, 0.5, 0.1]), 1, {0}) == 1.0
+        assert rank_one(np.array([0.9, 0.5, 0.1]), 1, {0}) == 1.0
 
     def test_tie_average(self):
-        assert rank_of(np.array([0.9, 0.9, 0.1]), 0, set()) == 1.5
-        assert rank_of(np.array([0.5, 0.5, 0.5]), 2, set()) == 2.0
+        assert rank_one(np.array([0.9, 0.9, 0.1]), 0, set()) == 1.5
+        assert rank_one(np.array([0.5, 0.5, 0.5]), 2, set()) == 2.0
 
     def test_out_of_range(self):
         with pytest.raises(DimensionError):
-            rank_of(np.array([0.1, 0.2]), 5, set())
+            rank_one(np.array([0.1, 0.2]), 5, set())
 
     def test_monotone_transform_invariance(self):
         rng = RngStream(1, "scores")
@@ -38,9 +49,9 @@ class TestRankOf:
             scores = rng.uniform(12)
             true_id = int(rng.uniform(1)[0] * 12)
             filt = {int(i) for i in (rng.uniform(3) * 12).astype(int)} - {true_id}
-            base = rank_of(scores, true_id, filt)
+            base = rank_one(scores, true_id, filt)
             for fn in (lambda s: 3 * s + 7, np.exp, lambda s: np.tanh(s) * 2):
-                assert rank_of(fn(scores), true_id, filt) == base
+                assert rank_one(fn(scores), true_id, filt) == base
 
     def test_matches_sort_oracle(self):
         rng = RngStream(2, "scores")
@@ -48,7 +59,30 @@ class TestRankOf:
             scores = np.round(rng.uniform(15), 1)  # coarse grid forces ties
             true_id = int(rng.uniform(1)[0] * 15)
             filt = {int(i) for i in (rng.uniform(4) * 15).astype(int)} - {true_id}
-            assert rank_of(scores, true_id, filt) == oracle_rank(scores, true_id, filt)
+            assert rank_one(scores, true_id, filt) == oracle_rank(scores, true_id, filt)
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 257])
+    def test_chunk_matches_per_row_oracle(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        n = 15
+        scores = np.round(rng.random((n_rows, n)), 1)  # coarse grid forces ties
+        true_ids = rng.integers(0, n, size=n_rows)
+        # 0 to n draws per row, with replacement, so cells repeat and may
+        # land on the row's true entity. Row 0 also filters every entity.
+        per_row = rng.integers(0, n + 1, size=n_rows)
+        per_row[0] = n
+        rows = np.repeat(np.arange(n_rows), per_row)
+        cols = rng.integers(0, n, size=rows.size)
+        rows = np.concatenate([rows, np.zeros(n, dtype=np.int64)])
+        cols = np.concatenate([cols, np.arange(n)])
+        order = rng.permutation(rows.size)
+        rows, cols = rows[order], cols[order]
+        assert rows.size > len(set(zip(rows.tolist(), cols.tolist())))
+        got = rank_of(scores, true_ids, rows, cols)
+        assert got.shape == (n_rows,)
+        for i in range(n_rows):
+            filt = set(cols[rows == i].tolist()) - {int(true_ids[i])}
+            assert got[i] == oracle_rank(scores[i], int(true_ids[i]), filt)
 
 
 class TestSummaries:
@@ -71,13 +105,30 @@ def eval_store():
     return augment_reciprocal(generate_toy_kg(7, 30, 3, 2))
 
 
+def model_for(store, seed=11):
+    cfg = small_toy_train_config(d_w=5, d_h=4, r_w=2, r_h=2, m=4, k=4).model_config()
+    params = init_params(cfg, store.n_entities, store.n_relations, RngStream(seed, "init"))
+    return cfg, params, build_priori(store)
+
+
 @pytest.fixture(scope="module")
 def eval_setup(eval_store):
-    cfg = small_toy_train_config(d_w=5, d_h=4, r_w=2, r_h=2, m=4, k=4).model_config()
-    params = init_params(cfg, eval_store.n_entities, eval_store.n_relations,
-                         RngStream(11, "init"))
-    priori = build_priori(eval_store)
-    return cfg, params, priori
+    return model_for(eval_store)
+
+
+@pytest.fixture(scope="module")
+def many_to_many_store():
+    return augment_reciprocal(make_store(*many_to_many_rows()))
+
+
+def oracle_metrics(params, priori, cfg, store, split):
+    def score_fn(h, r):
+        logits, _ = forward_batch(
+            np.array([h]), np.array([r]), params, priori, cfg, mode="eval"
+        )
+        return logits[0]
+
+    return oracle_evaluate(score_fn, store, split)
 
 
 class TestEvaluate:
@@ -86,21 +137,44 @@ class TestEvaluate:
         with pytest.raises(StateError):
             evaluate(None, store, "test", None)
 
-    def test_oracle_equivalence(self, eval_store, eval_setup):
-        cfg, params, priori = eval_setup
-
-        def score_fn(h, r):
-            logits, _ = forward_batch(
-                np.array([h]), np.array([r]), params, priori, cfg, mode="eval"
-            )
-            return logits[0]
-
+    @pytest.mark.parametrize("store_name", ["eval_store", "many_to_many_store"],
+                             ids=["functional_toy", "many_to_many"])
+    def test_oracle_equivalence(self, store_name, request):
+        eval_store = request.getfixturevalue(store_name)
+        cfg, params, priori = model_for(eval_store)
         report = evaluate(params, eval_store, "test", cfg, priori=priori)
-        expected = oracle_evaluate(score_fn, eval_store, "test")
+        expected = oracle_metrics(params, priori, cfg, eval_store, "test")
         assert report.mrr == expected["mrr"]
         assert report.n_queries == expected["n_queries"]
         for n in (1, 3, 10):
             assert report.hits[n] == expected["hits"][n]
+
+    def test_filter_is_the_stores_index(self, many_to_many_store):
+        # A shallow copy with a sampled split keeps the full index, so
+        # competitors known only from the dropped rows stay filtered.
+        store = many_to_many_store
+        cfg, params, priori = model_for(store)
+        original = store.valid[store.valid[:, 1] < store.n_base_relations]
+        sub = copy.copy(store)
+        sub.valid = original[::3]
+        dropped = {(int(h), int(r)) for h, r, _ in original} - {
+            (int(h), int(r)) for h, r, _ in sub.valid}
+        assert 0 < sub.valid.shape[0] < original.shape[0] and dropped
+        report = evaluate(params, sub, "valid", cfg, priori=priori)
+        expected = oracle_metrics(params, priori, cfg, sub, "valid")
+        assert report.n_queries == expected["n_queries"]
+        assert report.mrr == expected["mrr"]
+        for n in (1, 3, 10):
+            assert report.hits[n] == expected["hits"][n]
+
+    def test_chunks_split_anywhere(self, many_to_many_store, monkeypatch):
+        # 7-query chunks split tail/head pairs, and the last one is ragged.
+        cfg, params, priori = model_for(many_to_many_store)
+        whole = evaluate(params, many_to_many_store, "test", cfg, priori=priori)
+        assert whole.n_queries % 7 and whole.n_queries < evaluation._EVAL_BATCH
+        monkeypatch.setattr(evaluation, "_EVAL_BATCH", 7)
+        chunked = evaluate(params, many_to_many_store, "test", cfg, priori=priori)
+        assert chunked.as_dict() == whole.as_dict()
 
     def test_reciprocal_coverage(self, eval_store, eval_setup):
         cfg, params, priori = eval_setup
@@ -126,7 +200,7 @@ class TestEvaluate:
                 scores = np.zeros(n)
                 scores[true_id] = 1.0
                 known = eval_store.tails_by_query.get((int(qh), int(qr)), set())
-                ranks.append(rank_of(scores, int(true_id), known - {int(true_id)}))
+                ranks.append(rank_one(scores, int(true_id), known - {int(true_id)}))
         assert np.all(np.array(ranks) == 1.0)
 
     def test_constant_scorer_matches_closed_form(self, eval_store):
@@ -143,12 +217,12 @@ class TestEvaluate:
         logits, _ = forward_batch(np.array([h]), np.array([r]), params, priori, cfg,
                                   mode="eval")
         known = eval_store.tails_by_query.get((h, r), set())
-        before = rank_of(logits[0], t, known - {t})
+        before = rank_one(logits[0], t, known - {t})
         # Add a known-true competitor: its removal can only improve the rank.
         competitor = int(np.argsort(-logits[0])[0])
         if competitor == t:
             competitor = int(np.argsort(-logits[0])[1])
-        after = rank_of(logits[0], t, (known | {competitor}) - {t})
+        after = rank_one(logits[0], t, (known | {competitor}) - {t})
         assert after <= before
 
 
