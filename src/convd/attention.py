@@ -1,10 +1,11 @@
 """Per-kernel contribution weights from a priori-biased scaled dot-product.
 
-A (head entity, relation) pair yields m scalars alpha_i: the relation
-embedding is cut into m kernel slices, each slice is projected to a key and
-reduced to a scalar value, the entity embedding is projected to a single
-query, and the softmax over the biased key/query logits is multiplied
-elementwise by the values.
+A (head entity, relation) pair yields one scalar alpha_i per active
+kernel: the relation embedding is cut into m kernel slices, of which the
+caller passes the n active ones; each is projected to a key and reduced to
+a scalar value, the entity embedding is projected to a single query, and
+the softmax over the n biased key/query logits is multiplied elementwise by
+the values.
 
 The learned arrays are read by their param_layout names from a
 model.ModelParams: attn_q (k, d_e) projects the entity to the query,
@@ -52,15 +53,14 @@ class AttentionTrace:
     """Cached forward intermediates, sufficient for the exact backward."""
 
     e_h: np.ndarray  # (B, d_e)
-    kappa: np.ndarray  # (B, m, r_w*r_h) flattened slices
+    kappa: np.ndarray  # (B, n, r_w*r_h) flattened active slices
     p_hr: np.ndarray  # (B,)
     q: np.ndarray  # (B, k)
-    keys: np.ndarray  # (B, m, k)
-    values: np.ndarray  # (B, m)
-    logits: np.ndarray  # (B, m); inactive entries -inf
-    probs: np.ndarray  # (B, m); inactive entries 0
-    alpha: np.ndarray  # (B, m); inactive entries 0
-    active: np.ndarray  # active kernel indices
+    keys: np.ndarray  # (B, n, k)
+    values: np.ndarray  # (B, n)
+    logits: np.ndarray  # (B, n)
+    probs: np.ndarray  # (B, n)
+    alpha: np.ndarray  # (B, n)
     params: object  # model.ModelParams
     lam: float  # priori weight the logits were biased with
 
@@ -71,37 +71,29 @@ def attention_forward(
     p_hr: np.ndarray,
     params,
     lam: float,
-    active: np.ndarray | None = None,
 ) -> AttentionTrace:
-    """Batched attention over (B, d_e) entities and (B, m, r_w, r_h) banks.
+    """Batched attention over (B, d_e) entities and the (B, n, r_w, r_h)
+    banks of the n active kernels, n <= m.
 
-    logit_i = (q . key_i) / sqrt(k) + lam * p_hr * u_i, softmaxed over the
-    active kernel set; alpha_i = prob_i * value_i. When u is constant the
-    bias shifts every logit equally and cannot change the softmax, so it is
+    logit_i = (q . key_i) / sqrt(k) + lam * p_hr * u_i, softmaxed over the n
+    kernels; alpha_i = prob_i * value_i. When u[:n] is constant the bias
+    shifts every logit equally and cannot change the softmax, so it is
     skipped exactly (this keeps alpha bit-identical across lam and p_hr).
     """
-    b, m = banks.shape[0], banks.shape[1]
-    kappa = banks.reshape(b, m, -1)
-    if active is None:
-        active = np.arange(m)
+    b, n = banks.shape[0], banks.shape[1]
+    kappa = banks.reshape(b, n, -1)
     q = e_h @ params.attn_q.T  # (B, k)
-    keys = kappa @ params.attn_k.T  # (B, m, k)
-    values = kappa @ params.attn_v  # (B, m)
+    keys = kappa @ params.attn_k.T  # (B, n, k)
+    values = kappa @ params.attn_v  # (B, n)
     logits = np.einsum("bk,bmk->bm", q, keys) / math.sqrt(params.attn_q.shape[0])
-    u = params.attn_u
-    if lam != 0.0 and u[active].max() != u[active].min():
+    u = params.attn_u[:n]
+    if lam != 0.0 and u.max() != u.min():
         logits = logits + lam * np.asarray(p_hr)[:, None] * u[None, :]
     if not np.all(np.isfinite(logits)):
         raise NumericError("non-finite attention logits")
-    sub = logits[:, active]
-    shifted = sub - sub.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
-    probs_active = exp / exp.sum(axis=1, keepdims=True)
-    probs = np.zeros_like(logits)
-    probs[:, active] = probs_active
-    masked_logits = np.full_like(logits, -np.inf)
-    masked_logits[:, active] = logits[:, active]
-    alpha = probs * values
+    probs = exp / exp.sum(axis=1, keepdims=True)
     return AttentionTrace(
         e_h=e_h,
         kappa=kappa,
@@ -109,10 +101,9 @@ def attention_forward(
         q=q,
         keys=keys,
         values=values,
-        logits=masked_logits,
+        logits=logits,
         probs=probs,
-        alpha=alpha,
-        active=np.asarray(active),
+        alpha=probs * values,
         params=params,
         lam=lam,
     )
@@ -121,9 +112,10 @@ def attention_forward(
 def attention_weights_backward(trace: AttentionTrace, grad_alpha: np.ndarray):
     """Exact reverse-mode gradients of alpha w.r.t. every input and parameter.
 
-    Returns (grad_e_h (B, d_e), grad_kappa (B, m, r_w*r_h), param_grads dict
+    Returns (grad_e_h (B, d_e), grad_kappa (B, n, r_w*r_h), param_grads dict
     with keys attn_q, attn_k, attn_v, attn_u). Gradient flows through both
-    the key path and the value path into the kernel slices.
+    the key path and the value path into the active kernel slices; attn_u
+    keeps its length m, zero past the n active kernels.
     """
     if grad_alpha.shape != trace.alpha.shape:
         raise DimensionError(
@@ -135,14 +127,14 @@ def attention_weights_backward(trace: AttentionTrace, grad_alpha: np.ndarray):
 
     g_probs = grad_alpha * values
     g_values = grad_alpha * probs
-    # Softmax backward over the active set; inactive entries carry zero prob.
     dot = np.sum(g_probs * probs, axis=1, keepdims=True)
     g_logits = probs * (g_probs - dot)
 
     g_q = np.einsum("bm,bmk->bk", g_logits, trace.keys) * scale
     g_keys = g_logits[:, :, None] * trace.q[:, None, :] * scale
     lam_p = trace.lam * trace.p_hr
-    g_u = np.einsum("b,bm->m", lam_p, g_logits)
+    g_u = np.zeros_like(params.attn_u)
+    g_u[: probs.shape[1]] = np.einsum("b,bm->m", lam_p, g_logits)
 
     g_e_h = g_q @ params.attn_q
     g_a_q = np.einsum("bk,bd->kd", g_q, trace.e_h)

@@ -5,11 +5,14 @@ accounting.
 Scoring pipeline for one (head, relation) query:
   1. entity row -> input dropout -> 2D plane (d_w x d_h)
   2. relation row -> m kernel slices (r_w x r_h each)
-  3. attention turns the pair into m contribution weights alpha, its logits
+  3. the first n = ceil(kernel_fraction * m) kernels are active; attention
+     turns the pair into their n contribution weights alpha, its logits
      biased by lambda = cfg.priori_weight (read from the config, never
-     stored with the arrays)
-  4. one valid convolution of the plane with sum_i alpha_i * kernel_i
-     (equal, by bilinearity, to summing m per-kernel convolutions)
+     stored with the arrays). no_priori runs it with lambda = 0;
+     no_attention and no_both run no attention and take alpha_i = 1/n
+  4. one valid convolution of the plane with sum_i alpha_i * kernel_i over
+     the active kernels (equal, by bilinearity, to summing n per-kernel
+     convolutions)
   5. batch norm (scalar gamma/beta, per-feature statistics), ReLU,
      feature dropout on the flattened map
   6. fully connected projection to d_e
@@ -27,6 +30,7 @@ init, parameter counts and the checkpoint format are derived from them.
 
 import math
 from dataclasses import dataclass, fields
+from decimal import Decimal
 
 import numpy as np
 
@@ -134,10 +138,11 @@ class ModelConfig:
 
 
 def kernel_fraction_mask(cfg: ModelConfig, fraction: float) -> np.ndarray:
-    """Indices of the ceil(fraction * m) active kernels (lowest first)."""
+    """Indices of the ceil(fraction * m) active kernels (lowest first), the
+    fraction read as the decimal it prints as: 0.28 of 25 is 7, not 8."""
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"kernel fraction must be in (0, 1], got {fraction}")
-    return np.arange(math.ceil(fraction * cfg.m))
+    return np.arange(math.ceil(Decimal(repr(float(fraction))) * cfg.m))
 
 
 def _head_layout(cfg: ModelConfig, n_features: int) -> dict:
@@ -276,24 +281,21 @@ class ForwardTrace:
 
     h_ids: np.ndarray
     r_ids: np.ndarray
-    mode: str
-    e_h: np.ndarray  # (B, d_e) raw entity rows
     mask_in: np.ndarray  # (B, d_e)
     plane: np.ndarray  # (B, d_w, d_h) post-dropout
     banks: np.ndarray  # (B, m, r_w, r_h)
-    attn: object  # AttentionTrace
+    alpha: np.ndarray  # (B, n) weights of the n active kernels
+    attn: object  # AttentionTrace, or None when attention is ablated
     w_mix: np.ndarray  # (B, r_w, r_h)
     conv: np.ndarray  # (B, oh, ow)
     # Steps 5-8, as scorer_head returns them.
     batch_stats: bool  # True when batch statistics were used for norm
-    norm_mean: np.ndarray  # (F,) statistics actually used
-    norm_var: np.ndarray  # (F,)
+    norm_var: np.ndarray  # (F,) variance the norm used
     new_running: tuple | None  # (mean, var) to commit after the step
     x_hat: np.ndarray  # (B, F)
     y_bn: np.ndarray  # (B, F)
     mask_feat: np.ndarray  # (B, F)
     a2: np.ndarray  # (B, F) post ReLU+dropout features
-    v_out: np.ndarray  # (B, d_e)
     mask_out: np.ndarray  # (B, d_e)
     h1: np.ndarray  # (B, d_e) post dropout+ReLU hidden
     z: np.ndarray  # (B, d_e)
@@ -349,36 +351,33 @@ def forward_batch(
     plane = (e_h * mask_in).reshape(b, cfg.d_w, cfg.d_h)
 
     banks = slice_batch(params.rel[r_ids], cfg.m, cfg.r_w, cfg.r_h)
-    active = kernel_fraction_mask(cfg, cfg.kernel_fraction)
-
-    if cfg.ablation in ("no_priori", "no_both") or priori is None:
-        p_vals = np.zeros(b)
-    else:
-        p_vals = priori.values(h_ids, r_ids)
-    attn_trace = attention_forward(e_h, banks, p_vals, params, cfg.priori_weight,
-                                   active=active)
+    n = kernel_fraction_mask(cfg, cfg.kernel_fraction).size
+    active = banks[:, :n]
     if cfg.ablation in ("no_attention", "no_both"):
-        # Equal-weight multi-kernel sum: uniform softmax, unit values.
-        probs = np.zeros_like(attn_trace.probs)
-        probs[:, active] = 1.0 / active.size
-        attn_trace.probs = probs
-        attn_trace.values = np.ones_like(attn_trace.values)
-        attn_trace.alpha = probs.copy()
+        # Equal-weight sum of the active kernels.
+        attn_trace = None
+        alpha = np.full((b, n), 1.0 / n)
+    else:
+        if cfg.ablation == "no_priori" or priori is None:
+            lam, p_vals = 0.0, np.zeros(b)
+        else:
+            lam, p_vals = cfg.priori_weight, priori.values(h_ids, r_ids)
+        attn_trace = attention_forward(e_h, active, p_vals, params, lam)
+        alpha = attn_trace.alpha
 
     # One convolution with the mixed kernel; bilinearity makes this equal to
-    # summing the m per-kernel feature maps.
-    w_mix = np.einsum("bm,bmwh->bwh", attn_trace.alpha, banks)
+    # summing the n per-kernel feature maps.
+    w_mix = np.einsum("bm,bmwh->bwh", alpha, active)
     conv = conv2d_batch(plane, w_mix)
     logits, head = scorer_head(conv.reshape(b, cfg.conv_map), params, cfg, training,
                                training and not cfg.bn_frozen, rng)
     trace = ForwardTrace(
         h_ids=h_ids,
         r_ids=r_ids,
-        mode=mode,
-        e_h=e_h,
         mask_in=mask_in,
         plane=plane,
         banks=banks,
+        alpha=alpha,
         attn=attn_trace,
         w_mix=w_mix,
         conv=conv,
@@ -428,8 +427,8 @@ def scorer_head(feats, params, cfg: ModelConfig, training: bool, batch_stats: bo
     if not np.all(np.isfinite(logits)):
         raise NumericError("non-finite logits")
     return logits, dict(
-        batch_stats=batch_stats, norm_mean=mean, norm_var=var, new_running=new_running,
-        x_hat=x_hat, y_bn=y_bn, mask_feat=mask_feat, a2=a2, v_out=v_out,
+        batch_stats=batch_stats, norm_var=var, new_running=new_running,
+        x_hat=x_hat, y_bn=y_bn, mask_feat=mask_feat, a2=a2,
         mask_out=mask_out, h1=h1, z=z,
     )
 
@@ -502,26 +501,27 @@ def backward(trace: ForwardTrace, grad_logits: np.ndarray, params: ModelParams,
     g_conv = g_feats.reshape(trace.conv.shape)
     g_plane, g_wmix = conv2d_batch_backward(trace.plane, trace.w_mix, g_conv)
 
-    # w_mix = sum_i alpha_i * kernel_i
-    g_alpha = np.einsum("bwh,bmwh->bm", g_wmix, trace.banks)
-    g_banks = trace.attn.alpha[:, :, None, None] * g_wmix[:, None, :, :]
+    # w_mix = sum_i alpha_i * kernel_i over the n active kernels
+    n = trace.alpha.shape[1]
+    active = trace.banks[:, :n]
+    g_active = trace.alpha[:, :, None, None] * g_wmix[:, None, :, :]
+    # (1) input plane to raw entity rows
+    g_e_h = g_plane.reshape(b, cfg.d_e) * trace.mask_in
 
-    # (3) attention
-    if cfg.ablation in ("no_attention", "no_both"):
-        g_e_h_attn = np.zeros_like(trace.e_h)
-        g_kappa = np.zeros_like(trace.attn.kappa)
-    else:
+    # (3) attention, unless ablated: alpha = 1/n then carries no gradient
+    if trace.attn is not None:
+        g_alpha = np.einsum("bwh,bmwh->bm", g_wmix, active)
         g_e_h_attn, g_kappa, attn_grads = attention_weights_backward(trace.attn, g_alpha)
         for name, g in attn_grads.items():
             grads[name] += g
+        g_active += g_kappa.reshape(active.shape)
+        g_e_h += g_e_h_attn
 
-    # (2) kernel slices back to relation rows
-    g_banks += g_kappa.reshape(trace.banks.shape)
+    # (2) kernel slices back to relation rows; inactive kernels get none
+    g_banks = np.zeros_like(trace.banks)
+    g_banks[:, :n] = g_active
     g_rel_rows = unslice_batch(g_banks, cfg.m, cfg.r_w, cfg.r_h)
     np.add.at(grads["rel"], trace.r_ids, g_rel_rows)
-
-    # (1) input plane and raw entity rows
-    g_e_h = g_plane.reshape(b, cfg.d_e) * trace.mask_in + g_e_h_attn
     np.add.at(grads["ent"], trace.h_ids, g_e_h)
     return grads
 

@@ -67,6 +67,11 @@ def dropout_mask(rng: RngStream, p: float, n: int) -> np.ndarray:
     return keep.astype(np.float64) / (1.0 - p)
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moments per named parameter plus the shared step count."""
@@ -74,19 +79,12 @@ class AdamState:
     first_moment: dict
     second_moment: dict
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
 
-def adam_init(params: dict, beta1=0.9, beta2=0.999, epsilon=1e-8) -> AdamState:
+def adam_init(params: dict) -> AdamState:
     return AdamState(
         first_moment={k: np.zeros_like(v) for k, v in params.items()},
         second_moment={k: np.zeros_like(v) for k, v in params.items()},
-        step=0,
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
     )
 
 
@@ -110,7 +108,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
     update runs in blocks of BLOCK elements through two scratch buffers.
     """
     t = state.step + 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
     # Every check runs before the first write, so a rejected call changes nothing.
@@ -143,7 +141,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
             a *= lr
             np.divide(vb, bc2, out=b)
             np.sqrt(b, out=b)
-            b += state.epsilon
+            b += ADAM_EPSILON
             a /= b
             pb -= a
     state.step = t

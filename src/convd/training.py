@@ -141,7 +141,7 @@ def early_stop(history: TrainHistory, patience: int) -> bool:
     return (len(evals) - 1 - best_idx) >= patience
 
 
-def _epoch_batches(queries, order, batch_size):
+def _epoch_batches(order, batch_size):
     """Batch index lists; a trailing singleton is merged into the previous
     batch because batch statistics need at least two examples."""
     batches = [order[i : i + batch_size] for i in range(0, len(order), batch_size)]
@@ -188,7 +188,7 @@ def train(cfg: TrainConfig, store: TripleStore, priori: PrioriTable,
         order = shuffle_rng.permutation(len(queries))
         total_loss = 0.0
         total_queries = 0
-        for batch_idx in _epoch_batches(queries, order, cfg.batch_size):
+        for batch_idx in _epoch_batches(order, cfg.batch_size):
             batch_queries = [queries[i] for i in batch_idx]
             h_ids = np.array([q[0] for q in batch_queries])
             r_ids = np.array([q[1] for q in batch_queries])
@@ -270,8 +270,13 @@ def hyper_search(base: TrainConfig, store: TripleStore, priori: PrioriTable):
         raise ConfigError("hyperparameter grid is empty")
     keys = sorted(base.grid)
     for key in keys:
-        if not base.grid[key]:
-            raise ConfigError(f"empty value list for grid key {key!r}")
+        values = base.grid[key]
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"grid key {key!r} needs a non-empty list of values, got {values!r}")
+        # Random draws sample numbers around the grid winner.
+        if base.random_search_draws and not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+            raise ConfigError(f"grid key {key!r} needs numbers for random draws, got {values!r}")
 
     leaderboard = []
     configs = []

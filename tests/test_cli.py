@@ -100,12 +100,19 @@ class TestTrainCommand:
         'modes="full"', "modes=[1]",
         # Never read by any command, so no longer accepted.
         "top_k=3", "filter_known=true",
+        # Read by search, which rejects them before it trains anything.
+        'grid={"d_e":16}', 'grid={"lr":"fast"}', 'grid={"ablation":["full","no_priori"]}',
     ])
     def test_mistyped_value_exits_2(self, tmp_path, toy_dir, capsys, override):
         cfg_path = write_config(tmp_path / "c.json", data_dir=toy_dir,
-                                output_dir=str(tmp_path / "o"))
-        assert main(["train", "--config", cfg_path, "--set", override]) == 2
-        assert "config error:" in capsys.readouterr().err
+                                output_dir=str(tmp_path / "o"), random_search_draws=1)
+        command = "search" if override.startswith("grid=") else "train"
+        assert main([command, "--config", cfg_path, "--set", override]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        if command == "search":
+            key = next(iter(json.loads(override.partition("=")[2])))
+            assert f"grid key {key!r}" in err
 
     def test_non_square_m_exits_2(self, tmp_path, toy_dir):
         cfg_path = write_config(tmp_path / "c.json", m=3, data_dir=toy_dir,

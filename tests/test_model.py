@@ -3,9 +3,12 @@ import hashlib
 import numpy as np
 import pytest
 
+import convd.model
+from convd.attention import slice_batch, unslice_batch
 from convd.data import PrioriTable
 from convd.errors import ConfigError, DegenerateBatchError, DimensionError, StateError
 from convd.model import (
+    ABLATION_MODES,
     RUNNING_STATS,
     ModelConfig,
     backward,
@@ -19,7 +22,7 @@ from convd.model import (
     param_layout,
     score_plain_conv,
 )
-from convd.numerics import conv2d_batch, finite_diff_grad
+from convd.numerics import adam_init, adam_step, conv2d_batch, finite_diff_grad
 from convd.rng import RngStream, stream_bundle
 from convd.training import DROPOUT_LABELS, bce_loss
 
@@ -145,17 +148,19 @@ class TestForward:
 
 
 class TestAblationFlags:
-    def _trace(self, ablation, bundle):
+    def _forward(self, ablation, bundle):
         cfg = tiny_config(
             ablation=ablation, dropout_in=0.2, dropout_feat=0.2, dropout_out=0.3,
             priori_weight=0.3,
         )
         params = tiny_params(cfg)
-        _, trace = forward_batch(
+        return forward_batch(
             np.array([0, 2]), np.array([0, 1]), params, PRIORI, cfg,
             mode="train", rng=bundle,
         )
-        return trace
+
+    def _trace(self, ablation, bundle):
+        return self._forward(ablation, bundle)[1]
 
     def _bundle(self):
         return stream_bundle(123, DROPOUT_LABELS)
@@ -171,14 +176,37 @@ class TestAblationFlags:
         assert not np.array_equal(full.attn.alpha, cut.attn.alpha)
 
     def test_no_attention_changes_only_the_weights(self):
-        full = self._trace("full", self._bundle())
-        cut = self._trace("no_attention", self._bundle())
-        for field in ("mask_in", "plane", "banks"):
+        full_logits, full = self._forward("full", self._bundle())
+        cut_logits, cut = self._forward("no_attention", self._bundle())
+        for field in ("mask_in", "mask_feat", "mask_out", "plane", "banks"):
             assert np.array_equal(getattr(full, field), getattr(cut, field)), field
-        for field in ("q", "keys", "kappa", "logits"):
-            assert np.array_equal(getattr(full.attn, field), getattr(cut.attn, field)), field
-        assert np.allclose(cut.attn.alpha, 1.0 / 4)
-        assert not np.array_equal(full.attn.alpha, cut.attn.alpha)
+        assert cut.attn is None
+        assert np.all(cut.alpha == 1.0 / 4)
+        assert not np.array_equal(full_logits, cut_logits)
+
+    @pytest.mark.parametrize("ablation", ["no_priori", "no_attention", "no_both"])
+    def test_ablated_stages_are_not_run(self, monkeypatch, ablation):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{ablation} ran an ablated stage")
+
+        monkeypatch.setattr(PrioriTable, "values", refuse)
+        if ablation != "no_priori":
+            monkeypatch.setattr(convd.model, "attention_forward", refuse)
+            monkeypatch.setattr(convd.model, "attention_weights_backward", refuse)
+        cfg = tiny_config(ablation=ablation, priori_weight=0.3, bn_frozen=False)
+        params = tiny_params(cfg)
+        before = params.copy()
+        h_ids, r_ids = np.array([0, 2, 5]), np.array([0, 1, 2])
+        targets = np.full((3, TINY_ENTITIES), 0.01)
+        targets[:, 3] = 0.91
+        logits, trace = forward_batch(h_ids, r_ids, params, PRIORI, cfg, mode="train")
+        grads = backward(trace, bce_loss(logits, targets)[1], params, cfg)
+        adam_step(params.named_arrays(), grads, adam_init(params.named_arrays()), 0.01)
+        for name in ("ent", "rel", "w_fc"):
+            assert not np.array_equal(getattr(params, name), getattr(before, name)), name
+        attn_learns = ablation == "no_priori"
+        for name in ("attn_q", "attn_k", "attn_v"):
+            assert np.any(grads[name] != 0) == attn_learns, name
 
     def test_lambda_is_read_from_the_config(self):
         params = tiny_params(tiny_config())
@@ -227,8 +255,10 @@ class TestBackward:
         with pytest.raises(StateError):
             backward(trace, np.zeros_like(logits), other, cfg)
 
-    def test_gradients_match_finite_differences_batch_stats(self):
-        cfg = tiny_config(bn_frozen=False)
+    @pytest.mark.parametrize("fraction", [1.0, 0.5, 0.25])
+    @pytest.mark.parametrize("ablation", ABLATION_MODES)
+    def test_gradients_match_finite_differences_batch_stats(self, ablation, fraction):
+        cfg = tiny_config(bn_frozen=False, ablation=ablation, kernel_fraction=fraction)
         params = tiny_params(cfg, randomize_stats=False)
         h_ids, r_ids = np.array([0, 2, 5, 1]), np.array([0, 1, 2, 0])
         targets = (RngStream(12, "t").uniform(4 * TINY_ENTITIES).reshape(4, -1) < 0.3) * 0.9 + 0.01
@@ -277,16 +307,35 @@ class TestKernelFraction:
         active = kernel_fraction_mask(cfg, 0.25)
         assert active.tolist() == [0]
 
+    @pytest.mark.parametrize("m,fraction,count", [
+        (25, 0.28, 7), (25, 0.56, 14),
+        (100, 0.07, 7), (100, 0.14, 14), (100, 0.28, 28), (100, 0.55, 55), (100, 0.56, 56),
+        (4, 0.25, 1), (4, 0.5, 2), (4, 1.0, 4),
+    ])
+    def test_count_is_the_decimal_ceiling(self, m, fraction, count):
+        # 0.28 * 25 is 7.000000000000001 in binary, whose ceiling is 8.
+        assert kernel_fraction_mask(ModelConfig(m=m), fraction).size == count
+
     def test_masked_softmax_sums_to_one(self):
         cfg = tiny_config(kernel_fraction=0.5)
         params = tiny_params(cfg)
-        _, trace = forward_score(2, 1, params, PRIORI, cfg, mode="eval")
+        logits, trace = forward_score(2, 1, params, PRIORI, cfg, mode="eval")
         probs = trace.attn.probs[0]
-        active = kernel_fraction_mask(cfg, 0.5)
-        assert abs(probs[active].sum() - 1.0) < 1e-12
-        inactive = np.setdiff1d(np.arange(cfg.m), active)
-        assert np.all(probs[inactive] == 0)
-        assert np.all(trace.attn.alpha[0][inactive] == 0)
+        assert probs.shape == (2,)
+        assert abs(probs.sum() - 1.0) < 1e-12
+
+        # The inactive slices of relation 1 reach neither the scores nor a gradient.
+        banks = slice_batch(params.rel[1:2], cfg.m, cfg.r_w, cfg.r_h)
+        banks[:, 2:] += 0.5
+        moved = params.copy()
+        moved.rel[1] = unslice_batch(banks, cfg.m, cfg.r_w, cfg.r_h)[0]
+        assert not np.array_equal(moved.rel, params.rel)
+        moved_logits, _ = forward_score(2, 1, moved, PRIORI, cfg, mode="eval")
+        assert np.array_equal(moved_logits, logits)
+        grads = backward(trace, np.linspace(-1.0, 1.0, logits.size), params, cfg)
+        g_banks = slice_batch(grads["rel"][1:2], cfg.m, cfg.r_w, cfg.r_h)
+        assert np.any(g_banks[:, :2] != 0)
+        assert np.all(g_banks[:, 2:] == 0)
 
     def test_invalid_fraction(self):
         cfg = tiny_config()
