@@ -35,7 +35,7 @@ from .errors import (
 )
 from .evaluation import evaluate, run_ablation, run_fraction_sweep
 from .model import backward, forward_batch, init_params
-from .numerics import finite_diff_grad
+from .numerics import finite_diff_grad, workers
 from .rng import RngStream
 from .training import (
     TrainConfig,
@@ -227,13 +227,16 @@ def cmd_train(args) -> int:
 def run_environment() -> dict:
     """What parameter bytes depend on beyond seed, config and data: sums in
     BLAS calls are split by thread, so reruns are byte-identical only at a
-    fixed OPENBLAS_NUM_THREADS."""
+    fixed OPENBLAS_NUM_THREADS and BLAS build. `workers`, the CPUs the
+    step's tasks ran on, is recorded for timings; the bytes never depend
+    on it."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         "numpy": np.__version__,
         "blas": blas.get("name"),
         "blas_version": blas.get("version"),
+        "workers": workers(),
     }
 
 

@@ -116,11 +116,11 @@ class TripleStore:
     relations, the filtered-candidates index over all three splits (None
     before: only augmented stores are trained on or evaluated).
 
-    The index is held in two forms, built together: `tails_by_query` maps
-    (head, relation) to its set of tails, and `known_query`/`known_tail`
-    hold every triple's key head * n_relations + relation, sorted, with the
-    tails aligned to it (duplicate triples repeat), for batch lookups by
-    `known_cells`.
+    The index is held in two forms: `known_query`/`known_tail`, built with
+    the store, hold every triple's key head * n_relations + relation,
+    sorted, with the tails aligned to it (duplicate triples repeat), for
+    batch lookups by `known_cells`; `tails_by_query` maps (head, relation)
+    to its set of tails, built at its first read.
     """
 
     vocab: Vocab
@@ -129,7 +129,6 @@ class TripleStore:
     test: np.ndarray
     augmented: bool = False
     n_base_relations: int = 0
-    tails_by_query: dict | None = field(init=False)
     known_query: np.ndarray | None = field(init=False, repr=False)
     known_tail: np.ndarray | None = field(init=False, repr=False)
 
@@ -143,13 +142,18 @@ class TripleStore:
         if bad.size:
             h, r, t = triples[bad[0]].tolist()
             raise DataError(f"triple ({h}, {r}, {t}) outside vocabulary bounds")
-        self.tails_by_query = self.known_query = self.known_tail = None
+        self.known_query = self.known_tail = None
         if self.augmented:
-            self.tails_by_query = tails_index(triples)
             keys = triples[:, 0] * n_rel + triples[:, 1]
             order = np.argsort(keys, kind="stable")
             self.known_query = keys[order]
             self.known_tail = triples[order, 2]
+
+    @functools.cached_property
+    def tails_by_query(self) -> dict | None:
+        if not self.augmented:
+            return None
+        return tails_index(np.concatenate([self.train, self.valid, self.test]))
 
     def known_cells(self, h_ids, r_ids):
         """Every known (row, tail) cell of a batch of (head, relation)

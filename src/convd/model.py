@@ -28,6 +28,7 @@ shapes. One ModelParams container holds the arrays of either layout, and
 init, parameter counts and the checkpoint format are derived from them.
 """
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from decimal import Decimal
@@ -48,10 +49,35 @@ from .errors import (
     NumericError,
     StateError,
 )
-from .numerics import BN_EPS, BN_MOMENTUM, conv2d_batch, conv2d_batch_backward, dropout_mask
+from .numerics import (
+    BN_EPS,
+    BN_MOMENTUM,
+    conv2d_batch,
+    conv2d_batch_backward,
+    dropout_mask,
+    parallel,
+)
 from .rng import RngStream
 
 ABLATION_MODES = ("full", "no_priori", "no_attention", "no_both")
+
+# Entity rows per task of the 1-N products. A constant, never derived from
+# the worker count, so the partition, and with it every byte, is the same
+# at any number of workers. The last block takes the remainder (ENTITY_BLOCK
+# to 2 * ENTITY_BLOCK - 1 rows), because OpenBLAS computes a product of a
+# few rows with other kernels: with a short last block, the logits of its
+# rows differ in the last bits from those of the whole product. With every
+# block at least 512 rows, the blocked logits equal the whole product byte
+# for byte on OpenBLAS 0.3.31 at every batch size tried (1 to 512) but 2.
+# Tables of fewer than two blocks run one product.
+ENTITY_BLOCK = 512
+
+
+def _entity_blocks(n_entities: int) -> list:
+    """(lo, hi) row ranges of the fixed partition: ENTITY_BLOCK rows each,
+    the last block with the remainder."""
+    starts = [i * ENTITY_BLOCK for i in range(max(n_entities // ENTITY_BLOCK, 1))]
+    return list(zip(starts, starts[1:] + [n_entities]))
 
 
 @dataclass
@@ -420,10 +446,14 @@ def scorer_head(feats, params, cfg: ModelConfig, training: bool, batch_stats: bo
     mask_out = _dropout(rng, "dropout.out", cfg.dropout_out, v_out.shape, training)
     h1 = np.maximum(v_out * mask_out, 0.0)
     z = h1 @ params.w_out + params.b_out
-    if cfg.sigmoid_pre_dot:
-        logits = (1.0 / (1.0 + np.exp(-z))) @ params.ent.T
-    else:
-        logits = z @ params.ent.T
+    query = 1.0 / (1.0 + np.exp(-z)) if cfg.sigmoid_pre_dot else z
+    # One task per entity block, the last and longest first, so the queue
+    # ends on short tasks; a single block runs inline.
+    logits = np.empty((query.shape[0], params.ent.shape[0]))
+    parallel([
+        functools.partial(np.matmul, query, params.ent[lo:hi].T, out=logits[:, lo:hi])
+        for lo, hi in reversed(_entity_blocks(params.ent.shape[0]))
+    ])
     if not np.all(np.isfinite(logits)):
         raise NumericError("non-finite logits")
     return logits, dict(
@@ -463,12 +493,24 @@ def backward(trace: ForwardTrace, grad_logits: np.ndarray, params: ModelParams,
 
     # (8) logits = z @ ent.T. The dense 1-N route covers every row of the
     # entity gradient, so it is that block's first value; the head-entity
-    # route (1) adds to it.
+    # route (1) adds to it. Over two or more entity blocks, g_z and each
+    # row block of the entity gradient are one task each, longest first:
+    # g_z, then the last block.
+    blocks = _entity_blocks(params.ent.shape[0])
+    if len(blocks) < 2:
+        grad_ent = grad_logits.T @ trace.z
+        g_z = grad_logits @ params.ent  # (B, d_e)
+    else:
+        grad_ent = np.empty_like(params.ent)
+        g_z = np.empty_like(trace.z)
+        parallel([functools.partial(np.matmul, grad_logits, params.ent, out=g_z)] + [
+            functools.partial(np.matmul, grad_logits[:, lo:hi].T, trace.z, out=grad_ent[lo:hi])
+            for lo, hi in reversed(blocks)
+        ])
     grads = {
-        k: grad_logits.T @ trace.z if k == "ent" else np.zeros_like(v)
+        k: grad_ent if k == "ent" else np.zeros_like(v)
         for k, v in params.named_arrays().items()
     }
-    g_z = grad_logits @ params.ent  # (B, d_e)
 
     # (7) z = h1 @ w_out + b_out; h1 = relu(v_out * mask_out)
     grads["w_out"] += trace.h1.T @ g_z

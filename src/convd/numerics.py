@@ -1,5 +1,6 @@
-"""Dense numerical primitives: convolution, dropout masks, Adam, and a
-central-difference gradient oracle.
+"""Dense numerical primitives: convolution, dropout masks, Adam, a
+central-difference gradient oracle, and the thread pool that spreads the
+entity-sized work of a step over the process's CPUs.
 
 Everything is 64-bit float. Randomness and optimizer state enter only
 through explicit arguments. Adam is the one routine that mutates its
@@ -8,8 +9,20 @@ arguments: it updates the parameters and both moments in place.
 BLOCK is the one block size of the elementwise passes over large arrays:
 Adam here and the 1-N loss in training.py walk their arrays BLOCK
 elements at a time, so each block stays in cache across its passes.
+
+`parallel` runs tasks over a partition that never depends on the worker
+count: the elementwise passes give each worker a run of whole blocks, and
+their results do not depend on the blocking; the 1-N products in model.py
+split by the fixed model.ENTITY_BLOCK. Parameter bytes therefore depend on
+OPENBLAS_NUM_THREADS, the BLAS build and ENTITY_BLOCK, never on the number
+of workers. Tasks run NumPy calls only, so the GIL is released while they
+compute.
 """
 
+import concurrent.futures
+import functools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,9 +101,86 @@ def adam_init(params: dict) -> AdamState:
     )
 
 
-# Elements per block: a block and two float64 scratch buffers (2 x 128 KiB)
-# stay in L2 across the block's elementwise passes.
-BLOCK = 16384
+# Elements per block (512 KiB of float64); each worker takes a block
+# through all of its passes before the next. Smaller blocks make two
+# workers hand the GIL back and forth between NumPy calls every few
+# microseconds: on a 2-CPU host, Adam over the arrays of a 5000 x 200
+# entity table took about 8.1 ms at 16,384 elements and 6.5 ms at 65,536.
+# Elementwise results do not depend on this size, and the split over
+# workers moves only whole blocks.
+BLOCK = 65536
+
+
+@functools.cache
+def workers() -> int:
+    """CPUs this process may run on, read at the first call."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@functools.cache
+def _pool() -> concurrent.futures.ThreadPoolExecutor:
+    """The calling thread runs tasks too, so the pool holds one thread
+    fewer than there are CPUs."""
+    return concurrent.futures.ThreadPoolExecutor(workers() - 1, thread_name_prefix="convd")
+
+
+def _drain(queue, lock, errors) -> None:
+    """Run tasks taken from the shared queue until it is empty, keeping
+    each error with its task's index."""
+    while True:
+        with lock:
+            index, task = next(queue, (None, None))
+        if task is None:
+            return
+        try:
+            task()
+        except Exception as exc:  # raised by parallel once every task is done
+            errors.append((index, exc))
+
+
+def parallel(tasks) -> None:
+    """Run zero-argument callables: inline, in order, with one CPU or one
+    task, where the first error ends the run; else the calling thread and
+    the pool's threads take them in order from one queue, so a thread that
+    finishes early takes the next task, and every task finishes before the
+    first error, in task order, is raised: no task still writes when the
+    caller sees it."""
+    if workers() == 1 or len(tasks) == 1:
+        for task in tasks:
+            task()
+        return
+    queue, lock, errors = enumerate(tasks), threading.Lock(), []
+    helpers = [_pool().submit(_drain, queue, lock, errors)
+               for _ in range(min(workers(), len(tasks)) - 1)]
+    _drain(queue, lock, errors)
+    concurrent.futures.wait(helpers)
+    for helper in helpers:
+        helper.result()
+    if errors:
+        raise min(errors, key=lambda error: error[0])[1]
+
+
+def block_runs(sizes) -> list:
+    """The BLOCK-element blocks (array index, lo, hi) of arrays of the given
+    sizes, in order, cut into one contiguous run per worker with about
+    equal element counts; one run when there is one worker or fewer than
+    two blocks' worth of elements."""
+    blocks = [(i, lo, min(lo + BLOCK, size))
+              for i, size in enumerate(sizes) for lo in range(0, size, BLOCK)]
+    total = sum(sizes)
+    n_runs = workers() if total >= 2 * BLOCK else 1
+    if n_runs == 1:
+        return [blocks]
+    runs = [[] for _ in range(n_runs)]
+    start = 0
+    for block in blocks:
+        size = block[2] - block[1]
+        # The run whose share of the elements holds the block's midpoint.
+        runs[min(n_runs - 1, n_runs * (2 * start + size) // (2 * total))].append(block)
+        start += size
+    return [run for run in runs if run]
 
 
 def _flat_view(arr: np.ndarray, name: str) -> np.ndarray:
@@ -105,7 +195,8 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
 
     The arithmetic and its order are those of the textbook form
     p - lr * (m / bc1) / (sqrt(v / bc2) + eps), so the bytes match it; the
-    update runs in blocks of BLOCK elements through two scratch buffers.
+    update runs in blocks of BLOCK elements, each worker's run of blocks
+    through two scratch buffers of its own.
     """
     t = state.step + 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
@@ -123,11 +214,13 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
             _flat_view(state.first_moment[name], name),
             _flat_view(state.second_moment[name], name),
         ))
-    scratch_a = np.empty(BLOCK, dtype=np.float64)
-    scratch_b = np.empty(BLOCK, dtype=np.float64)
-    for p_flat, g_flat, m_flat, v_flat in flat:
-        for lo in range(0, p_flat.size, BLOCK):
-            hi = min(lo + BLOCK, p_flat.size)
+
+    def run_blocks(run):
+        width = max((hi - lo for _, lo, hi in run), default=0)
+        scratch_a = np.empty(width, dtype=np.float64)
+        scratch_b = np.empty(width, dtype=np.float64)
+        for i, lo, hi in run:
+            p_flat, g_flat, m_flat, v_flat = flat[i]
             pb, gb, mb, vb = p_flat[lo:hi], g_flat[lo:hi], m_flat[lo:hi], v_flat[lo:hi]
             a, b = scratch_a[: hi - lo], scratch_b[: hi - lo]
             mb *= b1
@@ -144,6 +237,9 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
             b += ADAM_EPSILON
             a /= b
             pb -= a
+
+    runs = block_runs([entry[0].size for entry in flat])
+    parallel([functools.partial(run_blocks, run) for run in runs])
     state.step = t
     return params, state
 

@@ -1,6 +1,7 @@
 """1-N mini-batch training with label smoothing, Adam, early stopping, and
 grid-plus-random hyperparameter search."""
 
+import functools
 import hashlib
 import itertools
 import json
@@ -20,7 +21,7 @@ from .model import (
     forward_batch,
     init_params,
 )
-from .numerics import BLOCK, adam_init, adam_step
+from .numerics import adam_init, adam_step, block_runs, parallel
 from .rng import RngStream, stream_bundle
 
 DROPOUT_LABELS = ("dropout.in", "dropout.feat", "dropout.out")
@@ -90,8 +91,9 @@ def bce_loss(logits: np.ndarray, target: np.ndarray):
     One exp per logit: with e = exp(-|z|), softplus(z) = max(z, 0) +
     log1p(e), and sigmoid(z) is 1/(1+e) for z >= 0 and e/(1+e) otherwise,
     so no exp overflows. The passes run over BLOCK elements at a time, so
-    a block stays in cache; the per-element loss terms are kept whole and
-    reduced by one mean, so the loss bytes do not depend on the blocking."""
+    a block stays in cache, and each worker walks its own run of blocks;
+    the per-element loss terms are kept whole and reduced by one mean after
+    the join, so the loss bytes do not depend on the blocking."""
     logits = np.asarray(logits, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if logits.shape != target.shape:
@@ -101,30 +103,34 @@ def bce_loss(logits: np.ndarray, target: np.ndarray):
     grad = np.empty(logits.shape)
     z_flat, y_flat = np.ravel(logits), np.ravel(target)
     loss_flat, grad_flat = per_entity.reshape(-1), grad.reshape(-1)
-    scratch_e = np.empty(min(n, BLOCK))
-    scratch_t = np.empty(min(n, BLOCK))
-    for lo in range(0, n, BLOCK):
-        hi = min(lo + BLOCK, n)
-        z, y, lb, gb = z_flat[lo:hi], y_flat[lo:hi], loss_flat[lo:hi], grad_flat[lo:hi]
-        e, t = scratch_e[: hi - lo], scratch_t[: hi - lo]
-        if not np.isfinite(z).all():
-            raise NumericError("non-finite logits in the loss")
-        np.abs(z, out=e)
-        np.negative(e, out=e)
-        np.exp(e, out=e)
-        # y*softplus(-z) + (1-y)*softplus(z) == softplus(z) - y*z
-        np.maximum(z, 0.0, out=lb)
-        lb += np.log1p(e, out=t)
-        lb -= np.multiply(y, z, out=t)
-        # 1 where z >= 0, else e: equal to np.where(z >= 0, 1, e) since
-        # 0 <= e <= 1, without a branch per element.
-        np.maximum(e, z >= 0, out=gb)
-        e += 1.0
-        gb /= e
-        gb -= y
-        # Batched input averages over queries as well, so the gradient
-        # scale is the full element count either way.
-        gb /= n
+
+    def run_blocks(run):
+        width = max((hi - lo for _, lo, hi in run), default=0)
+        scratch_e = np.empty(width)
+        scratch_t = np.empty(width)
+        for _, lo, hi in run:
+            z, y, lb, gb = z_flat[lo:hi], y_flat[lo:hi], loss_flat[lo:hi], grad_flat[lo:hi]
+            e, t = scratch_e[: hi - lo], scratch_t[: hi - lo]
+            if not np.isfinite(z).all():
+                raise NumericError("non-finite logits in the loss")
+            np.abs(z, out=e)
+            np.negative(e, out=e)
+            np.exp(e, out=e)
+            # y*softplus(-z) + (1-y)*softplus(z) == softplus(z) - y*z
+            np.maximum(z, 0.0, out=lb)
+            lb += np.log1p(e, out=t)
+            lb -= np.multiply(y, z, out=t)
+            # 1 where z >= 0, else e: equal to np.where(z >= 0, 1, e) since
+            # 0 <= e <= 1, without a branch per element.
+            np.maximum(e, z >= 0, out=gb)
+            e += 1.0
+            gb /= e
+            gb -= y
+            # Batched input averages over queries as well, so the gradient
+            # scale is the full element count either way.
+            gb /= n
+
+    parallel([functools.partial(run_blocks, run) for run in block_runs([n])])
     return per_entity.mean(), grad
 
 
@@ -248,6 +254,23 @@ def _apply_grid_value(cfg: TrainConfig, key: str, value):
     return replace(cfg, **{key: value})
 
 
+def _draw(key: str, values: list, center, rng: RngStream):
+    """One uniform draw around a grid key's winning value: within half the
+    smallest gap between the key's grid values (10% of the value, or 0.05,
+    for a single value). Draws of d_e and of int fields are rounded to
+    ints of at least 1, whatever the types in the grid."""
+    values = sorted(set(float(v) for v in values))
+    center = float(center)
+    if len(values) > 1:
+        radius = min(b - a for a, b in zip(values, values[1:])) / 2.0
+    else:
+        radius = abs(center) * 0.1 or 0.05
+    sampled = center + rng.uniform_signed(1, radius)[0]
+    if key == "d_e" or TrainConfig.__dataclass_fields__[key].type is int:
+        sampled = max(1, int(round(sampled)))
+    return sampled
+
+
 def _trial(cfg: TrainConfig, store, priori):
     params, history = train(cfg, store, priori)
     mrr = history.best_valid_mrr if history.best_valid_mrr is not None else -1.0
@@ -277,6 +300,10 @@ def hyper_search(base: TrainConfig, store: TripleStore, priori: PrioriTable):
         if base.random_search_draws and not all(
                 isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
             raise ConfigError(f"grid key {key!r} needs numbers for random draws, got {values!r}")
+        # A drawn kernel count need not be a square, so m is never drawn.
+        if base.random_search_draws and key == "m":
+            raise ConfigError("grid key 'm' takes no random draws: a drawn kernel count "
+                              "need not be a square; set random_search_draws to 0")
 
     leaderboard = []
     configs = []
@@ -297,17 +324,8 @@ def hyper_search(base: TrainConfig, store: TripleStore, priori: PrioriTable):
     for _ in range(base.random_search_draws):
         cfg = winner_cfg
         for key in keys:
-            values = sorted(set(float(v) for v in base.grid[key]))
-            center = float(winner_values[key])
-            if len(values) > 1:
-                gaps = [b - a for a, b in zip(values, values[1:])]
-                radius = min(gaps) / 2.0
-            else:
-                radius = abs(center) * 0.1 or 0.05
-            sampled = center + draw_rng.uniform_signed(1, radius)[0]
-            if key == "d_e" or isinstance(base.grid[key][0], int):
-                sampled = max(1, int(round(sampled)))
-            cfg = _apply_grid_value(cfg, key, sampled)
+            cfg = _apply_grid_value(cfg, key, _draw(key, base.grid[key], winner_values[key],
+                                                    draw_rng))
         leaderboard.append(_trial(cfg, store, priori))
 
     leaderboard.sort(key=sort_key)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import convd.numerics
 from convd.data import TripleStore, Vocab, augment_reciprocal, build_priori, generate_toy_kg
 from convd.model import ModelConfig, init_params
 from convd.rng import RngStream
@@ -62,6 +63,16 @@ def small_toy_train_config(**overrides) -> TrainConfig:
     cfg = TrainConfig(**base)
     cfg.validate()
     return cfg
+
+
+def worker_counts(monkeypatch, counts=(1, 3)):
+    """Yields each count, with `parallel` and `block_runs` seeing that many
+    CPUs meanwhile: at 1 every task runs inline, at 3 the calling thread and
+    the pool take the tasks from one queue, even on a host with fewer CPUs."""
+    for count in counts:
+        with monkeypatch.context() as patch:
+            patch.setattr(convd.numerics, "workers", lambda: count)
+            yield count
 
 
 def make_store(train, valid=(), test=()):

@@ -14,6 +14,8 @@ from convd.cli import main
 from convd.errors import CheckpointError
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+# The CPUs this process may run on; empty where the platform cannot tell.
+AFFINITY = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
 
 TRAIN_KEYS = dict(
     d_w=6, d_h=6, r_w=2, r_h=2, m=4, k=8,
@@ -93,6 +95,32 @@ class TestTrainCommand:
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         assert report["environment"]["OPENBLAS_NUM_THREADS"] == "1"
 
+    @pytest.mark.skipif(len(AFFINITY) < 2, reason="needs two CPUs to run on")
+    def test_worker_count_leaves_the_bytes_unchanged(self, tmp_path):
+        # 1,100 entities: the 1-N products run in two entity blocks, and the
+        # loss (128 x 1,100 logits) and Adam (a 110,000-entry entity table)
+        # in runs of whole blocks, one run per worker.
+        data_dir = tmp_path / "data"
+        assert main(["gen-toy", "--out", str(data_dir), "--seed", "5",
+                     "--entities", "1100", "--relations", "2", "--depth", "2"]) == 0
+        cfg_path = write_config(tmp_path / "c.json", data_dir=str(data_dir),
+                                output_dir=str(tmp_path / "o"), d_w=10, d_h=10,
+                                batch_size=128, max_epochs=2, eval_every=1)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        runs = []
+        for cpus in ({min(AFFINITY)}, AFFINITY):
+            # The affinity is set in the child only, before convd is imported.
+            script = (f"import os, sys\nos.sched_setaffinity(0, {sorted(cpus)})\n"
+                      "from convd.cli import main\nsys.exit(main(sys.argv[1:]))")
+            subprocess.run([sys.executable, "-c", script, "train", "--config", cfg_path],
+                           env=env, check=True, timeout=300)
+            report = json.loads((tmp_path / "o" / "report.json").read_text())
+            assert report["environment"]["workers"] == len(cpus)
+            runs.append({name: (tmp_path / "o" / name).read_bytes()
+                         for name in ("metrics.jsonl", "best.ckpt")})
+        assert runs[0] == runs[1]
+
     @pytest.mark.parametrize("override", [
         'm="4"', "batch_size=1.5", "max_epochs=null", 'lr="fast"', "eval_every=2.5",
         "data_dir=5", 'output_dir=["o"]', "split=1", 'strict_vocab="yes"',
@@ -102,6 +130,7 @@ class TestTrainCommand:
         "top_k=3", "filter_known=true",
         # Read by search, which rejects them before it trains anything.
         'grid={"d_e":16}', 'grid={"lr":"fast"}', 'grid={"ablation":["full","no_priori"]}',
+        'grid={"m":[4,9]}',
     ])
     def test_mistyped_value_exits_2(self, tmp_path, toy_dir, capsys, override):
         cfg_path = write_config(tmp_path / "c.json", data_dir=toy_dir,

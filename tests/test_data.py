@@ -301,6 +301,13 @@ class TestTailsIndex:
         assert store.tails_by_query is None
         assert augment_reciprocal(store).tails_by_query is not None
 
+    def test_tails_by_query_is_built_at_its_first_read(self):
+        store = augment_reciprocal(make_store(*many_to_many_rows()))
+        assert "tails_by_query" not in vars(store)
+        index = store.tails_by_query
+        assert index == oracle_tails_by_query(store)
+        assert store.tails_by_query is index
+
     def test_many_to_many_store_has_multi_tail_queries(self):
         store = augment_reciprocal(make_store(*many_to_many_rows()))
         assert max(len(t) for t in store.tails_by_query.values()) > 1

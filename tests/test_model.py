@@ -9,8 +9,10 @@ from convd.data import PrioriTable
 from convd.errors import ConfigError, DegenerateBatchError, DimensionError, StateError
 from convd.model import (
     ABLATION_MODES,
+    ENTITY_BLOCK,
     RUNNING_STATS,
     ModelConfig,
+    _entity_blocks,
     backward,
     baseline_layout,
     count_parameters,
@@ -26,7 +28,14 @@ from convd.numerics import adam_init, adam_step, conv2d_batch, finite_diff_grad
 from convd.rng import RngStream, stream_bundle
 from convd.training import DROPOUT_LABELS, bce_loss
 
-from conftest import TINY_ENTITIES, TINY_RELATIONS, rel_err, tiny_config, tiny_params
+from conftest import (
+    TINY_ENTITIES,
+    TINY_RELATIONS,
+    rel_err,
+    tiny_config,
+    tiny_params,
+    worker_counts,
+)
 from oracles import BatchNormState, batchnorm_apply, oracle_forward, oracle_plain_conv
 
 PRIORI = PrioriTable(freq={(0, 0): 3, (2, 1): 5, (5, 2): 1, (1, 0): 2}, log_base=2.0)
@@ -291,6 +300,78 @@ class TestBackward:
         new_arrays, _ = adam_step(params.named_arrays(), grads, adam_init(before), 0.01)
         for name, arr in new_arrays.items():
             assert not np.array_equal(arr, before[name]), f"{name} silently dead"
+
+
+def _dot_rounding(x, y):
+    """Bound on how far two summation orders of the products x @ y may
+    differ: each is within k * eps * (|x| @ |y|) of the exact value, for
+    k terms (Higham, Accuracy and Stability, 3.1)."""
+    return 2 * x.shape[1] * np.finfo(np.float64).eps * (np.abs(x) @ np.abs(y))
+
+
+class TestEntityBlocks:
+    """The 1-N products run in tasks over ENTITY_BLOCK entity rows. Their
+    bytes are the same at 1 and 3 workers, and each is checked against its
+    single expression. The blocked and whole products may round apart on
+    another BLAS, so that check allows the rounding of a dot product; on
+    OpenBLAS 0.3.31 they agree byte for byte (model.ENTITY_BLOCK)."""
+
+    # Two full blocks and a ragged remainder, which the last block takes.
+    N_ENTITIES = 2 * ENTITY_BLOCK + 37
+
+    def _forward(self, batch, d_w, d_h):
+        cfg = tiny_config(d_w=d_w, d_h=d_h, bn_frozen=False, dropout_in=0.1,
+                          dropout_feat=0.1, dropout_out=0.1)
+        params = init_params(cfg, self.N_ENTITIES, TINY_RELATIONS, RngStream(8, "init"))
+        rng = np.random.default_rng(batch)
+        h_ids = rng.integers(0, self.N_ENTITIES, batch)
+        r_ids = rng.integers(0, TINY_RELATIONS, batch)
+        logits, trace = forward_batch(h_ids, r_ids, params, None, cfg, mode="train",
+                                      rng=stream_bundle(3, DROPOUT_LABELS))
+        return cfg, params, logits, trace
+
+    def test_partition_is_fixed_by_the_table_alone(self):
+        for n in (1, ENTITY_BLOCK, 2 * ENTITY_BLOCK - 1, 2 * ENTITY_BLOCK, self.N_ENTITIES, 5000):
+            blocks = _entity_blocks(n)
+            assert blocks[0][0] == 0 and blocks[-1][1] == n
+            assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+            assert len(blocks) == max(n // ENTITY_BLOCK, 1)
+            if len(blocks) > 1:
+                assert {hi - lo for lo, hi in blocks[:-1]} == {ENTITY_BLOCK}
+                assert ENTITY_BLOCK <= blocks[-1][1] - blocks[-1][0] < 2 * ENTITY_BLOCK
+
+    @pytest.mark.parametrize("d_w, d_h", [(4, 3), (10, 20)])
+    @pytest.mark.parametrize("batch", [3, 7, 128, 256])
+    def test_logits_match_the_single_product(self, monkeypatch, batch, d_w, d_h):
+        seen = set()
+        for _ in worker_counts(monkeypatch):
+            _, params, logits, trace = self._forward(batch, d_w, d_h)
+            seen.add(logits.tobytes())
+            want = trace.z @ params.ent.T
+            assert np.all(np.abs(logits - want) <= _dot_rounding(trace.z, params.ent.T))
+        assert len(seen) == 1
+
+    @pytest.mark.parametrize("batch", [3, 128])
+    def test_backward_matches_the_single_products(self, monkeypatch, batch):
+        cfg, params, logits, trace = self._forward(batch, 10, 20)
+        grad_logits = np.random.default_rng(batch).normal(size=logits.shape)
+        # One block covering the table: backward runs grad.T @ z and grad @ ent.
+        with monkeypatch.context() as patch:
+            patch.setattr(convd.model, "ENTITY_BLOCK", self.N_ENTITIES)
+            want = backward(trace, grad_logits, params, cfg)
+        # The head-entity route adds the same rows to both.
+        bound = (_dot_rounding(grad_logits.T, trace.z)
+                 + 4 * np.finfo(np.float64).eps * np.abs(want["ent"]))
+        seen = set()
+        for _ in worker_counts(monkeypatch):
+            got = backward(trace, grad_logits, params, cfg)
+            assert list(got) == list(want)
+            seen.add(got["ent"].tobytes())
+            assert np.all(np.abs(got["ent"] - want["ent"]) <= bound)
+            # g_z is one whole product either way, so the rest is the same.
+            for name in want.keys() - {"ent"}:
+                assert got[name].tobytes() == want[name].tobytes(), name
+        assert len(seen) == 1
 
 
 class TestKernelFraction:

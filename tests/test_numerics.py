@@ -1,18 +1,29 @@
+import functools
+import itertools
+import sys
+import threading
+
 import numpy as np
 import pytest
+
+import convd.numerics
 
 from convd.attention import attention_forward
 from convd.errors import ConfigError, DegenerateBatchError, DimensionError, NumericError
 from convd.model import ModelConfig, ModelParams
 from convd.numerics import (
+    BLOCK,
     adam_init,
     adam_step,
+    block_runs,
     conv2d_batch,
     dropout_mask,
     finite_diff_grad,
+    parallel,
 )
 from convd.rng import RngStream
 
+from conftest import worker_counts
 from oracles import (
     BatchNormState,
     batchnorm_apply,
@@ -220,9 +231,9 @@ class TestAdam:
 
     @staticmethod
     def _adam_case(seed):
-        # 40,003 elements: two full blocks plus a partial one.
+        # Two full blocks plus a partial one, then arrays shorter than a block.
         rng = np.random.default_rng(seed)
-        shapes = {"long": (40003,), "matrix": (37, 11), "single": (1,)}
+        shapes = {"long": (2 * BLOCK + 3,), "matrix": (37, 11), "single": (1,)}
         params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
         grad_steps = [
             {name: rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 2, size=shape)
@@ -231,17 +242,19 @@ class TestAdam:
         ]
         return params, grad_steps
 
-    def test_in_place_matches_textbook_oracle_bit_for_bit(self):
-        params, grad_steps = self._adam_case(41)
-        want_p, want_m, want_v = oracle_adam(params, grad_steps, lr=0.003)
-        state = adam_init(params)
-        for grads in grad_steps:
-            adam_step(params, grads, state, 0.003)
-        assert state.step == 3
-        for name in params:
-            assert params[name].tobytes() == want_p[name].tobytes(), name
-            assert state.first_moment[name].tobytes() == want_m[name].tobytes(), name
-            assert state.second_moment[name].tobytes() == want_v[name].tobytes(), name
+    def test_in_place_matches_textbook_oracle_bit_for_bit(self, monkeypatch):
+        start, grad_steps = self._adam_case(41)
+        want_p, want_m, want_v = oracle_adam(start, grad_steps, lr=0.003)
+        for _ in worker_counts(monkeypatch):
+            params = {name: arr.copy() for name, arr in start.items()}
+            state = adam_init(params)
+            for grads in grad_steps:
+                adam_step(params, grads, state, 0.003)
+            assert state.step == 3
+            for name in params:
+                assert params[name].tobytes() == want_p[name].tobytes(), name
+                assert state.first_moment[name].tobytes() == want_m[name].tobytes(), name
+                assert state.second_moment[name].tobytes() == want_v[name].tobytes(), name
 
     def test_returns_the_objects_it_was_given(self):
         params, grad_steps = self._adam_case(42)
@@ -255,13 +268,79 @@ class TestAdam:
             assert out_state.first_moment[name] is moments[0][name]
             assert out_state.second_moment[name] is moments[1][name]
 
-    def test_rejected_call_changes_nothing(self):
-        params = {"a": np.ones(3), "b": np.ones((4, 2))[:, 0]}  # b is a strided view
-        state = adam_init(params)
-        with pytest.raises(DimensionError):
-            adam_step(params, {"a": np.ones(3), "b": np.ones(4)}, state, 0.1)
-        assert np.array_equal(params["a"], np.ones(3))
-        assert state.step == 0 and not state.first_moment["a"].any()
+    def test_rejected_call_changes_nothing(self, monkeypatch):
+        # "a" alone would be split over the workers.
+        for size, _ in itertools.product((3, 2 * BLOCK + 1), worker_counts(monkeypatch)):
+            params = {"a": np.ones(size), "b": np.ones((4, 2))[:, 0]}  # b is a strided view
+            state = adam_init(params)
+            with pytest.raises(DimensionError):
+                adam_step(params, {"a": np.ones(size), "b": np.ones(4)}, state, 0.1)
+            assert np.array_equal(params["a"], np.ones(size))
+            assert state.step == 0 and not state.first_moment["a"].any()
+            assert not state.second_moment["a"].any()
+
+
+class TestParallel:
+    def test_runs_every_task_and_raises_the_first_error_after_all(self, monkeypatch):
+        for n_workers in worker_counts(monkeypatch):
+            done = []
+
+            def fail(tag):
+                done.append(tag)
+                raise ValueError(tag)
+
+            tasks = [lambda: done.append(0), lambda: fail("first"), lambda: fail("second"),
+                     lambda: done.append(3)]
+            with pytest.raises(ValueError, match="first"):
+                parallel(tasks)
+            # Inline, the first error ends the run; across threads, no task
+            # is still running when the error reaches the caller.
+            want = ["0", "first"] if n_workers == 1 else ["0", "3", "first", "second"]
+            assert sorted(map(str, done)) == want
+
+    def test_each_task_runs_once_with_more_threads_than_cpus(self, monkeypatch):
+        # Eight threads take tasks from one queue while the interpreter
+        # switches threads every microsecond: a task taken twice or lost
+        # shows in the counts.
+        monkeypatch.setattr(convd.numerics, "workers", lambda: 8)
+        convd.numerics._pool.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                counts = np.zeros(500, dtype=np.int64)
+                tasks = [functools.partial(np.add.at, counts, i, 1) for i in range(500)]
+                done = threading.Thread(target=parallel, args=(tasks,))
+                done.start()
+                done.join(timeout=60)
+                assert not done.is_alive()
+                assert np.array_equal(counts, np.ones(500, dtype=np.int64))
+        finally:
+            sys.setswitchinterval(interval)
+            convd.numerics._pool().shutdown()
+            convd.numerics._pool.cache_clear()
+
+    @pytest.mark.parametrize("sizes", [
+        [5000 * 200, 2 * 400 * 9, 32 * 100, 32 * 9, 9, 4, 64 * 100, 100, 100 * 100, 100, 1, 1],
+        [2 * BLOCK + 1], [BLOCK, BLOCK], [3 * BLOCK, 10, 10, BLOCK + 5],
+    ])
+    def test_runs_cover_every_block_once_and_balance_elements(self, monkeypatch, sizes):
+        want = [(i, lo, min(lo + BLOCK, size))
+                for i, size in enumerate(sizes) for lo in range(0, size, BLOCK)]
+        for n_workers in worker_counts(monkeypatch, (1, 2, 3)):
+            runs = block_runs(sizes)
+            # Every element once, in array order, in blocks of BLOCK.
+            assert [block for run in runs for block in run] == want
+            assert all(runs) and min(n_workers, 2) <= len(runs) <= n_workers
+            # Each run is within a block of its share of the elements.
+            for run in runs:
+                count = sum(hi - lo for _, lo, hi in run)
+                assert abs(count - sum(sizes) / len(runs)) <= BLOCK
+
+    def test_fewer_than_two_blocks_run_as_one(self, monkeypatch):
+        for _ in worker_counts(monkeypatch, (2, 3)):
+            assert len(block_runs([2 * BLOCK - 1])) == 1
+            assert len(block_runs([BLOCK - 1, BLOCK - 1, 1])) == 1
 
 
 class TestFiniteDiff:

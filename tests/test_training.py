@@ -20,7 +20,14 @@ from convd.training import (
 )
 from convd.evaluation import evaluate
 
-from conftest import TINY_ENTITIES, rel_err, small_toy_train_config, tiny_config, tiny_params
+from conftest import (
+    TINY_ENTITIES,
+    rel_err,
+    small_toy_train_config,
+    tiny_config,
+    tiny_params,
+    worker_counts,
+)
 from oracles import oracle_bce
 
 PRIORI = PrioriTable(freq={(0, 0): 2, (1, 1): 1}, log_base=2.0)
@@ -104,7 +111,7 @@ class TestBceLoss:
         (BLOCK - 1,), (BLOCK,), (BLOCK + 1,), (3 * BLOCK + 7,), (64, 600), (3, 40, 500),
     ])
     @pytest.mark.parametrize("soft", [False, True], ids=["binary", "soft"])
-    def test_blocked_matches_dense_oracle_bit_for_bit(self, shape, soft):
+    def test_blocked_matches_dense_oracle_bit_for_bit(self, shape, soft, monkeypatch):
         # A seed per case, so no case repeats the arrays of the one before.
         rng = np.random.default_rng([31, int(soft), *shape])
         logits = rng.uniform(-40.0, 40.0, size=shape)
@@ -114,18 +121,21 @@ class TestBceLoss:
         target = rng.uniform(size=shape)
         if not soft:
             target = (target < 0.5).astype(np.float64)
-        loss, grad = bce_loss(logits, target)
         want_loss, want_grad = oracle_bce(logits, target)
-        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
-        assert grad.shape == want_grad.shape
-        assert grad.tobytes() == want_grad.tobytes()
+        for _ in worker_counts(monkeypatch):
+            loss, grad = bce_loss(logits, target)
+            assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+            assert grad.shape == want_grad.shape
+            assert grad.tobytes() == want_grad.tobytes()
 
-    def test_non_finite_in_last_block_rejected(self):
+    def test_non_finite_in_last_block_rejected(self, monkeypatch):
+        # The last block is in the last worker's run of blocks.
         n = 2 * BLOCK + 1
         logits = np.zeros(n)
         logits[n - 1] = np.nan
-        with pytest.raises(NumericError):
-            bce_loss(logits, np.full(n, 0.5))
+        for _ in worker_counts(monkeypatch):
+            with pytest.raises(NumericError):
+                bce_loss(logits, np.full(n, 0.5))
 
 
 class TestEarlyStop:
@@ -254,8 +264,9 @@ class TestTrain:
         assert passes >= 19
 
     def test_blocked_loss_trains_the_oracle_bytes(self, monkeypatch):
-        # 64 queries x 600 entities = 38,400 logits: three loss blocks a step.
-        store = augment_reciprocal(generate_toy_kg(5, 600, 3, 2))
+        # 64 queries x 2,100 entities = 134,400 logits: three loss blocks a
+        # step, split over the workers when the host has more than one CPU.
+        store = augment_reciprocal(generate_toy_kg(5, 2100, 3, 2))
         priori = build_priori(store)
         cfg = small_toy_train_config(max_epochs=1, eval_every=1, batch_size=64)
         blocked, _ = train(cfg, store, priori)
@@ -307,6 +318,32 @@ class TestHyperSearch:
         priori = build_priori(small_toy_store)
         _, leaderboard = hyper_search(cfg, small_toy_store, priori)
         assert len(leaderboard) == 2 + 3
+
+    def test_draws_round_by_the_field_type_not_the_grid_order(self):
+        from convd.training import _draw
+
+        for key, values, center in (("lr", [1, 0.01], 1), ("lr", [1, 0.01], 0.01),
+                                    ("k", [8, 16], 16), ("d_e", [100, 150], 100)):
+            drawn = []
+            for grid in (values, values[::-1]):
+                rng = RngStream(3, "search")
+                drawn.append([_draw(key, grid, center, rng) for _ in range(4)])
+            assert drawn[0] == drawn[1], key
+            if key == "lr":
+                assert all(x != round(x) for x in drawn[0]), drawn[0]
+            else:
+                assert all(type(x) is int for x in drawn[0]), drawn[0]
+
+    def test_draws_over_m_rejected_before_training(self, small_toy_store, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the grid was checked")
+
+        monkeypatch.setattr(convd.training, "train", no_training)
+        cfg = small_toy_train_config()
+        cfg.grid = {"m": [4, 9]}
+        cfg.random_search_draws = 2
+        with pytest.raises(ConfigError, match="grid key 'm'"):
+            hyper_search(cfg, small_toy_store, build_priori(small_toy_store))
 
     def test_empty_grid_rejected(self, small_toy_store):
         cfg = small_toy_train_config()
