@@ -19,11 +19,11 @@ import numpy as np
 
 from .checkpoint import check_params, load_checkpoint, save_checkpoint
 from .data import (
+    QueryIndex,
     TripleStore,
     augment_reciprocal,
     build_priori,
     generate_toy_kg,
-    tails_index,
     write_splits,
 )
 from .errors import (
@@ -327,12 +327,12 @@ def cmd_predict(args) -> int:
         np.array([h]), np.array([r]), params, priori, cfg.model_config(), mode="eval"
     )
     scores = logits[0]
-    known = tails_index(store.train).get((h, r), set()) if args.filter_known else set()
-    order = [i for i in np.argsort(-scores, kind="stable").tolist() if i not in known]
-    rows = [
-        {"entity": vocab.id_to_entity[i], "score": float(scores[i])}
-        for i in order[: args.top_k or None]
-    ]
+    order = np.argsort(-scores, kind="stable")
+    if args.filter_known:
+        known = QueryIndex.of(store.train, store.n_relations).cells([h], [r])[1]
+        order = order[~np.isin(order, known)]
+    rows = [{"entity": vocab.id_to_entity[i], "score": float(scores[i])}
+            for i in order[: args.top_k or None].tolist()]
     print(_dump(rows, args.pretty), end="")
     return EXIT_OK
 

@@ -1,6 +1,6 @@
-"""Triple ingestion, vocabularies, reciprocal augmentation, 1-N targets,
-priori frequency statistics, the (head, relation) -> tails index, and a
-deterministic toy graph generator for desk-scale runs.
+"""Triple ingestion, vocabularies, reciprocal augmentation, the sorted
+(head, relation) query index, 1-N targets, priori frequency statistics,
+and a deterministic toy graph generator for desk-scale runs.
 
 Triple file format: UTF-8, LF line endings, one `head<TAB>relation<TAB>tail`
 per line, no header, tabs forbidden inside symbols.
@@ -101,27 +101,51 @@ def load_triples(path, vocab: Vocab | None = None, strict: bool = True):
     return vocab, ids
 
 
-def tails_index(triples) -> dict:
-    """Map each (head, relation) of an (n, 3) id array to the set of its
-    tails; keys and tails are Python ints."""
-    index: dict = {}
-    for h, r, t in triples.tolist():
-        index.setdefault((h, r), set()).add(t)
-    return index
+@dataclass(frozen=True)
+class QueryIndex:
+    """Triples grouped by (head, relation) query: every triple's key
+    head * n_relations + relation, sorted by one stable argsort, with the
+    tails aligned to it (a duplicate triple repeats its tail)."""
+
+    keys: np.ndarray
+    tails: np.ndarray
+    n_relations: int
+
+    @classmethod
+    def of(cls, triples, n_relations: int) -> "QueryIndex":
+        keys = triples[:, 0] * n_relations + triples[:, 1]
+        order = np.argsort(keys, kind="stable")
+        return cls(keys[order], triples[order, 2], n_relations)
+
+    def groups(self):
+        """The distinct queries in key order, as head and relation id
+        arrays, and a list holding each query's tails as a list of ints
+        (quicker to iterate per batch than array slices)."""
+        starts = np.flatnonzero(np.diff(self.keys, prepend=-1))
+        heads, rels = np.divmod(self.keys[starts], self.n_relations)
+        bounds, tails = starts.tolist() + [self.keys.shape[0]], self.tails.tolist()
+        return heads, rels, [tails[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+    def cells(self, h_ids, r_ids):
+        """Every known (row, tail) cell of a batch of (head, relation) queries:
+        rows ascend, and a tail repeats as often as its triple does."""
+        keys = np.asarray(h_ids) * self.n_relations + np.asarray(r_ids)
+        lo = np.searchsorted(self.keys, keys, side="left")
+        counts = np.searchsorted(self.keys, keys, side="right") - lo
+        rows = np.repeat(np.arange(keys.shape[0]), counts)
+        # Cell i of row j sits at lo[j] + (i - first cell of row j).
+        first = np.cumsum(counts) - counts
+        pos = np.arange(rows.shape[0]) + np.repeat(lo - first, counts)
+        return rows, self.tails[pos]
 
 
 @dataclass
 class TripleStore:
-    """Train/valid/test id triples plus, once augmented with reciprocal
-    relations, the filtered-candidates index over all three splits (None
-    before: only augmented stores are trained on or evaluated).
-
-    The index is held in two forms: `known_query`/`known_tail`, built with
-    the store, hold every triple's key head * n_relations + relation,
-    sorted, with the tails aligned to it (duplicate triples repeat), for
-    batch lookups by `known_cells`; `tails_by_query` maps (head, relation)
-    to its set of tails, built at its first read.
-    """
+    """Train/valid/test id triples. Once augmented with reciprocal relations,
+    `known` is the `QueryIndex` of all three splits, which filters evaluation,
+    and `tails_by_query` its (head, relation) -> set of tails view, built at
+    its first read; both are None before (only augmented stores are trained
+    on or evaluated)."""
 
     vocab: Vocab
     train: np.ndarray
@@ -129,8 +153,7 @@ class TripleStore:
     test: np.ndarray
     augmented: bool = False
     n_base_relations: int = 0
-    known_query: np.ndarray | None = field(init=False, repr=False)
-    known_tail: np.ndarray | None = field(init=False, repr=False)
+    known: QueryIndex | None = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n_base_relations == 0:
@@ -142,31 +165,14 @@ class TripleStore:
         if bad.size:
             h, r, t = triples[bad[0]].tolist()
             raise DataError(f"triple ({h}, {r}, {t}) outside vocabulary bounds")
-        self.known_query = self.known_tail = None
-        if self.augmented:
-            keys = triples[:, 0] * n_rel + triples[:, 1]
-            order = np.argsort(keys, kind="stable")
-            self.known_query = keys[order]
-            self.known_tail = triples[order, 2]
+        self.known = QueryIndex.of(triples, n_rel) if self.augmented else None
 
     @functools.cached_property
     def tails_by_query(self) -> dict | None:
-        if not self.augmented:
+        if self.known is None:
             return None
-        return tails_index(np.concatenate([self.train, self.valid, self.test]))
-
-    def known_cells(self, h_ids, r_ids):
-        """Every known (row, tail) cell of a batch of (head, relation)
-        queries, from the sorted index: rows ascend, and a tail repeats as
-        often as its triple does."""
-        keys = np.asarray(h_ids) * self.n_relations + np.asarray(r_ids)
-        lo = np.searchsorted(self.known_query, keys, side="left")
-        counts = np.searchsorted(self.known_query, keys, side="right") - lo
-        rows = np.repeat(np.arange(keys.shape[0]), counts)
-        # Cell i of row j sits at lo[j] + (i - first cell of row j).
-        first = np.cumsum(counts) - counts
-        pos = np.arange(rows.shape[0]) + np.repeat(lo - first, counts)
-        return rows, self.known_tail[pos]
+        heads, rels, tails = self.known.groups()
+        return {(h, r): set(t) for h, r, t in zip(heads.tolist(), rels.tolist(), tails)}
 
     def split(self, name: str) -> np.ndarray:
         try:

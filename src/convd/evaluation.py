@@ -97,7 +97,7 @@ def evaluate(params, store: TripleStore, split: str, cfg: ModelConfig,
     for start in range(0, h_ids.shape[0], _EVAL_BATCH):
         chunk = slice(start, start + _EVAL_BATCH)
         logits, _ = forward_batch(h_ids[chunk], r_ids[chunk], params, priori, cfg, mode="eval")
-        rows, cols = store.known_cells(h_ids[chunk], r_ids[chunk])
+        rows, cols = store.known.cells(h_ids[chunk], r_ids[chunk])
         ranks[chunk] = rank_of(logits, true_ids[chunk], rows, cols)
     tail, head = ranks[0::2], ranks[1::2]
 

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import PrioriTable, TripleStore, smoothed_targets_matrix, tails_index
+from .data import PrioriTable, QueryIndex, TripleStore, smoothed_targets_matrix
 from .errors import ConfigError, NumericError, StateError
 from .model import (
     ModelConfig,
@@ -175,8 +175,7 @@ def train(cfg: TrainConfig, store: TripleStore, priori: PrioriTable,
     if store.train.shape[0] == 0:
         raise ConfigError("empty train split")
 
-    grouped = tails_index(store.train)
-    queries = sorted(grouped)
+    heads, rels, positives = QueryIndex.of(store.train, store.n_relations).groups()
     n_entities = store.n_entities
 
     init_rng = RngStream(cfg.seed, "init")
@@ -191,18 +190,13 @@ def train(cfg: TrainConfig, store: TripleStore, priori: PrioriTable,
 
     for epoch in range(1, cfg.max_epochs + 1):
         tic = time.perf_counter()
-        order = shuffle_rng.permutation(len(queries))
+        order = shuffle_rng.permutation(len(positives))
         total_loss = 0.0
         total_queries = 0
         for batch_idx in _epoch_batches(order, cfg.batch_size):
-            batch_queries = [queries[i] for i in batch_idx]
-            h_ids = np.array([q[0] for q in batch_queries])
-            r_ids = np.array([q[1] for q in batch_queries])
-            targets = smoothed_targets_matrix(
-                batch_queries, grouped, cfg.label_smoothing, n_entities
-            )
+            targets = smoothed_targets_matrix(batch_idx, positives, cfg.label_smoothing, n_entities)
             logits, trace = forward_batch(
-                h_ids, r_ids, params, priori, mcfg, mode="train", rng=rng
+                heads[batch_idx], rels[batch_idx], params, priori, mcfg, mode="train", rng=rng
             )
             loss, grad_logits = bce_loss(logits, targets)
             if not np.isfinite(loss):
@@ -257,8 +251,10 @@ def _apply_grid_value(cfg: TrainConfig, key: str, value):
 def _draw(key: str, values: list, center, rng: RngStream):
     """One uniform draw around a grid key's winning value: within half the
     smallest gap between the key's grid values (10% of the value, or 0.05,
-    for a single value). Draws of d_e and of int fields are rounded to
-    ints of at least 1, whatever the types in the grid."""
+    for a single value). With several values the draw stays within their
+    span: past an end it is mirrored back inside, so a winner at an end is
+    not drawn again as itself. Draws of d_e and of int fields are rounded
+    to ints of at least 1, whatever the types in the grid."""
     values = sorted(set(float(v) for v in values))
     center = float(center)
     if len(values) > 1:
@@ -266,6 +262,10 @@ def _draw(key: str, values: list, center, rng: RngStream):
     else:
         radius = abs(center) * 0.1 or 0.05
     sampled = center + rng.uniform_signed(1, radius)[0]
+    if len(values) > 1:
+        # The radius is at most half the span, so one mirror suffices.
+        lo, hi = values[0], values[-1]
+        sampled = min(max(sampled, 2 * lo - sampled), 2 * hi - sampled)
     if key == "d_e" or TrainConfig.__dataclass_fields__[key].type is int:
         sampled = max(1, int(round(sampled)))
     return sampled
@@ -305,14 +305,18 @@ def hyper_search(base: TrainConfig, store: TripleStore, priori: PrioriTable):
             raise ConfigError("grid key 'm' takes no random draws: a drawn kernel count "
                               "need not be a square; set random_search_draws to 0")
 
-    leaderboard = []
+    # Every grid configuration is checked before the first one trains.
     configs = []
     for combo in itertools.product(*(base.grid[k] for k in keys)):
-        cfg = base
-        for key, value in zip(keys, combo):
+        cfg, values = base, dict(zip(keys, combo))
+        for key, value in values.items():
             cfg = _apply_grid_value(cfg, key, value)
-        configs.append((cfg, dict(zip(keys, combo))))
-        leaderboard.append(_trial(cfg, store, priori))
+        try:
+            cfg.validate()
+        except ConfigError as exc:
+            raise ConfigError(f"grid values {values}: {exc}") from None
+        configs.append((cfg, values))
+    leaderboard = [_trial(cfg, store, priori) for cfg, _ in configs]
 
     def sort_key(entry):
         return (-entry["valid_mrr"], entry["n_params"], entry["config_hash"])

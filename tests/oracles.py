@@ -259,13 +259,19 @@ def constant_scorer_mrr(store, split):
     return float(np.mean(rrs))
 
 
-def oracle_tails_by_query(store):
-    """(head, relation) -> tails over every split, one numpy row at a time."""
+def oracle_tails_index(triples):
+    """(head, relation) -> set of tails of an (n, 3) id array, one numpy row
+    at a time; keys and tails are Python ints, and a duplicate triple is
+    held once."""
     index = {}
-    for split in (store.train, store.valid, store.test):
-        for h, r, t in split:
-            index.setdefault((int(h), int(r)), set()).add(int(t))
+    for h, r, t in triples:
+        index.setdefault((int(h), int(r)), set()).add(int(t))
     return index
+
+
+def oracle_tails_by_query(store):
+    """(head, relation) -> tails over every split."""
+    return oracle_tails_index(np.concatenate([store.train, store.valid, store.test]))
 
 
 def oracle_adam_scalar(w0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):

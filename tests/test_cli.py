@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import convd.cli
+import convd.training
 from convd.checkpoint import load_checkpoint
 from convd.cli import main
 from convd.errors import CheckpointError
@@ -142,6 +143,17 @@ class TestTrainCommand:
         if command == "search":
             key = next(iter(json.loads(override.partition("=")[2])))
             assert f"grid key {key!r}" in err
+
+    def test_search_checks_every_grid_config_before_training(self, tmp_path, toy_dir,
+                                                             capsys, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before every grid config was checked")
+
+        monkeypatch.setattr(convd.training, "train", no_training)
+        cfg_path = write_config(tmp_path / "c.json", d_w=4, d_h=4, grid={"r_w": [2, 9]},
+                                data_dir=toy_dir, output_dir=str(tmp_path / "o"))
+        assert main(["search", "--config", cfg_path]) == 2
+        assert "kernel 9x2 larger than entity plane 4x4" in capsys.readouterr().err
 
     def test_non_square_m_exits_2(self, tmp_path, toy_dir):
         cfg_path = write_config(tmp_path / "c.json", m=3, data_dir=toy_dir,

@@ -7,6 +7,7 @@ import pytest
 
 from convd.data import (
     PrioriTable,
+    QueryIndex,
     TripleStore,
     Vocab,
     augment_reciprocal,
@@ -14,13 +15,12 @@ from convd.data import (
     generate_toy_kg,
     load_triples,
     smoothed_targets_matrix,
-    tails_index,
     write_splits,
 )
 from convd.errors import ConfigError, DataError, GenerationError, StateError
 
 from conftest import make_store, many_to_many_rows
-from oracles import oracle_smoothed_targets, oracle_tails_by_query
+from oracles import oracle_smoothed_targets, oracle_tails_by_query, oracle_tails_index
 
 
 def write(tmp_path, name, lines):
@@ -35,8 +35,10 @@ class TestLoadTriples:
         vocab, triples = load_triples(path)
         assert triples.shape == (3, 3)
         a, b, c = (vocab.entity_to_id[s] for s in "abc")
-        # The duplicate a -> b is held once.
-        assert tails_index(triples) == {(a, 0): {b}, (b, 0): {c}}
+        # The dict oracle holds the duplicate a -> b once, the index twice.
+        assert oracle_tails_index(triples) == {(a, 0): {b}, (b, 0): {c}}
+        rows, tails = QueryIndex.of(triples, 1).cells([a, b], [0, 0])
+        assert rows.tolist() == [0, 0, 1] and tails.tolist() == [b, b, c]
 
     def test_empty_file(self, tmp_path):
         path = write(tmp_path, "empty.txt", [])
@@ -187,10 +189,11 @@ class TestPriori:
 
 
 def train_targets(store, eps, n_entities):
-    """Sorted train queries and their smoothed 1-N target rows."""
-    index = tails_index(store.train)
-    queries = sorted(index)
-    return queries, smoothed_targets_matrix(queries, index, eps, n_entities)
+    """Sorted train queries and their smoothed 1-N target rows, as training
+    builds them: positions into the train index's groups."""
+    heads, rels, positives = QueryIndex.of(store.train, store.n_relations).groups()
+    queries = list(zip(heads.tolist(), rels.tolist()))
+    return queries, smoothed_targets_matrix(range(len(queries)), positives, eps, n_entities)
 
 
 class TestOneToN:
@@ -235,7 +238,7 @@ class TestOneToN:
         for query, smoothed in zip(queries, targets):
             assert smoothed.min() == pytest.approx(eps / n)
             assert smoothed.max() == pytest.approx(1 - eps + eps / n)
-            expected_sum = len(tails_index(store.train)[query]) * (1 - eps) + eps
+            expected_sum = len(oracle_tails_index(store.train)[query]) * (1 - eps) + eps
             assert smoothed.sum() == pytest.approx(expected_sum)
 
 
@@ -262,39 +265,65 @@ class TestFilteredCandidates:
         assert in_test.tails_by_query[(eid2["h"], 0)] == {eid2["t"]}
 
 
+STORES = [
+    lambda: augment_reciprocal(make_store(
+        [("a", "r", "b"), ("a", "r", "b"), ("a", "r", "c"), ("b", "s", "a")],
+        valid=[("a", "r", "d"), ("a", "r", "b")],
+        test=[("a", "r", "c"), ("b", "s", "d")],
+    )),
+    lambda: augment_reciprocal(generate_toy_kg(5, 40, 3, 2)),
+    lambda: augment_reciprocal(make_store(*many_to_many_rows())),
+]
+STORE_IDS = ["duplicates_across_splits", "augmented_toy", "many_to_many"]
+
+
+def assert_index_matches(index, n_triples, want):
+    """`index` holds one cell per triple, keyed head * R + relation and
+    sorted, and groups them as the dict oracle `want` does; `cells`
+    expands a batch of queries, one with no triple included."""
+    assert index.keys.shape == index.tails.shape == (n_triples,)
+    assert np.all(np.diff(index.keys) >= 0)
+    expanded = {}
+    for key, tail in zip(index.keys.tolist(), index.tails.tolist()):
+        expanded.setdefault(divmod(key, index.n_relations), set()).add(tail)
+    assert expanded == want
+    queries = sorted(want, reverse=True) + [(max(h for h, _ in want) + 1, 0)]
+    rows, cols = index.cells(np.array([h for h, _ in queries]),
+                             np.array([r for _, r in queries]))
+    assert np.all(np.diff(rows) >= 0)
+    got = {}
+    for row, col in zip(rows.tolist(), cols.tolist()):
+        got.setdefault(queries[row], set()).add(col)
+    assert got == {q: want[q] for q in queries if q in want}
+
+
 class TestTailsIndex:
-    @pytest.mark.parametrize("make", [
-        lambda: augment_reciprocal(make_store(
-            [("a", "r", "b"), ("a", "r", "b"), ("a", "r", "c"), ("b", "s", "a")],
-            valid=[("a", "r", "d"), ("a", "r", "b")],
-            test=[("a", "r", "c"), ("b", "s", "d")],
-        )),
-        lambda: augment_reciprocal(generate_toy_kg(5, 40, 3, 2)),
-        lambda: augment_reciprocal(make_store(*many_to_many_rows())),
-    ], ids=["duplicates_across_splits", "augmented_toy", "many_to_many"])
+    @pytest.mark.parametrize("make", STORES, ids=STORE_IDS)
     def test_matches_per_row_oracle(self, make):
         store = make()
         want = oracle_tails_by_query(store)
         assert store.tails_by_query == want
         assert all(type(x) is int for key, tails in store.tails_by_query.items()
                    for x in (*key, *tails))
-        # The sorted form holds one cell per triple, keyed head * R + relation.
         n_triples = sum(store.split(name).shape[0] for name in ("train", "valid", "test"))
-        assert store.known_query.shape == store.known_tail.shape == (n_triples,)
-        assert np.all(np.diff(store.known_query) >= 0)
-        expanded = {}
-        for key, tail in zip(store.known_query.tolist(), store.known_tail.tolist()):
-            expanded.setdefault(divmod(key, store.n_relations), set()).add(tail)
-        assert expanded == want
-        # known_cells expands a batch of queries, one with no triple included.
-        queries = sorted(want, reverse=True) + [(store.n_entities, 0)]
-        rows, cols = store.known_cells(np.array([h for h, _ in queries]),
-                                       np.array([r for _, r in queries]))
-        assert np.all(np.diff(rows) >= 0)
-        got = {}
-        for row, col in zip(rows.tolist(), cols.tolist()):
-            got.setdefault(queries[row], set()).add(col)
-        assert got == {q: want[q] for q in queries if q in want}
+        assert_index_matches(store.known, n_triples, want)
+
+    @pytest.mark.parametrize("make", STORES, ids=STORE_IDS)
+    def test_train_index_matches_per_row_oracle(self, make):
+        # Training groups the train split alone; the queries come out in
+        # sorted (head, relation) order, each with its tails, duplicates
+        # included.
+        store = make()
+        index = QueryIndex.of(store.train, store.n_relations)
+        want = oracle_tails_index(store.train)
+        assert_index_matches(index, store.train.shape[0], want)
+        heads, rels, positives = index.groups()
+        assert heads.dtype == rels.dtype == np.int64
+        assert list(zip(heads.tolist(), rels.tolist())) == sorted(want)
+        assert sum(len(t) for t in positives) == store.train.shape[0]
+        for query, tails in zip(sorted(want), positives):
+            per_row = [int(t) for h, r, t in store.train if (h, r) == query]
+            assert sorted(tails) == sorted(per_row)
 
     def test_only_augmented_stores_are_indexed(self):
         store = make_store(*many_to_many_rows())

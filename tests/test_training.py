@@ -1,10 +1,19 @@
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import convd.training
-from convd.data import PrioriTable, augment_reciprocal, build_priori, generate_toy_kg
+from convd.data import (
+    PrioriTable,
+    QueryIndex,
+    TripleStore,
+    augment_reciprocal,
+    build_priori,
+    generate_toy_kg,
+)
 from convd.errors import ConfigError, NumericError, StateError
 from convd.model import forward_batch, backward
 from convd.numerics import BLOCK, adam_init, adam_step, finite_diff_grad
@@ -183,6 +192,26 @@ class TestTrain:
         assert h1.records == h2.records
         assert h1.best_epoch == h2.best_epoch
 
+    def test_duplicate_train_triples_train_the_same_bytes(self):
+        # The train index keeps a repeated triple as a repeated tail; its
+        # target cell must still get 1 - eps added once.
+        raw = generate_toy_kg(3, 40, 3, 2)
+        repeated = TripleStore(vocab=raw.vocab, valid=raw.valid, test=raw.test,
+                               train=np.concatenate([raw.train, raw.train[:1], raw.train]))
+        stores = [augment_reciprocal(raw), augment_reciprocal(repeated)]
+        _, _, positives = QueryIndex.of(stores[1].train, stores[1].n_relations).groups()
+        assert any(len(set(t)) < len(t) for t in positives)
+        # The priori table counts triples, so both runs read the table of
+        # the store without repeats.
+        priori = build_priori(stores[0])
+        cfg = small_toy_train_config(max_epochs=4, eval_every=2)
+        (p1, h1), (p2, h2) = (train(cfg, store, priori) for store in stores)
+        for name, arr in p1.named_arrays().items():
+            assert arr.tobytes() == p2.named_arrays()[name].tobytes(), name
+        records = [json.dumps([asdict(r) for r in h.records]) for h in (h1, h2)]
+        assert records[0] == records[1]
+        assert h1.best_valid_mrr is not None
+
     def test_requires_augmented_store(self):
         store = generate_toy_kg(3, 25, 2, 1)
         with pytest.raises(StateError):
@@ -344,6 +373,41 @@ class TestHyperSearch:
         cfg.random_search_draws = 2
         with pytest.raises(ConfigError, match="grid key 'm'"):
             hyper_search(cfg, small_toy_store, build_priori(small_toy_store))
+
+    def test_invalid_grid_config_rejected_before_training(self, small_toy_store,
+                                                          monkeypatch):
+        # r_w = 2 fits the 4x4 plane and r_w = 9 does not; neither trains.
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before every grid config was checked")
+
+        monkeypatch.setattr(convd.training, "train", no_training)
+        cfg = small_toy_train_config(d_w=4, d_h=4)
+        cfg.grid = {"r_w": [2, 9]}
+        with pytest.raises(ConfigError, match="larger than entity plane"):
+            hyper_search(cfg, small_toy_store, build_priori(small_toy_store))
+
+    @pytest.mark.parametrize("key, grid, winner", [
+        ("lr", [1, 0.01], 1), ("lr", [1, 0.01], 0.01), ("lr", [0.01, 0.5, 1], 0.5),
+        ("r_w", [2, 4], 4), ("label_smoothing", [0.0, 0.9], 0.9),
+    ])
+    def test_draws_stay_within_the_grid_span(self, small_toy_store, monkeypatch,
+                                             key, grid, winner):
+        # A stub train scores the winner best, so every draw is centred on
+        # it; the draw radius is half the smallest gap, which past an end
+        # winner would leave the span half the time.
+        def stub_train(cfg, store, priori):
+            return None, TrainHistory(best_valid_mrr=float(getattr(cfg, key) == winner))
+
+        monkeypatch.setattr(convd.training, "train", stub_train)
+        cfg = small_toy_train_config()
+        cfg.grid = {key: grid}
+        cfg.random_search_draws = 60
+        _, leaderboard = hyper_search(cfg, small_toy_store, build_priori(small_toy_store))
+        # The leaderboard is sorted, so check every entry, grid ones too.
+        values = [entry["config"][key] for entry in leaderboard]
+        assert len(values) == len(grid) + 60
+        assert all(min(grid) <= x <= max(grid) for x in values), values
+        assert len(set(values)) > len(grid)
 
     def test_empty_grid_rejected(self, small_toy_store):
         cfg = small_toy_train_config()
