@@ -34,7 +34,7 @@ from .errors import (
     NumericError,
 )
 from .evaluation import evaluate, run_ablation, run_fraction_sweep
-from .model import backward, forward_batch, init_params
+from .model import ABLATION_MODES, backward, forward_batch, init_params
 from .numerics import finite_diff_grad, workers
 from .rng import RngStream
 from .training import (
@@ -400,9 +400,7 @@ def gradcheck_table(cfg: TrainConfig, n_entities: int, n_relations: int,
 
 def cmd_ablate(args) -> int:
     cfg, io = load_run_config(args.config, args.set or ())
-    modes = args.modes.split(",") if args.modes else io.get(
-        "modes", ["full", "no_priori", "no_attention", "no_both"]
-    )
+    modes = args.modes.split(",") if args.modes else io.get("modes", list(ABLATION_MODES))
     store = _load_store(io)
     priori = build_priori(store, cfg.priori_base)
     rows = run_ablation(cfg, store, priori, modes)
@@ -496,8 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="train and compare ablation modes")
     common(p)
-    p.add_argument("--modes", help="comma-separated subset of "
-                                   "full,no_priori,no_attention,no_both")
+    p.add_argument("--modes", help="comma-separated subset of " + ",".join(ABLATION_MODES))
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("sweep", help="kernel-fraction sweep")

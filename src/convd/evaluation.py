@@ -1,5 +1,7 @@
 """Filtered link-prediction metrics (MRR, Hits@1/3/10) with tie-average
-ranking, plus the ablation and kernel-fraction sweep runners."""
+ranking, plus the ablation and kernel-fraction sweep runners. The runners
+train through `training.train_each`, so every run's config is checked
+before the first one trains."""
 
 from dataclasses import dataclass, replace
 
@@ -113,49 +115,42 @@ def evaluate(params, store: TripleStore, split: str, cfg: ModelConfig,
     )
 
 
+def _train_and_test(variants, store: TripleStore, priori: PrioriTable, fields) -> list:
+    """Trains every (label, config) pair through `train_each`, so all are
+    checked before the first trains, and tests each on the test split; a
+    row holds fields(config, params) and the run's results."""
+    from .training import config_hash, train_each  # circular at import time otherwise
+
+    rows = []
+    for cfg, params, history in train_each(variants, store, priori):
+        report = evaluate(params, store, "test", cfg.model_config(), priori=priori)
+        rows.append(
+            {
+                **fields(cfg, params),
+                "config_hash": config_hash(cfg),
+                "best_epoch": history.best_epoch,
+                "valid_mrr": history.best_valid_mrr,
+                "test": report.as_dict(),
+            }
+        )
+    return rows
+
+
 def run_ablation(cfg, store: TripleStore, priori: PrioriTable, modes) -> list:
     """Train one model per ablation mode with the shared seed and config;
     one comparison row per mode."""
-    from .training import config_hash, train  # circular at import time otherwise
-
     if not modes:
         raise ConfigError("at least one ablation mode is required")
-    rows = []
-    for mode in modes:
-        run_cfg = replace(cfg, ablation=mode)
-        params, history = train(run_cfg, store, priori)
-        report = evaluate(params, store, "test", run_cfg.model_config(), priori=priori)
-        rows.append(
-            {
-                "mode": mode,
-                "config_hash": config_hash(run_cfg),
-                "best_epoch": history.best_epoch,
-                "valid_mrr": history.best_valid_mrr,
-                "test": report.as_dict(),
-            }
-        )
-    return rows
+    variants = [(f"mode {mode!r}", replace(cfg, ablation=mode)) for mode in modes]
+    return _train_and_test(variants, store, priori, lambda run, _: {"mode": run.ablation})
 
 
 def run_fraction_sweep(cfg, store: TripleStore, priori: PrioriTable, fractions) -> list:
-    """Train one model per kernel fraction; rows keyed by fraction."""
-    from .training import config_hash, train
-
-    rows = []
-    for fraction in fractions:
-        active = kernel_fraction_mask(cfg.model_config(), fraction)
-        run_cfg = replace(cfg, kernel_fraction=float(fraction))
-        params, history = train(run_cfg, store, priori)
-        report = evaluate(params, store, "test", run_cfg.model_config(), priori=priori)
-        rows.append(
-            {
-                "fraction": float(fraction),
-                "active_kernels": int(active.size),
-                "config_hash": config_hash(run_cfg),
-                "best_epoch": history.best_epoch,
-                "valid_mrr": history.best_valid_mrr,
-                "test": report.as_dict(),
-                "params": params,
-            }
-        )
-    return rows
+    """Train one model per kernel fraction; rows keyed by fraction, each
+    with its best params."""
+    variants = [(f"fraction {f}", replace(cfg, kernel_fraction=float(f))) for f in fractions]
+    return _train_and_test(variants, store, priori, lambda run, params: {
+        "fraction": run.kernel_fraction,
+        "active_kernels": int(kernel_fraction_mask(run, run.kernel_fraction).size),
+        "params": params,
+    })

@@ -230,6 +230,21 @@ def train(cfg: TrainConfig, store: TripleStore, priori: PrioriTable,
     return (best_params if best_params is not None else params), history
 
 
+def train_each(variants, store: TripleStore, priori: PrioriTable):
+    """Trains each (label, config) pair in turn. Every config is validated
+    before the first one trains; a failure raises ConfigError prefixed with
+    its label. Yields (config, params, history) as each run ends."""
+    variants = list(variants)
+    for label, cfg in variants:
+        try:
+            cfg.validate()
+        except ConfigError as exc:
+            raise ConfigError(f"{label}: {exc}") from None
+    for _, cfg in variants:
+        params, history = train(cfg, store, priori)
+        yield cfg, params, history
+
+
 def _factor_embedding_dim(d_e: int) -> tuple:
     """Most-square (d_w, d_h) factorization of d_e."""
     best = (1, d_e)
@@ -241,7 +256,7 @@ def _factor_embedding_dim(d_e: int) -> tuple:
 
 def _apply_grid_value(cfg: TrainConfig, key: str, value):
     if key == "d_e":
-        d_w, d_h = _factor_embedding_dim(int(value))
+        d_w, d_h = _factor_embedding_dim(value)
         return replace(cfg, d_w=d_w, d_h=d_h)
     if key not in cfg.__dataclass_fields__:
         raise ConfigError(f"unknown hyperparameter {key!r} in the grid")
@@ -249,43 +264,31 @@ def _apply_grid_value(cfg: TrainConfig, key: str, value):
 
 
 def _draw(key: str, values: list, center, rng: RngStream):
-    """One uniform draw around a grid key's winning value: within half the
-    smallest gap between the key's grid values (10% of the value, or 0.05,
-    for a single value). With several values the draw stays within their
-    span: past an end it is mirrored back inside, so a winner at an end is
-    not drawn again as itself. Draws of d_e and of int fields are rounded
+    """One uniform draw around a grid key's winning value, within half the
+    smallest gap between the key's grid values. The draw stays within
+    their span: past an end it is mirrored back inside, so a winner at an
+    end is not drawn again as itself, and a key with one value keeps it.
+    That key's draw still consumes its RNG value, so the other keys' draws
+    do not depend on its span. Draws of d_e and of int fields are rounded
     to ints of at least 1, whatever the types in the grid."""
     values = sorted(set(float(v) for v in values))
-    center = float(center)
-    if len(values) > 1:
-        radius = min(b - a for a, b in zip(values, values[1:])) / 2.0
-    else:
-        radius = abs(center) * 0.1 or 0.05
-    sampled = center + rng.uniform_signed(1, radius)[0]
-    if len(values) > 1:
-        # The radius is at most half the span, so one mirror suffices.
-        lo, hi = values[0], values[-1]
-        sampled = min(max(sampled, 2 * lo - sampled), 2 * hi - sampled)
+    radius = min((b - a for a, b in zip(values, values[1:])), default=0.0) / 2.0
+    sampled = float(center) + rng.uniform_signed(1, radius)[0]
+    # The radius is at most half the span, so one mirror suffices.
+    lo, hi = values[0], values[-1]
+    sampled = min(max(sampled, 2 * lo - sampled), 2 * hi - sampled)
     if key == "d_e" or TrainConfig.__dataclass_fields__[key].type is int:
         sampled = max(1, int(round(sampled)))
     return sampled
-
-
-def _trial(cfg: TrainConfig, store, priori):
-    params, history = train(cfg, store, priori)
-    mrr = history.best_valid_mrr if history.best_valid_mrr is not None else -1.0
-    return {
-        "config": asdict(cfg),
-        "config_hash": config_hash(cfg),
-        "valid_mrr": float(mrr),
-        "n_params": count_parameters(cfg.model_config(), store.n_entities, store.n_relations),
-    }
 
 
 def hyper_search(base: TrainConfig, store: TripleStore, priori: PrioriTable):
     """Grid phase over the declared value lists, then seeded uniform draws
     around the grid winner. Returns (best TrainConfig, leaderboard).
 
+    Every grid config is validated before the first one trains, and every
+    draw before the first draw trains (`train_each`): a prime d_e, which
+    factors as 1 x d_e, stops the search before any draw trains.
     Selection: highest validation MRR, ties broken by fewer parameters,
     then by lower config hash.
     """
@@ -296,6 +299,9 @@ def hyper_search(base: TrainConfig, store: TripleStore, priori: PrioriTable):
         values = base.grid[key]
         if not isinstance(values, list) or not values:
             raise ConfigError(f"grid key {key!r} needs a non-empty list of values, got {values!r}")
+        if key == "d_e" and not all(
+                isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in values):
+            raise ConfigError(f"grid key 'd_e' needs positive ints, got {values!r}")
         # Random draws sample numbers around the grid winner.
         if base.random_search_draws and not all(
                 isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
@@ -305,36 +311,35 @@ def hyper_search(base: TrainConfig, store: TripleStore, priori: PrioriTable):
             raise ConfigError("grid key 'm' takes no random draws: a drawn kernel count "
                               "need not be a square; set random_search_draws to 0")
 
-    # Every grid configuration is checked before the first one trains.
-    configs = []
-    for combo in itertools.product(*(base.grid[k] for k in keys)):
-        cfg, values = base, dict(zip(keys, combo))
+    def with_values(values):
+        cfg = base
         for key, value in values.items():
             cfg = _apply_grid_value(cfg, key, value)
-        try:
-            cfg.validate()
-        except ConfigError as exc:
-            raise ConfigError(f"grid values {values}: {exc}") from None
-        configs.append((cfg, values))
-    leaderboard = [_trial(cfg, store, priori) for cfg, _ in configs]
+        return cfg
+
+    def trials(variants):
+        return [
+            {
+                "config": asdict(cfg),
+                "config_hash": config_hash(cfg),
+                "valid_mrr": float(-1.0 if h.best_valid_mrr is None else h.best_valid_mrr),
+                "n_params": count_parameters(cfg, store.n_entities, store.n_relations),
+            }
+            for cfg, _, h in train_each(variants, store, priori)
+        ]
 
     def sort_key(entry):
         return (-entry["valid_mrr"], entry["n_params"], entry["config_hash"])
 
-    grid_best_idx = min(range(len(leaderboard)), key=lambda i: sort_key(leaderboard[i]))
-    winner_cfg, winner_values = configs[grid_best_idx]
+    grid = [dict(zip(keys, combo)) for combo in itertools.product(*(base.grid[k] for k in keys))]
+    leaderboard = trials((f"grid values {values}", with_values(values)) for values in grid)
+    winner = grid[min(range(len(leaderboard)), key=lambda i: sort_key(leaderboard[i]))]
 
     draw_rng = RngStream(base.seed, "search")
-    for _ in range(base.random_search_draws):
-        cfg = winner_cfg
-        for key in keys:
-            cfg = _apply_grid_value(cfg, key, _draw(key, base.grid[key], winner_values[key],
-                                                    draw_rng))
-        leaderboard.append(_trial(cfg, store, priori))
-
+    draws = [
+        (f"draw {i}", with_values({k: _draw(k, base.grid[k], winner[k], draw_rng) for k in keys}))
+        for i in range(1, base.random_search_draws + 1)
+    ]
+    leaderboard += trials(draws)
     leaderboard.sort(key=sort_key)
-    best = leaderboard[0]
-    best_cfg_fields = {
-        k: v for k, v in best["config"].items() if k in TrainConfig.__dataclass_fields__
-    }
-    return TrainConfig(**best_cfg_fields), leaderboard
+    return TrainConfig(**leaderboard[0]["config"]), leaderboard

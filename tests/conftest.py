@@ -65,6 +65,12 @@ def small_toy_train_config(**overrides) -> TrainConfig:
     return cfg
 
 
+def no_training(*args, **kwargs):
+    """A stand-in for `training.train` where a run must be refused before
+    anything trains."""
+    raise AssertionError("trained before every config was checked")
+
+
 def worker_counts(monkeypatch, counts=(1, 3)):
     """Yields each count, with `parallel` and `block_runs` seeing that many
     CPUs meanwhile: at 1 every task runs inline, at 3 the calling thread and

@@ -14,6 +14,8 @@ from convd.checkpoint import load_checkpoint
 from convd.cli import main
 from convd.errors import CheckpointError
 
+from conftest import no_training
+
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 # The CPUs this process may run on; empty where the platform cannot tell.
 AFFINITY = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
@@ -146,14 +148,20 @@ class TestTrainCommand:
 
     def test_search_checks_every_grid_config_before_training(self, tmp_path, toy_dir,
                                                              capsys, monkeypatch):
-        def no_training(*args, **kwargs):
-            raise AssertionError("trained before every grid config was checked")
-
         monkeypatch.setattr(convd.training, "train", no_training)
         cfg_path = write_config(tmp_path / "c.json", d_w=4, d_h=4, grid={"r_w": [2, 9]},
                                 data_dir=toy_dir, output_dir=str(tmp_path / "o"))
         assert main(["search", "--config", cfg_path]) == 2
         assert "kernel 9x2 larger than entity plane 4x4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("d_e", ["x", -4, None, 2.5, True])
+    def test_search_rejects_a_d_e_that_is_not_a_positive_int(self, tmp_path, toy_dir, capsys,
+                                                            monkeypatch, d_e):
+        monkeypatch.setattr(convd.training, "train", no_training)
+        cfg_path = write_config(tmp_path / "c.json", grid={"d_e": [36, d_e]},
+                                data_dir=toy_dir, output_dir=str(tmp_path / "o"))
+        assert main(["search", "--config", cfg_path]) == 2
+        assert "config error: grid key 'd_e' needs positive ints" in capsys.readouterr().err
 
     def test_non_square_m_exits_2(self, tmp_path, toy_dir):
         cfg_path = write_config(tmp_path / "c.json", m=3, data_dir=toy_dir,
@@ -425,6 +433,22 @@ class TestTableCommands:
                                 output_dir=str(tmp_path / "o"), max_epochs=1, eval_every=1)
         assert main(["sweep", "--config", cfg_path, "--fractions", "0.5,abc"]) == 2
         assert "config error: --fractions" in capsys.readouterr().err
+
+    def test_ablate_checks_every_mode_before_training(self, tmp_path, toy_dir, capsys,
+                                                       monkeypatch):
+        monkeypatch.setattr(convd.training, "train", no_training)
+        cfg_path = write_config(tmp_path / "c.json", data_dir=toy_dir,
+                                output_dir=str(tmp_path / "o"))
+        assert main(["ablate", "--config", cfg_path, "--modes", "full,bogus"]) == 2
+        assert "config error: mode 'bogus': unknown ablation mode" in capsys.readouterr().err
+
+    def test_sweep_checks_every_fraction_before_training(self, tmp_path, toy_dir, capsys,
+                                                         monkeypatch):
+        monkeypatch.setattr(convd.training, "train", no_training)
+        cfg_path = write_config(tmp_path / "c.json", data_dir=toy_dir,
+                                output_dir=str(tmp_path / "o"))
+        assert main(["sweep", "--config", cfg_path, "--fractions", "0.5,1.5"]) == 2
+        assert "config error: fraction 1.5: kernel fraction" in capsys.readouterr().err
 
     def test_search_leaderboard_counts(self, tmp_path, toy_dir, capsys):
         cfg_path = write_config(

@@ -31,6 +31,7 @@ from convd.evaluation import evaluate
 
 from conftest import (
     TINY_ENTITIES,
+    no_training,
     rel_err,
     small_toy_train_config,
     tiny_config,
@@ -364,9 +365,6 @@ class TestHyperSearch:
                 assert all(type(x) is int for x in drawn[0]), drawn[0]
 
     def test_draws_over_m_rejected_before_training(self, small_toy_store, monkeypatch):
-        def no_training(*args, **kwargs):
-            raise AssertionError("trained before the grid was checked")
-
         monkeypatch.setattr(convd.training, "train", no_training)
         cfg = small_toy_train_config()
         cfg.grid = {"m": [4, 9]}
@@ -377,9 +375,6 @@ class TestHyperSearch:
     def test_invalid_grid_config_rejected_before_training(self, small_toy_store,
                                                           monkeypatch):
         # r_w = 2 fits the 4x4 plane and r_w = 9 does not; neither trains.
-        def no_training(*args, **kwargs):
-            raise AssertionError("trained before every grid config was checked")
-
         monkeypatch.setattr(convd.training, "train", no_training)
         cfg = small_toy_train_config(d_w=4, d_h=4)
         cfg.grid = {"r_w": [2, 9]}
@@ -408,6 +403,40 @@ class TestHyperSearch:
         assert len(values) == len(grid) + 60
         assert all(min(grid) <= x <= max(grid) for x in values), values
         assert len(set(values)) > len(grid)
+
+    def test_draws_keep_a_single_grid_value(self, small_toy_store, monkeypatch):
+        # A key with one value has a zero-width span; the draws of the
+        # other keys still vary.
+        def stub_train(cfg, store, priori):
+            cfg.validate()
+            return None, TrainHistory(best_valid_mrr=cfg.lr)
+
+        monkeypatch.setattr(convd.training, "train", stub_train)
+        cfg = small_toy_train_config()
+        cfg.grid = {"dropout_in": [0.0], "lr": [0.003, 0.01]}
+        cfg.random_search_draws = 20
+        _, leaderboard = hyper_search(cfg, small_toy_store, build_priori(small_toy_store))
+        assert len(leaderboard) == 2 + 20
+        assert all(entry["config"]["dropout_in"] == 0.0 for entry in leaderboard)
+        assert len({entry["config"]["lr"] for entry in leaderboard}) > 2
+
+    def test_invalid_draw_rejected_before_any_draw_trains(self, small_toy_store, monkeypatch):
+        # d_e draws around the winner 16 land in [16, 26]; a prime one
+        # factors as 1 x p, a plane too small for the 2x2 kernel.
+        trained = []
+
+        def stub_train(cfg, store, priori):
+            cfg.validate()
+            trained.append(cfg.d_e)
+            return None, TrainHistory(best_valid_mrr=float(cfg.d_e == 16))
+
+        monkeypatch.setattr(convd.training, "train", stub_train)
+        cfg = small_toy_train_config(r_w=2, r_h=2)
+        cfg.grid = {"d_e": [16, 36]}
+        cfg.random_search_draws = 20
+        with pytest.raises(ConfigError, match=r"^draw \d+: kernel 2x2 larger than entity plane 1x"):
+            hyper_search(cfg, small_toy_store, build_priori(small_toy_store))
+        assert trained == [16, 36]
 
     def test_empty_grid_rejected(self, small_toy_store):
         cfg = small_toy_train_config()
