@@ -384,7 +384,7 @@ def gradcheck_table(cfg: TrainConfig, n_entities: int, n_relations: int,
 
     logits, trace = forward_batch(h_ids, r_ids, params, priori, mcfg, mode="train", rng=None)
     _, grad_logits = bce_loss(logits, targets)
-    analytic = backward(trace, grad_logits, params, mcfg)
+    analytic = backward(trace, grad_logits)
     numeric = finite_diff_grad(loss_for, params.named_arrays(), h=h)
 
     blocks = []
@@ -400,7 +400,8 @@ def gradcheck_table(cfg: TrainConfig, n_entities: int, n_relations: int,
 
 def cmd_ablate(args) -> int:
     cfg, io = load_run_config(args.config, args.set or ())
-    modes = args.modes.split(",") if args.modes else io.get("modes", list(ABLATION_MODES))
+    modes = (args.modes.split(",") if args.modes is not None
+             else io.get("modes", list(ABLATION_MODES)))
     store = _load_store(io)
     priori = build_priori(store, cfg.priori_base)
     rows = run_ablation(cfg, store, priori, modes)
@@ -410,7 +411,8 @@ def cmd_ablate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg, io = load_run_config(args.config, args.set or ())
-    raw = args.fractions.split(",") if args.fractions else io.get("fractions", [0.25, 0.5, 1.0])
+    raw = (args.fractions.split(",") if args.fractions is not None
+           else io.get("fractions", [0.25, 0.5, 1.0]))
     try:
         fractions = [float(x) for x in raw]
     except ValueError as exc:

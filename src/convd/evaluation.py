@@ -9,7 +9,7 @@ import numpy as np
 
 from .data import PrioriTable, TripleStore, build_priori
 from .errors import ConfigError, DimensionError, StateError
-from .model import ModelConfig, forward_batch, kernel_fraction_mask
+from .model import ModelConfig, forward_batch
 
 HITS_LEVELS = (1, 3, 10)
 _EVAL_BATCH = 256
@@ -118,9 +118,12 @@ def evaluate(params, store: TripleStore, split: str, cfg: ModelConfig,
 def _train_and_test(variants, store: TripleStore, priori: PrioriTable, fields) -> list:
     """Trains every (label, config) pair through `train_each`, so all are
     checked before the first trains, and tests each on the test split; a
-    row holds fields(config, params) and the run's results."""
+    row holds fields(config, params) and the run's results. An empty list
+    is a ConfigError."""
     from .training import config_hash, train_each  # circular at import time otherwise
 
+    if not variants:
+        raise ConfigError("nothing to run: the list of modes or fractions is empty")
     rows = []
     for cfg, params, history in train_each(variants, store, priori):
         report = evaluate(params, store, "test", cfg.model_config(), priori=priori)
@@ -139,8 +142,6 @@ def _train_and_test(variants, store: TripleStore, priori: PrioriTable, fields) -
 def run_ablation(cfg, store: TripleStore, priori: PrioriTable, modes) -> list:
     """Train one model per ablation mode with the shared seed and config;
     one comparison row per mode."""
-    if not modes:
-        raise ConfigError("at least one ablation mode is required")
     variants = [(f"mode {mode!r}", replace(cfg, ablation=mode)) for mode in modes]
     return _train_and_test(variants, store, priori, lambda run, _: {"mode": run.ablation})
 
@@ -151,6 +152,6 @@ def run_fraction_sweep(cfg, store: TripleStore, priori: PrioriTable, fractions) 
     variants = [(f"fraction {f}", replace(cfg, kernel_fraction=float(f))) for f in fractions]
     return _train_and_test(variants, store, priori, lambda run, params: {
         "fraction": run.kernel_fraction,
-        "active_kernels": int(kernel_fraction_mask(run, run.kernel_fraction).size),
+        "active_kernels": run.active_kernels,
         "params": params,
     })

@@ -5,8 +5,8 @@ accounting.
 Scoring pipeline for one (head, relation) query:
   1. entity row -> input dropout -> 2D plane (d_w x d_h)
   2. relation row -> m kernel slices (r_w x r_h each)
-  3. the first n = ceil(kernel_fraction * m) kernels are active; attention
-     turns the pair into their n contribution weights alpha, its logits
+  3. the first n = cfg.active_kernels kernels are active; attention turns
+     the pair into their n contribution weights alpha, its logits
      biased by lambda = cfg.priori_weight (read from the config, never
      stored with the arrays). no_priori runs it with lambda = 0;
      no_attention and no_both run no attention and take alpha_i = 1/n
@@ -42,13 +42,7 @@ from .attention import (
     unslice_batch,
 )
 from .data import PrioriTable
-from .errors import (
-    ConfigError,
-    DegenerateBatchError,
-    DimensionError,
-    NumericError,
-    StateError,
-)
+from .errors import ConfigError, DegenerateBatchError, DimensionError, NumericError
 from .numerics import (
     BN_EPS,
     BN_MOMENTUM,
@@ -120,6 +114,12 @@ class ModelConfig:
         oh, ow = self.conv_shape
         return oh * ow
 
+    @property
+    def active_kernels(self) -> int:
+        """n = ceil(kernel_fraction * m), the fraction read as the decimal it
+        prints as: 0.28 of 25 is 7, not 8."""
+        return math.ceil(Decimal(repr(float(self.kernel_fraction))) * self.m)
+
     def validate(self) -> None:
         # Values arrive from JSON, where true is not 1 and 2.5 is not an int:
         # int fields take only int, float fields int or float, bool fields
@@ -161,14 +161,6 @@ class ModelConfig:
             raise ConfigError(f"kernel fraction must be in (0, 1], got {self.kernel_fraction}")
         if self.n_static < 1:
             raise ConfigError(f"n_static must be >= 1, got {self.n_static}")
-
-
-def kernel_fraction_mask(cfg: ModelConfig, fraction: float) -> np.ndarray:
-    """Indices of the ceil(fraction * m) active kernels (lowest first), the
-    fraction read as the decimal it prints as: 0.28 of 25 is 7, not 8."""
-    if not 0.0 < fraction <= 1.0:
-        raise ConfigError(f"kernel fraction must be in (0, 1], got {fraction}")
-    return np.arange(math.ceil(Decimal(repr(float(fraction))) * cfg.m))
 
 
 def _head_layout(cfg: ModelConfig, n_features: int) -> dict:
@@ -303,7 +295,9 @@ def count_parameters(cfg: ModelConfig, n_entities: int, n_relations: int,
 
 @dataclass
 class ForwardTrace:
-    """Everything one backward pass needs, exactly as the forward saw it."""
+    """The handle of one forward pass: everything its backward needs,
+    exactly as the forward saw it, including the params and config it ran
+    on, so backward and commit_running_stats take nothing else."""
 
     h_ids: np.ndarray
     r_ids: np.ndarray
@@ -325,8 +319,8 @@ class ForwardTrace:
     mask_out: np.ndarray  # (B, d_e)
     h1: np.ndarray  # (B, d_e) post dropout+ReLU hidden
     z: np.ndarray  # (B, d_e)
-    params_ref: object
-    cfg_ref: object
+    params: ModelParams
+    cfg: ModelConfig
 
 
 def _dropout(rng_bundle, label, p, shape, training):
@@ -377,7 +371,7 @@ def forward_batch(
     plane = (e_h * mask_in).reshape(b, cfg.d_w, cfg.d_h)
 
     banks = slice_batch(params.rel[r_ids], cfg.m, cfg.r_w, cfg.r_h)
-    n = kernel_fraction_mask(cfg, cfg.kernel_fraction).size
+    n = cfg.active_kernels
     active = banks[:, :n]
     if cfg.ablation in ("no_attention", "no_both"):
         # Equal-weight sum of the active kernels.
@@ -395,8 +389,7 @@ def forward_batch(
     # summing the n per-kernel feature maps.
     w_mix = np.einsum("bm,bmwh->bwh", alpha, active)
     conv = conv2d_batch(plane, w_mix)
-    logits, head = scorer_head(conv.reshape(b, cfg.conv_map), params, cfg, training,
-                               training and not cfg.bn_frozen, rng)
+    logits, head = scorer_head(conv.reshape(b, cfg.conv_map), params, cfg, training, rng)
     trace = ForwardTrace(
         h_ids=h_ids,
         r_ids=r_ids,
@@ -407,19 +400,20 @@ def forward_batch(
         attn=attn_trace,
         w_mix=w_mix,
         conv=conv,
-        params_ref=params,
-        cfg_ref=cfg,
+        params=params,
+        cfg=cfg,
         **head,
     )
     return logits, trace
 
 
-def scorer_head(feats, params, cfg: ModelConfig, training: bool, batch_stats: bool, rng):
+def scorer_head(feats, params, cfg: ModelConfig, training: bool, rng):
     """Pipeline steps 5-8 over (B, F) convolution features, shared by both
     front-ends: batch norm -> ReLU -> feature dropout -> FC -> output
     dropout -> ReLU -> FC -> 1-N dot. Normalizes with batch statistics when
-    batch_stats, else with the running ones. Returns (logits (B, n_entities),
-    the ForwardTrace fields of these steps)."""
+    training and not cfg.bn_frozen, else with the running ones. Returns
+    (logits (B, n_entities), the ForwardTrace fields of these steps)."""
+    batch_stats = training and not cfg.bn_frozen
     new_running = None
     if batch_stats:
         if feats.shape[0] < 2:
@@ -471,17 +465,16 @@ def forward_score(h_id, r_id, params, priori, cfg, mode="eval", rng=None):
     return logits[0], trace
 
 
-def backward(trace: ForwardTrace, grad_logits: np.ndarray, params: ModelParams,
-             cfg: ModelConfig) -> dict:
-    """Exact gradients of a scalar loss given d loss / d logits.
+def backward(trace: ForwardTrace, grad_logits: np.ndarray) -> dict:
+    """Exact gradients of a scalar loss given d loss / d logits, taken at
+    the params and config the trace's forward ran on.
 
     Covers every learned array: both routes into the relation row (kernel
     values through the convolution, keys/values through the attention), the
     dense 1-N route into the whole entity table plus the head-entity input
     route, and the scalar gamma/beta of the normalization.
     """
-    if trace.params_ref is not params or trace.cfg_ref is not cfg:
-        raise StateError("trace does not belong to these parameters and configuration")
+    params, cfg = trace.params, trace.cfg
     if cfg.sigmoid_pre_dot:
         raise ConfigError("no backward for the sigmoid_pre_dot inspection path")
     grad_logits = np.asarray(grad_logits, dtype=np.float64)
@@ -568,32 +561,24 @@ def backward(trace: ForwardTrace, grad_logits: np.ndarray, params: ModelParams,
     return grads
 
 
-def commit_running_stats(params: ModelParams, trace: ForwardTrace) -> None:
-    """Fold the batch statistics of a training forward into the params.
-    Called between steps by the training loop (single writer)."""
+def commit_running_stats(trace: ForwardTrace) -> None:
+    """Fold the batch statistics of a training forward into the params it
+    ran on. Called between steps by the training loop (single writer)."""
     if trace.new_running is not None:
-        params.bn_mean = trace.new_running[0]
-        params.bn_var = trace.new_running[1]
+        trace.params.bn_mean, trace.params.bn_var = trace.new_running
 
 
-def score_plain_conv(h_id, r_id, params: ModelParams, cfg: ModelConfig,
-                     mode: str = "eval", rng: dict | None = None) -> np.ndarray:
-    """Static-kernel reference scorer over the arrays of baseline_layout:
-    stack the entity plane on top of the relation plane, convolve with the
-    shared external kernels, then run scorer_head."""
+def score_plain_conv(h_id, r_id, params: ModelParams, cfg: ModelConfig) -> np.ndarray:
+    """Static-kernel reference scorer over the arrays of baseline_layout, in
+    eval mode only (no dropout, running statistics): stack the entity plane
+    on top of the relation plane, convolve with the shared external
+    kernels, then run scorer_head."""
     if params.ent.shape[1] != cfg.d_e or params.rel.shape[1] != cfg.d_e:
         raise ConfigError("parameter shapes do not match the configuration")
-    if mode not in ("train", "eval"):
-        raise ConfigError(f"unknown mode {mode!r}")
-    training = mode == "train"
     h_id, r_id = int(h_id), int(r_id)
     e_plane = params.ent[h_id].reshape(cfg.d_w, cfg.d_h)
     r_plane = params.rel[r_id].reshape(cfg.d_w, cfg.d_h)
     stacked = np.concatenate([e_plane, r_plane], axis=0)
-    mask_in = _dropout(rng, "dropout.in", cfg.dropout_in, stacked.shape, training)
-    stacked = stacked * mask_in
-
     maps = conv2d_batch(np.repeat(stacked[None], cfg.n_static, axis=0), params.kernels)
-    # Scoring-only reference: normalization always uses the running stats.
-    logits, _ = scorer_head(maps.reshape(1, -1), params, cfg, training, False, rng)
+    logits, _ = scorer_head(maps.reshape(1, -1), params, cfg, False, None)
     return logits[0]

@@ -201,10 +201,10 @@ def train(cfg: TrainConfig, store: TripleStore, priori: PrioriTable,
             loss, grad_logits = bce_loss(logits, targets)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite training loss at epoch {epoch}")
-            grads = backward(trace, grad_logits, params, mcfg)
+            grads = backward(trace, grad_logits)
             # In place: params keeps its arrays for the whole run.
             adam_step(params.named_arrays(), grads, adam, cfg.lr)
-            commit_running_stats(params, trace)
+            commit_running_stats(trace)
             total_loss += loss * len(batch_idx)
             total_queries += len(batch_idx)
 
@@ -254,6 +254,22 @@ def _factor_embedding_dim(d_e: int) -> tuple:
     return best
 
 
+def _fitting_d_e(d_e: int, values: list, r_w: int, r_h: int) -> int:
+    """The integer nearest d_e, the lower on a tie, within the span of the
+    grid's d_e values whose _factor_embedding_dim plane holds an r_w x r_h
+    kernel: d_e itself when it fits. Once the grid has validated, its own
+    values fit every drawn kernel, unless a d_w or d_h grid key replaces
+    a side of the plane; when nothing fits, d_e is returned."""
+    lo, hi = min(values), max(values)
+    for step in range(hi - lo + 1):
+        for d in (d_e - step, d_e + step):
+            if lo <= d <= hi:
+                d_w, d_h = _factor_embedding_dim(d)
+                if d_w >= r_w and d_h >= r_h:
+                    return d
+    return d_e
+
+
 def _apply_grid_value(cfg: TrainConfig, key: str, value):
     if key == "d_e":
         d_w, d_h = _factor_embedding_dim(value)
@@ -287,8 +303,9 @@ def hyper_search(base: TrainConfig, store: TripleStore, priori: PrioriTable):
     around the grid winner. Returns (best TrainConfig, leaderboard).
 
     Every grid config is validated before the first one trains, and every
-    draw before the first draw trains (`train_each`): a prime d_e, which
-    factors as 1 x d_e, stops the search before any draw trains.
+    draw before the first draw trains (`train_each`). A drawn d_e whose
+    plane cannot hold the drawn kernel (a prime factors as 1 x d_e) moves
+    to the nearest one that can (`_fitting_d_e`).
     Selection: highest validation MRR, ties broken by fewer parameters,
     then by lower config hash.
     """
@@ -335,11 +352,15 @@ def hyper_search(base: TrainConfig, store: TripleStore, priori: PrioriTable):
     leaderboard = trials((f"grid values {values}", with_values(values)) for values in grid)
     winner = grid[min(range(len(leaderboard)), key=lambda i: sort_key(leaderboard[i]))]
 
+    def draw(rng):
+        values = {k: _draw(k, base.grid[k], winner[k], rng) for k in keys}
+        if "d_e" in values:
+            cfg = with_values(values)
+            values["d_e"] = _fitting_d_e(values["d_e"], base.grid["d_e"], cfg.r_w, cfg.r_h)
+        return with_values(values)
+
     draw_rng = RngStream(base.seed, "search")
-    draws = [
-        (f"draw {i}", with_values({k: _draw(k, base.grid[k], winner[k], draw_rng) for k in keys}))
-        for i in range(1, base.random_search_draws + 1)
-    ]
+    draws = [(f"draw {i}", draw(draw_rng)) for i in range(1, base.random_search_draws + 1)]
     leaderboard += trials(draws)
     leaderboard.sort(key=sort_key)
     return TrainConfig(**leaderboard[0]["config"]), leaderboard

@@ -450,6 +450,20 @@ class TestTableCommands:
         assert main(["sweep", "--config", cfg_path, "--fractions", "0.5,1.5"]) == 2
         assert "config error: fraction 1.5: kernel fraction" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, io, flags", [
+        ("ablate", {"modes": []}, []),
+        ("sweep", {"fractions": []}, []),
+        ("ablate", {}, ["--modes", ""]),
+        ("sweep", {}, ["--fractions", ""]),
+    ], ids=["modes-key", "fractions-key", "modes-flag", "fractions-flag"])
+    def test_empty_run_list_exits_2(self, tmp_path, toy_dir, capsys, monkeypatch,
+                                    command, io, flags):
+        monkeypatch.setattr(convd.training, "train", no_training)
+        cfg_path = write_config(tmp_path / "c.json", data_dir=toy_dir,
+                                output_dir=str(tmp_path / "o"), **io)
+        assert main([command, "--config", cfg_path, *flags]) == 2
+        assert "config error:" in capsys.readouterr().err
+
     def test_search_leaderboard_counts(self, tmp_path, toy_dir, capsys):
         cfg_path = write_config(
             tmp_path / "c.json", data_dir=toy_dir, output_dir=str(tmp_path / "o"),

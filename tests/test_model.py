@@ -6,7 +6,7 @@ import pytest
 import convd.model
 from convd.attention import slice_batch, unslice_batch
 from convd.data import PrioriTable
-from convd.errors import ConfigError, DegenerateBatchError, DimensionError, StateError
+from convd.errors import ConfigError, DegenerateBatchError, DimensionError
 from convd.model import (
     ABLATION_MODES,
     ENTITY_BLOCK,
@@ -20,7 +20,6 @@ from convd.model import (
     forward_score,
     init_baseline_params,
     init_params,
-    kernel_fraction_mask,
     param_layout,
     score_plain_conv,
 )
@@ -209,7 +208,7 @@ class TestAblationFlags:
         targets = np.full((3, TINY_ENTITIES), 0.01)
         targets[:, 3] = 0.91
         logits, trace = forward_batch(h_ids, r_ids, params, PRIORI, cfg, mode="train")
-        grads = backward(trace, bce_loss(logits, targets)[1], params, cfg)
+        grads = backward(trace, bce_loss(logits, targets)[1])
         adam_step(params.named_arrays(), grads, adam_init(params.named_arrays()), 0.01)
         for name in ("ent", "rel", "w_fc"):
             assert not np.array_equal(getattr(params, name), getattr(before, name)), name
@@ -247,22 +246,16 @@ class TestBackward:
 
     def test_zero_grad_logits(self):
         cfg, params, logits, trace = self._setup()
-        grads = backward(trace, np.zeros_like(logits), params, cfg)
+        grads = backward(trace, np.zeros_like(logits))
         assert all(np.all(g == 0) for g in grads.values())
 
     def test_backward_is_linear(self):
         cfg, params, logits, trace = self._setup()
         g = RngStream(4, "g").uniform_signed(logits.size, 1.0).reshape(logits.shape)
-        g1 = backward(trace, g, params, cfg)
-        g2 = backward(trace, 2.0 * g, params, cfg)
+        g1 = backward(trace, g)
+        g2 = backward(trace, 2.0 * g)
         for name in g1:
             assert np.allclose(2.0 * g1[name], g2[name], atol=1e-12)
-
-    def test_trace_params_mismatch(self):
-        cfg, params, logits, trace = self._setup()
-        other = tiny_params(cfg, seed=99)
-        with pytest.raises(StateError):
-            backward(trace, np.zeros_like(logits), other, cfg)
 
     @pytest.mark.parametrize("fraction", [1.0, 0.5, 0.25])
     @pytest.mark.parametrize("ablation", ABLATION_MODES)
@@ -279,7 +272,7 @@ class TestBackward:
 
         logits, trace = forward_batch(h_ids, r_ids, params, PRIORI, cfg, mode="train")
         _, grad_logits = bce_loss(logits, targets)
-        analytic = backward(trace, grad_logits, params, cfg)
+        analytic = backward(trace, grad_logits)
         numeric = finite_diff_grad(loss_for, params.named_arrays(), h=1e-5)
         for name in analytic:
             assert rel_err(analytic[name], numeric[name]) <= 1e-4, name
@@ -296,7 +289,7 @@ class TestBackward:
         targets[0, 3] = 0.91
         logits, trace = forward_batch(h_ids, r_ids, params, PRIORI, cfg, mode="train")
         _, grad_logits = bce_loss(logits, targets)
-        grads = backward(trace, grad_logits, params, cfg)
+        grads = backward(trace, grad_logits)
         new_arrays, _ = adam_step(params.named_arrays(), grads, adam_init(before), 0.01)
         for name, arr in new_arrays.items():
             assert not np.array_equal(arr, before[name]), f"{name} silently dead"
@@ -358,13 +351,13 @@ class TestEntityBlocks:
         # One block covering the table: backward runs grad.T @ z and grad @ ent.
         with monkeypatch.context() as patch:
             patch.setattr(convd.model, "ENTITY_BLOCK", self.N_ENTITIES)
-            want = backward(trace, grad_logits, params, cfg)
+            want = backward(trace, grad_logits)
         # The head-entity route adds the same rows to both.
         bound = (_dot_rounding(grad_logits.T, trace.z)
                  + 4 * np.finfo(np.float64).eps * np.abs(want["ent"]))
         seen = set()
         for _ in worker_counts(monkeypatch):
-            got = backward(trace, grad_logits, params, cfg)
+            got = backward(trace, grad_logits)
             assert list(got) == list(want)
             seen.add(got["ent"].tobytes())
             assert np.all(np.abs(got["ent"] - want["ent"]) <= bound)
@@ -384,9 +377,7 @@ class TestKernelFraction:
         assert np.array_equal(l1, l2)
 
     def test_quarter_fraction_single_kernel(self):
-        cfg = tiny_config()
-        active = kernel_fraction_mask(cfg, 0.25)
-        assert active.tolist() == [0]
+        assert tiny_config(kernel_fraction=0.25).active_kernels == 1
 
     @pytest.mark.parametrize("m,fraction,count", [
         (25, 0.28, 7), (25, 0.56, 14),
@@ -395,7 +386,7 @@ class TestKernelFraction:
     ])
     def test_count_is_the_decimal_ceiling(self, m, fraction, count):
         # 0.28 * 25 is 7.000000000000001 in binary, whose ceiling is 8.
-        assert kernel_fraction_mask(ModelConfig(m=m), fraction).size == count
+        assert ModelConfig(m=m, kernel_fraction=fraction).active_kernels == count
 
     def test_masked_softmax_sums_to_one(self):
         cfg = tiny_config(kernel_fraction=0.5)
@@ -413,17 +404,15 @@ class TestKernelFraction:
         assert not np.array_equal(moved.rel, params.rel)
         moved_logits, _ = forward_score(2, 1, moved, PRIORI, cfg, mode="eval")
         assert np.array_equal(moved_logits, logits)
-        grads = backward(trace, np.linspace(-1.0, 1.0, logits.size), params, cfg)
+        grads = backward(trace, np.linspace(-1.0, 1.0, logits.size))
         g_banks = slice_batch(grads["rel"][1:2], cfg.m, cfg.r_w, cfg.r_h)
         assert np.any(g_banks[:, :2] != 0)
         assert np.all(g_banks[:, 2:] == 0)
 
     def test_invalid_fraction(self):
-        cfg = tiny_config()
-        with pytest.raises(ConfigError):
-            kernel_fraction_mask(cfg, 0.0)
-        with pytest.raises(ConfigError):
-            kernel_fraction_mask(cfg, 1.5)
+        for fraction in (0.0, 1.5):
+            with pytest.raises(ConfigError, match="kernel fraction"):
+                ModelConfig(kernel_fraction=fraction).validate()
 
 
 class TestCountParameters:

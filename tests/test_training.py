@@ -20,6 +20,7 @@ from convd.numerics import BLOCK, adam_init, adam_step, finite_diff_grad
 from convd.rng import RngStream
 from convd.training import (
     EpochRecord,
+    TrainConfig,
     TrainHistory,
     bce_loss,
     config_hash,
@@ -265,7 +266,7 @@ class TestTrain:
             logits, trace = forward_batch(h_ids, r_ids, params, PRIORI, cfg, mode="train")
             loss, grad = bce_loss(logits, targets)
             losses.append(loss)
-            grads = backward(trace, grad, params, cfg)
+            grads = backward(trace, grad)
             arrays, adam = adam_step(params.named_arrays(), grads, adam, 0.01)
             params = params.with_arrays(arrays)
         assert losses[-1] < losses[0]
@@ -285,7 +286,7 @@ class TestTrain:
 
             logits, trace = forward_batch(h_ids, r_ids, params, PRIORI, cfg, mode="train")
             loss, grad = bce_loss(logits, targets)
-            grads = backward(trace, grad, params, cfg)
+            grads = backward(trace, grad)
             stepped = {
                 name: arr - 1e-4 * grads[name]
                 for name, arr in params.named_arrays().items()
@@ -420,23 +421,51 @@ class TestHyperSearch:
         assert all(entry["config"]["dropout_in"] == 0.0 for entry in leaderboard)
         assert len({entry["config"]["lr"] for entry in leaderboard}) > 2
 
-    def test_invalid_draw_rejected_before_any_draw_trains(self, small_toy_store, monkeypatch):
+    def test_drawn_d_e_moves_to_a_plane_that_holds_the_kernel(self, small_toy_store,
+                                                               monkeypatch):
         # d_e draws around the winner 16 land in [16, 26]; a prime one
-        # factors as 1 x p, a plane too small for the 2x2 kernel.
+        # factors as 1 x p, a plane too small for the 2x2 kernel, and moves
+        # to the nearest d_e in the grid's span whose plane holds it.
         trained = []
 
         def stub_train(cfg, store, priori):
             cfg.validate()
-            trained.append(cfg.d_e)
+            trained.append(cfg)
             return None, TrainHistory(best_valid_mrr=float(cfg.d_e == 16))
 
         monkeypatch.setattr(convd.training, "train", stub_train)
         cfg = small_toy_train_config(r_w=2, r_h=2)
         cfg.grid = {"d_e": [16, 36]}
         cfg.random_search_draws = 20
-        with pytest.raises(ConfigError, match=r"^draw \d+: kernel 2x2 larger than entity plane 1x"):
-            hyper_search(cfg, small_toy_store, build_priori(small_toy_store))
-        assert trained == [16, 36]
+        hyper_search(cfg, small_toy_store, build_priori(small_toy_store))
+        assert len(trained) == 22
+        assert [run.d_e for run in trained[:2]] == [16, 36]
+        for run in trained[2:]:
+            assert 16 <= run.d_e <= 36 and run.d_w >= 2 and run.d_h >= 2, run.d_e
+
+    def test_fitting_d_e_is_the_nearest_plane_that_holds_the_kernel(self):
+        from convd.training import _fitting_d_e
+
+        for d_e, want in ((16, 16), (17, 16), (19, 18), (23, 22), (29, 28), (31, 30)):
+            assert _fitting_d_e(d_e, [16, 36], 2, 2) == want, d_e
+        # 101 and 103 are prime; 102 = 6 x 17 holds 3x3, and 101 ties
+        # between 100 and 102, so takes the lower.
+        assert _fitting_d_e(101, [100, 150], 3, 3) == 100
+        assert _fitting_d_e(103, [100, 150], 3, 3) == 102
+
+    def test_default_grid_draws_finish(self, small_toy_store, monkeypatch):
+        # The default d_e grid spans 100..300, which holds primes and 2 x p
+        # values whose planes cannot hold a 3x3 kernel.
+        def stub_train(cfg, store, priori):
+            cfg.validate()
+            return None, TrainHistory(best_valid_mrr=int(config_hash(cfg), 16) / 16**12)
+
+        monkeypatch.setattr(convd.training, "train", stub_train)
+        priori = build_priori(small_toy_store)
+        for seed in range(1, 21):
+            cfg = TrainConfig(r_w=3, r_h=3, random_search_draws=10, seed=seed)
+            _, leaderboard = hyper_search(cfg, small_toy_store, priori)
+            assert len(leaderboard) == 20 + 10, seed
 
     def test_empty_grid_rejected(self, small_toy_store):
         cfg = small_toy_train_config()
