@@ -80,8 +80,11 @@ def evaluate(params, store: TripleStore, split: str, cfg: ModelConfig,
     Head prediction is realized through the reciprocal relation, so both
     directions run as tail queries: (h, r, ?) and (t, r_inv, ?). Within an
     augmented split only original-direction triples are iterated; their
-    mirrors would repeat the same two queries. The priori table is built
-    from the store's train split when not supplied.
+    mirrors would repeat the same two queries. The queries are walked in
+    key order (`QueryIndex`'s key), `_EVAL_BATCH` at a time, and each
+    distinct (head, relation) query of a chunk is scored once; every query
+    is ranked against its row, and the ranks are kept in split order. The
+    priori table is built from the store's train split when not supplied.
     """
     if not store.augmented:
         raise StateError("evaluation expects a reciprocal-augmented store")
@@ -95,10 +98,18 @@ def evaluate(params, store: TripleStore, split: str, cfg: ModelConfig,
     h_ids = np.column_stack([h, t]).ravel()
     r_ids = np.column_stack([r, r + base]).ravel()
     true_ids = np.column_stack([t, h]).ravel()
+    keys = h_ids * store.known.n_relations + r_ids
+    order = np.argsort(keys, kind="stable")
     ranks = np.empty(h_ids.shape[0], dtype=np.float64)
     for start in range(0, h_ids.shape[0], _EVAL_BATCH):
-        chunk = slice(start, start + _EVAL_BATCH)
-        logits, _ = forward_batch(h_ids[chunk], r_ids[chunk], params, priori, cfg, mode="eval")
+        chunk = order[start:start + _EVAL_BATCH]
+        # First query of each run of equal keys; only those are forwarded.
+        new = np.ones(chunk.shape, dtype=bool)
+        np.not_equal(keys[chunk[1:]], keys[chunk[:-1]], out=new[1:])
+        first = chunk[new]
+        logits, _ = forward_batch(h_ids[first], r_ids[first], params, priori, cfg, mode="eval")
+        if first.shape[0] < chunk.shape[0]:  # the B x N copy only where a query repeats
+            logits = logits[np.cumsum(new) - 1]
         rows, cols = store.known.cells(h_ids[chunk], r_ids[chunk])
         ranks[chunk] = rank_of(logits, true_ids[chunk], rows, cols)
     tail, head = ranks[0::2], ranks[1::2]

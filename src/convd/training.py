@@ -305,7 +305,8 @@ def hyper_search(base: TrainConfig, store: TripleStore, priori: PrioriTable):
     Every grid config is validated before the first one trains, and every
     draw before the first draw trains (`train_each`). A drawn d_e whose
     plane cannot hold the drawn kernel (a prime factors as 1 x d_e) moves
-    to the nearest one that can (`_fitting_d_e`).
+    to the nearest one that can (`_fitting_d_e`). A grid holding d_e with
+    d_w or d_h is refused, since d_e sets both sides of the plane.
     Selection: highest validation MRR, ties broken by fewer parameters,
     then by lower config hash.
     """
@@ -319,6 +320,10 @@ def hyper_search(base: TrainConfig, store: TripleStore, priori: PrioriTable):
         if key == "d_e" and not all(
                 isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in values):
             raise ConfigError(f"grid key 'd_e' needs positive ints, got {values!r}")
+        # d_e sets d_w and d_h; a later key would replace one side of its plane.
+        if key in ("d_w", "d_h") and "d_e" in base.grid:
+            raise ConfigError(f"grid keys 'd_e' and {key!r} both set the entity plane; "
+                              f"give one of them")
         # Random draws sample numbers around the grid winner.
         if base.random_search_draws and not all(
                 isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):

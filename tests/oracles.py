@@ -216,10 +216,12 @@ def oracle_rank(scores, true_id, filter_out):
 
 
 def oracle_evaluate(score_fn, store, split):
-    """Brute-force filtered evaluation: two queries per original triple.
+    """Brute-force filtered evaluation: two queries per original triple,
+    each scored on its own.
 
     Ranks are aggregated tail-direction first, then head-direction, the
-    same deterministic reduction order the package uses.
+    same deterministic reduction order the package uses. `by_direction`
+    summarizes each direction's ranks alone.
     """
     base = store.n_base_relations
     tail_ranks = []
@@ -233,12 +235,16 @@ def oracle_evaluate(score_fn, store, split):
         ):
             known = store.tails_by_query.get((qh, qr), set())
             bucket.append(oracle_rank(score_fn(qh, qr), true_id, known - {true_id}))
-    ranks = np.array(tail_ranks + head_ranks)
-    return {
-        "mrr": float(np.mean(1.0 / ranks)),
-        "hits": {n: float(np.mean(ranks <= n)) for n in (1, 3, 10)},
-        "n_queries": len(ranks),
-    }
+    def summary(ranks):
+        ranks = np.array(ranks)
+        return {
+            "mrr": float(np.mean(1.0 / ranks)),
+            "hits": {n: float(np.mean(ranks <= n)) for n in (1, 3, 10)},
+            "n_queries": len(ranks),
+        }
+
+    return {**summary(tail_ranks + head_ranks),
+            "by_direction": {"tail": summary(tail_ranks), "head": summary(head_ranks)}}
 
 
 def constant_scorer_mrr(store, split):

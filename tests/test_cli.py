@@ -163,6 +163,16 @@ class TestTrainCommand:
         assert main(["search", "--config", cfg_path]) == 2
         assert "config error: grid key 'd_e' needs positive ints" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("side", ["d_w", "d_h"])
+    def test_search_rejects_d_e_with_a_plane_side(self, tmp_path, toy_dir, capsys,
+                                                  monkeypatch, side):
+        monkeypatch.setattr(convd.training, "train", no_training)
+        cfg_path = write_config(tmp_path / "c.json", r_w=5, r_h=6, random_search_draws=6,
+                                grid={"d_e": [18, 24], side: [5]},
+                                data_dir=toy_dir, output_dir=str(tmp_path / "o"))
+        assert main(["search", "--config", cfg_path]) == 2
+        assert f"config error: grid keys 'd_e' and {side!r}" in capsys.readouterr().err
+
     def test_non_square_m_exits_2(self, tmp_path, toy_dir):
         cfg_path = write_config(tmp_path / "c.json", m=3, data_dir=toy_dir,
                                 output_dir=str(tmp_path / "o"))

@@ -148,6 +148,8 @@ class TestEvaluate:
         assert report.n_queries == expected["n_queries"]
         for n in (1, 3, 10):
             assert report.hits[n] == expected["hits"][n]
+        # Per direction, so ranks left in key order would show.
+        assert report.by_direction == expected["by_direction"]
 
     def test_filter_is_the_stores_index(self, many_to_many_store):
         # A shallow copy with a sampled split keeps the full index, so
@@ -175,6 +177,32 @@ class TestEvaluate:
         monkeypatch.setattr(evaluation, "_EVAL_BATCH", 7)
         chunked = evaluate(params, many_to_many_store, "test", cfg, priori=priori)
         assert chunked.as_dict() == whole.as_dict()
+
+    @pytest.mark.parametrize("batch", [evaluation._EVAL_BATCH, 7])
+    def test_each_distinct_query_is_forwarded_once_per_chunk(self, many_to_many_store,
+                                                             monkeypatch, batch):
+        # At 7, runs of equal keys cross chunk boundaries and are forwarded
+        # once in each chunk they reach.
+        store = many_to_many_store
+        cfg, params, priori = model_for(store)
+        forwarded = []
+
+        def counting_forward(h_ids, *args, **kwargs):
+            forwarded.append(len(h_ids))
+            return forward_batch(h_ids, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "forward_batch", counting_forward)
+        monkeypatch.setattr(evaluation, "_EVAL_BATCH", batch)
+        report = evaluate(params, store, "test", cfg, priori=priori)
+
+        base = store.n_base_relations
+        h, r, t = store.test[store.test[:, 1] < base].T
+        keys = np.column_stack([h * store.n_relations + r,
+                                t * store.n_relations + r + base]).ravel()
+        keys = np.sort(keys)
+        want = [np.unique(keys[i:i + batch]).size for i in range(0, keys.size, batch)]
+        assert forwarded == want
+        assert sum(forwarded) < report.n_queries == keys.size
 
     def test_reciprocal_coverage(self, eval_store, eval_setup):
         cfg, params, priori = eval_setup

@@ -373,6 +373,16 @@ class TestHyperSearch:
         with pytest.raises(ConfigError, match="grid key 'm'"):
             hyper_search(cfg, small_toy_store, build_priori(small_toy_store))
 
+    def test_d_e_with_d_w_rejected_before_training(self, small_toy_store, monkeypatch):
+        # d_w would replace one side of d_e's plane, so a draw could fit a
+        # plane that does not train; the grid is refused before anything does.
+        monkeypatch.setattr(convd.training, "train", no_training)
+        cfg = small_toy_train_config(r_w=5, r_h=6)
+        cfg.grid = {"d_e": [18, 24], "d_w": [5]}
+        cfg.random_search_draws = 6
+        with pytest.raises(ConfigError, match="grid keys 'd_e' and 'd_w'"):
+            hyper_search(cfg, small_toy_store, build_priori(small_toy_store))
+
     def test_invalid_grid_config_rejected_before_training(self, small_toy_store,
                                                           monkeypatch):
         # r_w = 2 fits the 4x4 plane and r_w = 9 does not; neither trains.
