@@ -4,8 +4,11 @@ Commands: train, eval, predict, gradcheck, ablate, sweep, search, gen-toy.
 Every run is driven by one flat JSON config file; individual keys can be
 overridden with --set key=value, and the fully resolved config is written
 next to the outputs. Exit codes are a stable contract:
-  0 success, 2 config error, 3 data error, 4 numeric failure,
-  5 checkpoint error, 6 gradient check over tolerance.
+  0 success, 2 config error (also a --config that is a directory or not
+  UTF-8), 3 data error (also a data_dir or --checkpoint that cannot be
+  read, and an output path that collides with an existing file or
+  directory), 4 numeric failure, 5 checkpoint error, 6 gradient check over
+  tolerance.
 CONVD_SEED overrides the config seed.
 """
 
@@ -94,6 +97,8 @@ def load_run_config(path, overrides=()):
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a flat JSON object")
     for item in overrides:
@@ -106,10 +111,7 @@ def load_run_config(path, overrides=()):
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     io = _checked_io({k: raw.pop(k) for k in list(raw) if k in _IO_KEYS}, ConfigError)
-    try:
-        cfg = TrainConfig(**raw)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg = TrainConfig(**raw)
     env_seed = os.environ.get("CONVD_SEED")
     if env_seed is not None:
         try:
@@ -133,16 +135,20 @@ def _dump(obj, pretty: bool) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _load_store(io: dict) -> TripleStore:
-    """The reciprocal-augmented store of the config's data_dir."""
+def _load_data(cfg: TrainConfig, io: dict):
+    """(store, priori): the reciprocal-augmented store of the config's
+    data_dir and its priori table."""
     data_dir = io.get("data_dir")
     if not data_dir:
         raise ConfigError("config key data_dir is required")
     strict = io.get("strict_vocab", True)
     try:
-        return augment_reciprocal(TripleStore.from_dir(data_dir, strict=strict))
+        store = augment_reciprocal(TripleStore.from_dir(data_dir, strict=strict))
     except FileNotFoundError as exc:
         raise DataError(f"missing split file: {exc}") from exc
+    except OSError as exc:
+        raise DataError(f"cannot read split file: {exc}") from exc
+    return store, build_priori(store, cfg.priori_base)
 
 
 def _resolved_config(cfg: TrainConfig, io: dict) -> dict:
@@ -174,41 +180,23 @@ def cmd_train(args) -> int:
     out_dir = io.get("output_dir")
     if not out_dir:
         raise ConfigError("config key output_dir is required")
-    store = _load_store(io)
-    priori = build_priori(store, cfg.priori_base)
+    store, priori = _load_data(cfg, io)
     _write_resolved(cfg, io, out_dir, args.pretty)
     chash = config_hash(cfg)
-
-    metrics_lines = []
-    timing_lines = []
-
-    def log_fn(record, wall_ms):
-        metrics_lines.append(
-            json.dumps(
-                {
-                    "epoch": record.epoch,
-                    "loss": record.loss,
-                    "valid_mrr": record.valid_mrr,
-                    "config_hash": chash,
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        )
-        timing_lines.append(
-            json.dumps({"epoch": record.epoch, "wall_ms": wall_ms}, sort_keys=True)
-        )
-
     ckpt_path = os.path.join(out_dir, "best.ckpt")
 
     def on_new_best(params, epoch, mrr):
         save_checkpoint(ckpt_path, _resolved_config(cfg, io), params)
 
-    params, history = train(cfg, store, priori, on_new_best=on_new_best, log_fn=log_fn)
+    params, history = train(cfg, store, priori, on_new_best=on_new_best)
     if history.best_epoch is None:
         save_checkpoint(ckpt_path, _resolved_config(cfg, io), params)
-    _atomic_write(os.path.join(out_dir, "metrics.jsonl"), "".join(l + "\n" for l in metrics_lines))
-    _atomic_write(os.path.join(out_dir, "timings.jsonl"), "".join(l + "\n" for l in timing_lines))
+    # Deterministic fields only; wall times go to timings.jsonl.
+    _atomic_write(os.path.join(out_dir, "metrics.jsonl"), "".join(
+        _dump({**asdict(record), "config_hash": chash}, False) for record in history.records))
+    _atomic_write(os.path.join(out_dir, "timings.jsonl"), "".join(
+        json.dumps({"epoch": record.epoch, "wall_ms": ms}, sort_keys=True) + "\n"
+        for record, ms in zip(history.records, history.wall_ms)))
 
     report = evaluate(params, store, "test", cfg.model_config(), priori=priori)
     payload = {
@@ -268,8 +256,7 @@ def cmd_eval(args) -> int:
         cfg, io = load_run_config(args.config, args.set or ())
         check_params(asdict(cfg), params)
     split = args.split or io.get("split", "test")
-    store = _load_store(io)
-    priori = build_priori(store, cfg.priori_base)
+    store, priori = _load_data(cfg, io)
     tic = time.perf_counter()
     report = evaluate(params, store, split, cfg.model_config(), priori=priori)
     payload = {
@@ -304,25 +291,16 @@ def cmd_predict(args) -> int:
     if args.top_k < 0:
         raise ConfigError(f"--top-k must be >= 0, got {args.top_k}")
     cfg, io, params = _params_from_checkpoint(args.checkpoint)
-    store = _load_store(io)
+    store, priori = _load_data(cfg, io)
     vocab = store.vocab
-    if args.head not in vocab.entity_to_id:
-        print(
-            f"unknown entity {args.head!r}; nearest: "
-            + ", ".join(_nearest(args.head, vocab.id_to_entity)),
-            file=sys.stderr,
-        )
-        return EXIT_DATA
-    if args.relation not in vocab.relation_to_id:
-        print(
-            f"unknown relation {args.relation!r}; nearest: "
-            + ", ".join(_nearest(args.relation, vocab.id_to_relation)),
-            file=sys.stderr,
-        )
-        return EXIT_DATA
+    for kind, symbol, ids in (("entity", args.head, vocab.entity_to_id),
+                              ("relation", args.relation, vocab.relation_to_id)):
+        if symbol not in ids:
+            print(f"unknown {kind} {symbol!r}; nearest: " + ", ".join(_nearest(symbol, ids)),
+                  file=sys.stderr)
+            return EXIT_DATA
     h = vocab.entity_to_id[args.head]
     r = vocab.relation_to_id[args.relation]
-    priori = build_priori(store, cfg.priori_base)
     logits, _ = forward_batch(
         np.array([h]), np.array([r]), params, priori, cfg.model_config(), mode="eval"
     )
@@ -402,8 +380,7 @@ def cmd_ablate(args) -> int:
     cfg, io = load_run_config(args.config, args.set or ())
     modes = (args.modes.split(",") if args.modes is not None
              else io.get("modes", list(ABLATION_MODES)))
-    store = _load_store(io)
-    priori = build_priori(store, cfg.priori_base)
+    store, priori = _load_data(cfg, io)
     rows = run_ablation(cfg, store, priori, modes)
     _emit(cfg, io, "ablation.json", rows, args.pretty)
     return EXIT_OK
@@ -417,8 +394,7 @@ def cmd_sweep(args) -> int:
         fractions = [float(x) for x in raw]
     except ValueError as exc:
         raise ConfigError(f"--fractions expects numbers, got {args.fractions!r}") from exc
-    store = _load_store(io)
-    priori = build_priori(store, cfg.priori_base)
+    store, priori = _load_data(cfg, io)
     rows = run_fraction_sweep(cfg, store, priori, fractions)
     serializable = [{k: v for k, v in row.items() if k != "params"} for row in rows]
     _emit(cfg, io, "sweep.json", serializable, args.pretty)
@@ -427,8 +403,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_search(args) -> int:
     cfg, io = load_run_config(args.config, args.set or ())
-    store = _load_store(io)
-    priori = build_priori(store, cfg.priori_base)
+    store, priori = _load_data(cfg, io)
     best, leaderboard = hyper_search(cfg, store, priori)
     payload = {"best": asdict(best), "best_hash": config_hash(best), "leaderboard": leaderboard}
     _emit(cfg, io, "search.json", payload, args.pretty)
@@ -458,11 +433,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="convd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="flat JSON config file")
-            p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                           help="override a config key")
+    def common(p):
+        p.add_argument("--config", required=True, help="flat JSON config file")
+        p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                       help="override a config key")
         p.add_argument("--pretty", action="store_true", help="indent JSON output")
 
     p = sub.add_parser("train", help="train a model; writes checkpoint, metrics, report")
@@ -539,7 +513,7 @@ def main(argv=None) -> int:
     except ConvDError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -183,6 +183,17 @@ class TestTrainCommand:
                                 output_dir=str(tmp_path / "o"), bogus_key=1)
         assert main(["train", "--config", cfg_path]) == 2
 
+    def test_zero_epochs_writes_an_evaluable_checkpoint(self, tmp_path, toy_dir):
+        out_dir = tmp_path / "o"
+        cfg_path = write_config(tmp_path / "c.json", data_dir=toy_dir,
+                                output_dir=str(out_dir), max_epochs=0)
+        assert main(["train", "--config", cfg_path]) == 0
+        assert (out_dir / "metrics.jsonl").read_bytes() == b""
+        assert (out_dir / "timings.jsonl").read_bytes() == b""
+        assert json.loads((out_dir / "report.json").read_text())["best_epoch"] is None
+        assert main(["eval", "--checkpoint", str(out_dir / "best.ckpt"),
+                     "--out", str(tmp_path / "r.json")]) == 0
+
     def test_missing_data_exits_3(self, tmp_path):
         cfg_path = write_config(tmp_path / "c.json", data_dir=str(tmp_path / "nope"),
                                 output_dir=str(tmp_path / "o"))
@@ -229,6 +240,32 @@ class TestTrainCommand:
         assert main(["train", "--config", cfg_path]) == 0
         resolved = json.loads((tmp_path / "o" / "resolved-config.json").read_text())
         assert resolved["seed"] == 99
+
+
+@pytest.mark.parametrize("case, code", [
+    ("config_is_a_directory", 2), ("config_not_utf8", 2), ("data_dir_is_a_file", 3),
+    ("checkpoint_is_a_directory", 3), ("output_dir_is_a_file", 3),
+    ("eval_out_under_a_file", 3), ("gen_toy_out_is_a_file", 3),
+])
+def test_unusable_path_exits_with_its_code(trained, tmp_path, capsys, case, code):
+    cfg_path, out_dir = trained
+    a_file = tmp_path / "a_file"
+    a_file.write_text("x", encoding="utf-8")
+    (tmp_path / "bad.json").write_bytes(b"\xff\xfe{}")
+    ckpt = os.path.join(out_dir, "best.ckpt")
+    argv = {
+        "config_is_a_directory": ["train", "--config", str(tmp_path)],
+        "config_not_utf8": ["train", "--config", str(tmp_path / "bad.json")],
+        "data_dir_is_a_file": ["train", "--config", cfg_path, "--set", f"data_dir={a_file}"],
+        "checkpoint_is_a_directory": ["eval", "--checkpoint", out_dir],
+        "output_dir_is_a_file": ["train", "--config", cfg_path, "--set", f"output_dir={a_file}"],
+        "eval_out_under_a_file": ["eval", "--checkpoint", ckpt, "--out", f"{a_file}/r.json"],
+        "gen_toy_out_is_a_file": ["gen-toy", "--out", str(a_file), "--entities", "25"],
+    }[case]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error:" if code == 2 else "data error:")
+    assert "Traceback" not in err
 
 
 class TestEvalCommand:

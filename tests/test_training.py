@@ -22,6 +22,7 @@ from convd.training import (
     EpochRecord,
     TrainConfig,
     TrainHistory,
+    _epoch_batches,
     bce_loss,
     config_hash,
     early_stop,
@@ -168,6 +169,33 @@ class TestEarlyStop:
     def test_plateau_counts_as_no_improvement(self):
         h = self.history([0.5, 0.5, 0.5, 0.5])
         assert early_stop(h, patience=3)
+
+    def test_train_stops_early_and_returns_the_best_snapshot(self, small_toy_store):
+        cfg = small_toy_train_config(d_w=4, d_h=4, r_w=2, r_h=2, m=4, k=4, batch_size=16,
+                                     eval_every=1, patience=2, max_epochs=30, seed=1)
+        snapshots = {}
+
+        def on_new_best(params, epoch, mrr):
+            snapshots[epoch] = {n: a.tobytes() for n, a in params.named_arrays().items()}
+
+        params, history = train(cfg, small_toy_store, build_priori(small_toy_store),
+                                on_new_best=on_new_best)
+        assert len(history.records) < cfg.max_epochs
+        assert history.records[-1].epoch == history.best_epoch + cfg.patience
+        returned = {n: a.tobytes() for n, a in params.named_arrays().items()}
+        assert returned == snapshots[history.best_epoch]
+
+
+class TestEpochBatches:
+    def test_trailing_singleton_joins_the_previous_batch(self):
+        bs = 4
+        batches = _epoch_batches(np.arange(2 * bs + 1), bs)
+        assert [len(b) for b in batches] == [bs, bs + 1]
+        assert np.concatenate(batches).tolist() == list(range(2 * bs + 1))
+
+    def test_single_query_stays_one_batch(self):
+        batches = _epoch_batches(np.arange(1), 4)
+        assert [b.tolist() for b in batches] == [[0]]
 
 
 class TestTrain:
