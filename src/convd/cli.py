@@ -13,6 +13,7 @@ CONVD_SEED overrides the config seed.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -124,9 +125,14 @@ def load_run_config(path, overrides=()):
 
 def _atomic_write(path, text: str) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _dump(obj, pretty: bool) -> str:

@@ -3,50 +3,72 @@ ranking, plus the ablation and kernel-fraction sweep runners. The runners
 train through `training.train_each`, so every run's config is checked
 before the first one trains."""
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import PrioriTable, TripleStore, build_priori
-from .errors import ConfigError, DimensionError, StateError
-from .model import ModelConfig, forward_batch
+from .errors import ConfigError, DimensionError, NumericError, StateError
+from .model import ModelConfig, _entity_blocks, forward_batch
+from .numerics import parallel
 
 HITS_LEVELS = (1, 3, 10)
+# Distinct queries per forward pass, and rows per gathered slab of rank_of.
 _EVAL_BATCH = 256
 
 
-def rank_of(scores: np.ndarray, true_ids, rows, cols) -> np.ndarray:
-    """Filtered tie-average rank of each row's true entity.
+def rank_of(scores: np.ndarray, true_ids, rows, cols, query_rows) -> np.ndarray:
+    """Filtered tie-average rank of each query's true entity.
 
-    scores is (B, N) and true_ids (B,). The cells (rows[i], cols[i]) name
-    known-true competitors, which are removed; a cell may repeat, and a cell
-    on its row's true entity is ignored. rank = 1 + strictly-better +
-    ties/2, so a constant scorer does not rank everything first. Both counts
-    are taken over the whole row, minus the same counts over the distinct
-    filtered cells, so no masked copy of the scores is made.
+    scores is (D, N), one row per distinct query, and is consumed: the known
+    cells (rows[j], cols[j]) are overwritten with -inf in place; a cell may
+    repeat. Query i ranks true_ids[i] in row query_rows[i], so queries may
+    share a row. rank = 1 + strictly-better + ties/2, so a constant scorer
+    does not rank everything first; a query's own true cell is neither,
+    known or not. True scores must be finite, as masked cells read -inf.
+
+    Both counts are taken per model entity block of columns, one task each
+    through `parallel`, and summed; the integer counts make the ranks exact
+    at any worker count. Rows shared by several queries are gathered at
+    most _EVAL_BATCH at a time; rows in query order are read in place.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    true_ids = np.asarray(true_ids)
-    b, n = scores.shape
-    bad = (true_ids < 0) | (true_ids >= n)
-    if bad.any():
-        raise DimensionError(f"true id {true_ids[bad][0]} out of range")
-    s_true = scores[np.arange(b), true_ids][:, None]
-    better = np.count_nonzero(scores > s_true, axis=1)
-    ties = np.count_nonzero(scores == s_true, axis=1) - 1  # exclude the true entity
+    true_ids = np.asarray(true_ids, dtype=np.int64)
+    query_rows = np.asarray(query_rows, dtype=np.int64)
+    d, n = scores.shape
+    if query_rows.shape != true_ids.shape:
+        raise DimensionError(f"{query_rows.shape[0]} query rows for {true_ids.shape[0]} true ids")
+    for name, ids, size in (("true id", true_ids, n), ("query row", query_rows, d)):
+        bad = (ids < 0) | (ids >= size)
+        if bad.any():
+            raise DimensionError(f"{name} {ids[bad][0]} out of range")
+    s_true = scores[query_rows, true_ids]
+    if not np.all(np.isfinite(s_true)):
+        raise NumericError("non-finite true score")
+    scores[rows, cols] = -np.inf
+    # A true cell left unmasked (not a known cell) ties with itself.
+    unmasked = scores[query_rows, true_ids] == s_true
 
-    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
-    keep = cols != true_ids[rows]
-    # Distinct cells by a sort and a neighbour compare; np.unique took over
-    # ten times as long on an eval_dense chunk.
-    cells = np.sort(rows[keep] * n + cols[keep])
-    distinct = np.ones(cells.shape, dtype=bool)
-    np.not_equal(cells[1:], cells[:-1], out=distinct[1:])
-    rows, cols = np.divmod(cells[distinct], n)
-    competitor, ref = scores[rows, cols], s_true[rows, 0]
-    better -= np.bincount(rows[competitor > ref], minlength=b)
-    ties -= np.bincount(rows[competitor == ref], minlength=b)
-    return 1.0 + better + ties / 2.0
+    b = true_ids.shape[0]
+    in_place = b == d and np.array_equal(query_rows, np.arange(d))
+    blocks = _entity_blocks(n)
+    # int32 sums: count_nonzero's int64 sums took twice as long.
+    better = np.empty((len(blocks), b), dtype=np.int32)
+    ties = np.empty((len(blocks), b), dtype=np.int32)
+
+    def count(k, lo, hi):
+        for s in range(0, b, _EVAL_BATCH):
+            e = min(s + _EVAL_BATCH, b)
+            block = scores[s:e, lo:hi] if in_place else scores[query_rows[s:e], lo:hi]
+            ref = s_true[s:e, None]
+            better[k, s:e] = np.sum(block > ref, axis=1, dtype=np.int32)
+            ties[k, s:e] = np.sum(block == ref, axis=1, dtype=np.int32)
+
+    # The last and longest block first, so the queue ends on short tasks.
+    parallel([functools.partial(count, k, lo, hi)
+              for k, (lo, hi) in reversed(list(enumerate(blocks)))])
+    return 1.0 + better.sum(axis=0) + (ties.sum(axis=0) - unmasked) / 2.0
 
 
 @dataclass
@@ -81,10 +103,12 @@ def evaluate(params, store: TripleStore, split: str, cfg: ModelConfig,
     directions run as tail queries: (h, r, ?) and (t, r_inv, ?). Within an
     augmented split only original-direction triples are iterated; their
     mirrors would repeat the same two queries. The queries are walked in
-    key order (`QueryIndex`'s key), `_EVAL_BATCH` at a time, and each
-    distinct (head, relation) query of a chunk is scored once; every query
-    is ranked against its row, and the ranks are kept in split order. The
-    priori table is built from the store's train split when not supplied.
+    key order (`QueryIndex`'s key), `_EVAL_BATCH` distinct (head, relation)
+    queries at a time, so each distinct query is scored exactly once. Its
+    logits row is consumed by `rank_of`, which masks the known tails in
+    place and ranks every query of that key against the row, with counts
+    summed per entity block; the ranks are kept in split order. The priori
+    table is built from the store's train split when not supplied.
     """
     if not store.augmented:
         raise StateError("evaluation expects a reciprocal-augmented store")
@@ -100,18 +124,18 @@ def evaluate(params, store: TripleStore, split: str, cfg: ModelConfig,
     true_ids = np.column_stack([t, h]).ravel()
     keys = h_ids * store.known.n_relations + r_ids
     order = np.argsort(keys, kind="stable")
+    # Where each distinct (head, relation) query's run starts in `order`.
+    starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
+    bounds = np.append(starts, order.shape[0])
     ranks = np.empty(h_ids.shape[0], dtype=np.float64)
-    for start in range(0, h_ids.shape[0], _EVAL_BATCH):
-        chunk = order[start:start + _EVAL_BATCH]
-        # First query of each run of equal keys; only those are forwarded.
-        new = np.ones(chunk.shape, dtype=bool)
-        np.not_equal(keys[chunk[1:]], keys[chunk[:-1]], out=new[1:])
-        first = chunk[new]
-        logits, _ = forward_batch(h_ids[first], r_ids[first], params, priori, cfg, mode="eval")
-        if first.shape[0] < chunk.shape[0]:  # the B x N copy only where a query repeats
-            logits = logits[np.cumsum(new) - 1]
-        rows, cols = store.known.cells(h_ids[chunk], r_ids[chunk])
-        ranks[chunk] = rank_of(logits, true_ids[chunk], rows, cols)
+    for lo in range(0, starts.shape[0], _EVAL_BATCH):
+        hi = min(lo + _EVAL_BATCH, starts.shape[0])
+        first = order[starts[lo:hi]]
+        chunk = order[bounds[lo]:bounds[hi]]
+        query_rows = np.repeat(np.arange(hi - lo), np.diff(bounds[lo:hi + 1]))
+        logits = forward_batch(h_ids[first], r_ids[first], params, priori, cfg, mode="eval")[0]
+        rows, cols = store.known.cells(h_ids[first], r_ids[first])
+        ranks[chunk] = rank_of(logits, true_ids[chunk], rows, cols, query_rows)
     tail, head = ranks[0::2], ranks[1::2]
 
     combined = _summarize(np.concatenate([tail, head]))

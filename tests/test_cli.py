@@ -245,12 +245,13 @@ class TestTrainCommand:
 @pytest.mark.parametrize("case, code", [
     ("config_is_a_directory", 2), ("config_not_utf8", 2), ("data_dir_is_a_file", 3),
     ("checkpoint_is_a_directory", 3), ("output_dir_is_a_file", 3),
-    ("eval_out_under_a_file", 3), ("gen_toy_out_is_a_file", 3),
+    ("eval_out_under_a_file", 3), ("eval_out_is_a_directory", 3), ("gen_toy_out_is_a_file", 3),
 ])
 def test_unusable_path_exits_with_its_code(trained, tmp_path, capsys, case, code):
     cfg_path, out_dir = trained
     a_file = tmp_path / "a_file"
     a_file.write_text("x", encoding="utf-8")
+    (tmp_path / "a_dir").mkdir()
     (tmp_path / "bad.json").write_bytes(b"\xff\xfe{}")
     ckpt = os.path.join(out_dir, "best.ckpt")
     argv = {
@@ -260,9 +261,11 @@ def test_unusable_path_exits_with_its_code(trained, tmp_path, capsys, case, code
         "checkpoint_is_a_directory": ["eval", "--checkpoint", out_dir],
         "output_dir_is_a_file": ["train", "--config", cfg_path, "--set", f"output_dir={a_file}"],
         "eval_out_under_a_file": ["eval", "--checkpoint", ckpt, "--out", f"{a_file}/r.json"],
+        "eval_out_is_a_directory": ["eval", "--checkpoint", ckpt, "--out", str(tmp_path / "a_dir")],
         "gen_toy_out_is_a_file": ["gen-toy", "--out", str(a_file), "--entities", "25"],
     }[case]
     assert main(argv) == code
+    assert not list(tmp_path.glob("*.tmp.*"))  # a failed write leaves no temp file
     err = capsys.readouterr().err
     assert err.startswith("config error:" if code == 2 else "data error:")
     assert "Traceback" not in err

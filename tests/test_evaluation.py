@@ -5,7 +5,7 @@ import pytest
 
 from convd.data import augment_reciprocal, build_priori, generate_toy_kg
 from convd import evaluation
-from convd.errors import DimensionError, StateError
+from convd.errors import DimensionError, NumericError, StateError
 from convd.evaluation import (
     evaluate,
     rank_of,
@@ -13,19 +13,43 @@ from convd.evaluation import (
     run_fraction_sweep,
     _summarize,
 )
-from convd.model import forward_batch, init_params
+from convd.model import ENTITY_BLOCK, _entity_blocks, forward_batch, init_params
 from convd.rng import RngStream
 
-from conftest import make_store, many_to_many_rows, small_toy_train_config
+from conftest import make_store, many_to_many_rows, small_toy_train_config, worker_counts
 from oracles import constant_scorer_mrr, oracle_evaluate, oracle_rank
 
 
 def rank_one(scores, true_id, filter_out):
-    """rank_of on a one-row chunk: the rank of one score vector."""
+    """rank_of on a one-row chunk: the rank of one score vector, which
+    rank_of consumes, so it gets a copy."""
     cols = np.array(sorted(filter_out), dtype=np.int64)
-    ranks = rank_of(np.asarray(scores)[None, :], np.array([true_id]),
-                    np.zeros_like(cols), cols)
+    ranks = rank_of(np.array(scores, dtype=np.float64)[None, :], np.array([true_id]),
+                    np.zeros_like(cols), cols, [0])
     return float(ranks[0])
+
+
+def random_chunk(rng, n_rows, n, n_queries):
+    """Coarse-grid (n_rows, n) scores, so ties are common, and n_queries
+    queries: one per row, then rows drawn again, so rows are shared. Each
+    row filters 0 to n cells drawn with replacement, so cells repeat and
+    may land on a true entity; row 0 also filters every entity. Returns
+    (scores, true_ids, rows, cols, query_rows)."""
+    scores = np.round(rng.random((n_rows, n)), 1)
+    query_rows = np.concatenate([np.arange(n_rows),
+                                 rng.integers(0, n_rows, size=n_queries - n_rows)])
+    true_ids = rng.integers(0, n, size=n_queries)
+    per_row = rng.integers(0, n + 1, size=n_rows)
+    rows = np.concatenate([np.repeat(np.arange(n_rows), per_row), np.zeros(n, dtype=np.int64)])
+    cols = np.concatenate([rng.integers(0, n, size=per_row.sum()), np.arange(n)])
+    order = rng.permutation(rows.size)
+    return scores, true_ids, rows[order], cols[order], query_rows
+
+
+def oracle_ranks(scores, true_ids, rows, cols, query_rows):
+    """oracle_rank of each query of a chunk, against its row's cells."""
+    return [oracle_rank(scores[q], t, set(cols[rows == q].tolist()) - {t})
+            for q, t in zip(query_rows.tolist(), true_ids.tolist())]
 
 
 class TestRankOf:
@@ -64,25 +88,44 @@ class TestRankOf:
     @pytest.mark.parametrize("n_rows", [1, 2, 257])
     def test_chunk_matches_per_row_oracle(self, n_rows):
         rng = np.random.default_rng(n_rows)
-        n = 15
-        scores = np.round(rng.random((n_rows, n)), 1)  # coarse grid forces ties
-        true_ids = rng.integers(0, n, size=n_rows)
-        # 0 to n draws per row, with replacement, so cells repeat and may
-        # land on the row's true entity. Row 0 also filters every entity.
-        per_row = rng.integers(0, n + 1, size=n_rows)
-        per_row[0] = n
-        rows = np.repeat(np.arange(n_rows), per_row)
-        cols = rng.integers(0, n, size=rows.size)
-        rows = np.concatenate([rows, np.zeros(n, dtype=np.int64)])
-        cols = np.concatenate([cols, np.arange(n)])
-        order = rng.permutation(rows.size)
-        rows, cols = rows[order], cols[order]
-        assert rows.size > len(set(zip(rows.tolist(), cols.tolist())))
-        got = rank_of(scores, true_ids, rows, cols)
-        assert got.shape == (n_rows,)
-        for i in range(n_rows):
-            filt = set(cols[rows == i].tolist()) - {int(true_ids[i])}
-            assert got[i] == oracle_rank(scores[i], int(true_ids[i]), filt)
+        chunk = random_chunk(rng, n_rows, 15, 3 * n_rows)
+        scores, true_ids, rows, cols, query_rows = chunk
+        cells = set(zip(rows.tolist(), cols.tolist()))
+        assert rows.size > len(cells)
+        # Some true cells are known cells; beyond the fully filtered row 0,
+        # some are not.
+        known = [(q, t) in cells for q, t in zip(query_rows.tolist(), true_ids.tolist())]
+        assert any(known) and (n_rows == 1 or not all(known))
+        got = rank_of(scores.copy(), true_ids, rows, cols, query_rows)
+        assert got.tolist() == oracle_ranks(*chunk)
+
+    def test_scores_are_consumed(self):
+        scores = np.array([[0.5, 0.7, 0.1]])
+        assert rank_of(scores, [0], [0, 0], [1, 1], [0])[0] == 1.0
+        assert scores.tolist() == [[0.5, -np.inf, 0.1]]
+
+    @pytest.mark.parametrize("true_ids, query_rows", [
+        ([0, 1], [0, 2]), ([0, 1], [-1, 0]), ([0, 1], [0]), ([0], [0, 1]),
+    ], ids=["row_past_end", "negative_row", "too_few_rows", "too_many_rows"])
+    def test_query_rows_checked(self, true_ids, query_rows):
+        with pytest.raises(DimensionError):
+            rank_of(np.zeros((2, 3)), true_ids, [], [], query_rows)
+
+    def test_non_finite_true_score(self):
+        with pytest.raises(NumericError):
+            rank_of(np.array([[0.1, -np.inf]]), [1], [], [], [0])
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["gathered", "in_place"])
+    def test_entity_blocks_match_oracle_at_any_worker_count(self, monkeypatch, shared):
+        # Three entity blocks; shared rows are gathered in two slabs.
+        rng = np.random.default_rng(5)
+        n_rows = 24 if shared else 40
+        n_queries = evaluation._EVAL_BATCH + 24 if shared else n_rows
+        chunk = random_chunk(rng, n_rows, 3 * ENTITY_BLOCK + 37, n_queries)
+        assert len(_entity_blocks(chunk[0].shape[1])) == 3
+        want = oracle_ranks(*chunk)
+        for _ in worker_counts(monkeypatch, (1, 2, 3)):
+            assert rank_of(chunk[0].copy(), *chunk[1:]).tolist() == want
 
 
 class TestSummaries:
@@ -179,30 +222,28 @@ class TestEvaluate:
         assert chunked.as_dict() == whole.as_dict()
 
     @pytest.mark.parametrize("batch", [evaluation._EVAL_BATCH, 7])
-    def test_each_distinct_query_is_forwarded_once_per_chunk(self, many_to_many_store,
-                                                             monkeypatch, batch):
-        # At 7, runs of equal keys cross chunk boundaries and are forwarded
-        # once in each chunk they reach.
+    def test_each_distinct_query_is_forwarded_once(self, many_to_many_store, monkeypatch,
+                                                   batch):
         store = many_to_many_store
         cfg, params, priori = model_for(store)
         forwarded = []
 
-        def counting_forward(h_ids, *args, **kwargs):
-            forwarded.append(len(h_ids))
-            return forward_batch(h_ids, *args, **kwargs)
+        def counting_forward(h_ids, r_ids, *args, **kwargs):
+            forwarded.append(list(zip(h_ids.tolist(), r_ids.tolist())))
+            return forward_batch(h_ids, r_ids, *args, **kwargs)
 
         monkeypatch.setattr(evaluation, "forward_batch", counting_forward)
         monkeypatch.setattr(evaluation, "_EVAL_BATCH", batch)
         report = evaluate(params, store, "test", cfg, priori=priori)
 
         base = store.n_base_relations
-        h, r, t = store.test[store.test[:, 1] < base].T
-        keys = np.column_stack([h * store.n_relations + r,
-                                t * store.n_relations + r + base]).ravel()
-        keys = np.sort(keys)
-        want = [np.unique(keys[i:i + batch]).size for i in range(0, keys.size, batch)]
-        assert forwarded == want
-        assert sum(forwarded) < report.n_queries == keys.size
+        h, r, t = store.test[store.test[:, 1] < base].T.tolist()
+        distinct = set(zip(h, r)) | {(tail, rel + base) for tail, rel in zip(t, r)}
+        rows = [query for call in forwarded for query in call]
+        assert sorted(rows) == sorted(distinct)
+        assert max(len(call) for call in forwarded) <= batch
+        assert len(forwarded) == -(-len(distinct) // batch)
+        assert len(rows) < report.n_queries
 
     def test_reciprocal_coverage(self, eval_store, eval_setup):
         cfg, params, priori = eval_setup
