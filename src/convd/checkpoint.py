@@ -8,6 +8,7 @@ model.param_layout under the stored config. The manifest maps array name ->
 a single row. Round trips are bit-exact.
 """
 
+import contextlib
 import json
 import os
 from dataclasses import fields
@@ -52,6 +53,21 @@ def check_params(config: dict, params: ModelParams) -> dict:
     return _check_layout(config, {name: _stored_shape(a.shape) for name, a in arrays.items()})
 
 
+def atomic_write(path, data) -> None:
+    """Writes the bytes `data` to `path` through `<path>.tmp.<pid>` and one
+    os.replace, so `path` never holds a partial file. On any failure the
+    temporary file is removed and the error re-raised."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def save_checkpoint(path, config: dict, params: ModelParams) -> None:
     """Writes `params` with `config` as the stored config, which must imply
     their layout, so that every saved file loads."""
@@ -60,23 +76,17 @@ def save_checkpoint(path, config: dict, params: ModelParams) -> None:
     offset = 0
     blobs = []
     for name in check_params(config, params):
-        arr = np.ascontiguousarray(arrays[name], dtype=np.float64)
+        arr = np.ascontiguousarray(arrays[name], dtype="<f8")
         manifest[name] = _stored_shape(arr.shape) + [offset]
-        blob = arr.astype("<f8", copy=False).tobytes()
-        blobs.append(blob)
-        offset += len(blob)
+        blobs.append(arr)
+        offset += arr.nbytes
     header = json.dumps(
         {"format_version": FORMAT_VERSION, "config": config, "manifest": manifest},
         sort_keys=True,
         separators=(",", ":"),
     )
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(header.encode("utf-8"))
-        fh.write(b"\n")
-        for blob in blobs:
-            fh.write(blob)
-    os.replace(tmp, path)
+    # The arrays join through their buffers: one copy of the parameters.
+    atomic_write(path, b"".join([header.encode("utf-8"), b"\n", *blobs]))
 
 
 def load_checkpoint(path):

@@ -13,7 +13,6 @@ CONVD_SEED overrides the config seed.
 """
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -21,8 +20,9 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from .checkpoint import check_params, load_checkpoint, save_checkpoint
+from .checkpoint import atomic_write, check_params, load_checkpoint, save_checkpoint
 from .data import (
+    PrioriTable,
     QueryIndex,
     TripleStore,
     augment_reciprocal,
@@ -123,18 +123,6 @@ def load_run_config(path, overrides=()):
     return cfg, io
 
 
-def _atomic_write(path, text: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
-
-
 def _dump(obj, pretty: bool) -> str:
     if pretty:
         return json.dumps(obj, indent=2, sort_keys=True) + "\n"
@@ -165,9 +153,9 @@ def _resolved_config(cfg: TrainConfig, io: dict) -> dict:
 
 def _write_resolved(cfg, io, out_dir, pretty):
     os.makedirs(out_dir, exist_ok=True)
-    _atomic_write(
+    atomic_write(
         os.path.join(out_dir, "resolved-config.json"),
-        _dump(_resolved_config(cfg, io), pretty),
+        _dump(_resolved_config(cfg, io), pretty).encode(),
     )
 
 
@@ -177,7 +165,7 @@ def _emit(cfg, io, name, payload, pretty) -> None:
     out_dir = io.get("output_dir")
     if out_dir:
         _write_resolved(cfg, io, out_dir, pretty)
-        _atomic_write(os.path.join(out_dir, name), _dump(payload, pretty))
+        atomic_write(os.path.join(out_dir, name), _dump(payload, pretty).encode())
     print(_dump(payload, pretty), end="")
 
 
@@ -198,11 +186,13 @@ def cmd_train(args) -> int:
     if history.best_epoch is None:
         save_checkpoint(ckpt_path, _resolved_config(cfg, io), params)
     # Deterministic fields only; wall times go to timings.jsonl.
-    _atomic_write(os.path.join(out_dir, "metrics.jsonl"), "".join(
-        _dump({**asdict(record), "config_hash": chash}, False) for record in history.records))
-    _atomic_write(os.path.join(out_dir, "timings.jsonl"), "".join(
+    atomic_write(os.path.join(out_dir, "metrics.jsonl"), "".join(
+        _dump({**asdict(record), "config_hash": chash}, False) for record in history.records
+    ).encode())
+    atomic_write(os.path.join(out_dir, "timings.jsonl"), "".join(
         json.dumps({"epoch": record.epoch, "wall_ms": ms}, sort_keys=True) + "\n"
-        for record, ms in zip(history.records, history.wall_ms)))
+        for record, ms in zip(history.records, history.wall_ms)
+    ).encode())
 
     report = evaluate(params, store, "test", cfg.model_config(), priori=priori)
     payload = {
@@ -214,7 +204,7 @@ def cmd_train(args) -> int:
         "wall_ms_total": sum(history.wall_ms),
         "environment": run_environment(),
     }
-    _atomic_write(os.path.join(out_dir, "report.json"), _dump(payload, args.pretty))
+    atomic_write(os.path.join(out_dir, "report.json"), _dump(payload, args.pretty).encode())
     return EXIT_OK
 
 
@@ -274,7 +264,7 @@ def cmd_eval(args) -> int:
     }
     out = args.out or os.path.join(io.get("output_dir", "."), f"report-{split}.json")
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-    _atomic_write(out, _dump(payload, args.pretty))
+    atomic_write(out, _dump(payload, args.pretty).encode())
     print(_dump(payload, args.pretty), end="")
     return EXIT_OK
 
@@ -313,7 +303,7 @@ def cmd_predict(args) -> int:
     scores = logits[0]
     order = np.argsort(-scores, kind="stable")
     if args.filter_known:
-        known = QueryIndex.of(store.train, store.n_relations).cells([h], [r])[1]
+        known = priori.index.cells([h], [r])[1]
         order = order[~np.isin(order, known)]
     rows = [{"entity": vocab.id_to_entity[i], "score": float(scores[i])}
             for i in order[: args.top_k or None].tolist()]
@@ -342,16 +332,14 @@ def cmd_gradcheck(args) -> int:
 def gradcheck_table(cfg: TrainConfig, n_entities: int, n_relations: int,
                     h: float = 1e-5, seed_queries: int = 3):
     """Analytic vs central-difference gradients, per parameter block."""
-    from .data import PrioriTable
-
     mcfg = cfg.model_config()
     mcfg.validate()
     rng = RngStream(cfg.seed, "init")
     params = init_params(mcfg, n_entities, n_relations, rng)
-    priori = PrioriTable(
-        freq={(i % n_entities, i % n_relations): i + 1 for i in range(seed_queries)},
-        log_base=cfg.priori_base,
-    )
+    # Train query (i % n_entities, i % n_relations) holds i + 1 triples.
+    train = [(i % n_entities, i % n_relations, 0)
+             for i in range(seed_queries) for _ in range(i + 1)]
+    priori = PrioriTable(QueryIndex.of(np.array(train), n_relations), cfg.priori_base)
     qrng = RngStream(cfg.seed, "gradcheck")
     h_ids = (qrng.uniform(seed_queries) * n_entities).astype(np.int64)
     r_ids = (qrng.uniform(seed_queries) * n_relations).astype(np.int64)

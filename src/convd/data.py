@@ -1,6 +1,7 @@
 """Triple ingestion, vocabularies, reciprocal augmentation, the sorted
-(head, relation) query index, 1-N targets, priori frequency statistics,
-and a deterministic toy graph generator for desk-scale runs.
+(head, relation) query index, 1-N targets, the priori table (counts read
+from the train split's query index), and a deterministic toy graph
+generator for desk-scale runs.
 
 Triple file format: UTF-8, LF line endings, one `head<TAB>relation<TAB>tail`
 per line, no header, tabs forbidden inside symbols.
@@ -103,9 +104,10 @@ def load_triples(path, vocab: Vocab | None = None, strict: bool = True):
 
 @dataclass(frozen=True)
 class QueryIndex:
-    """Triples grouped by (head, relation) query: every triple's key
-    head * n_relations + relation, sorted by one stable argsort, with the
-    tails aligned to it (a duplicate triple repeats its tail)."""
+    """Triples grouped by (head, relation) query: every triple's `key`,
+    sorted by one stable argsort, with the tails aligned to it (a duplicate
+    triple repeats its tail). A query's triples are one run of equal keys,
+    so the run's length is the query's triple count."""
 
     keys: np.ndarray
     tails: np.ndarray
@@ -117,6 +119,10 @@ class QueryIndex:
         order = np.argsort(keys, kind="stable")
         return cls(keys[order], triples[order, 2], n_relations)
 
+    def key(self, h_ids, r_ids) -> np.ndarray:
+        """The key head * n_relations + relation of each query."""
+        return np.asarray(h_ids) * self.n_relations + np.asarray(r_ids)
+
     def groups(self):
         """The distinct queries in key order, as head and relation id
         arrays, and a list holding each query's tails as a list of ints
@@ -126,13 +132,23 @@ class QueryIndex:
         bounds, tails = starts.tolist() + [self.keys.shape[0]], self.tails.tolist()
         return heads, rels, [tails[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
+    def spans(self, h_ids, r_ids):
+        """Where each query's run starts in `keys`, and its length: the
+        query's triple count. A relation id outside [0, n_relations) counts
+        0, as its key could alias another query's; so does a negative head,
+        whose key is negative."""
+        r_ids = np.asarray(r_ids)
+        keys = self.key(h_ids, r_ids)
+        lo = np.searchsorted(self.keys, keys, side="left")
+        counts = np.searchsorted(self.keys, keys, side="right") - lo
+        counts[(r_ids < 0) | (r_ids >= self.n_relations)] = 0
+        return lo, counts
+
     def cells(self, h_ids, r_ids):
         """Every known (row, tail) cell of a batch of (head, relation) queries:
         rows ascend, and a tail repeats as often as its triple does."""
-        keys = np.asarray(h_ids) * self.n_relations + np.asarray(r_ids)
-        lo = np.searchsorted(self.keys, keys, side="left")
-        counts = np.searchsorted(self.keys, keys, side="right") - lo
-        rows = np.repeat(np.arange(keys.shape[0]), counts)
+        lo, counts = self.spans(h_ids, r_ids)
+        rows = np.repeat(np.arange(counts.shape[0]), counts)
         # Cell i of row j sits at lo[j] + (i - first cell of row j).
         first = np.cumsum(counts) - counts
         pos = np.arange(rows.shape[0]) + np.repeat(lo - first, counts)
@@ -240,58 +256,42 @@ def augment_reciprocal(store: TripleStore) -> TripleStore:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class PrioriTable:
-    """Per-(head entity, relation) train-split frequencies, log-smoothed."""
+    """The priori knowledge P(h, r) = log_a(n + 1) of the paper, where n is
+    the number of (h, r, ·) triples in the train split: the length of the
+    query's run in `index`, the train split's `QueryIndex`."""
 
-    freq: dict
+    index: QueryIndex
     log_base: float
 
-    def _smoothed(self, count: int) -> float:
-        # log_a(n+1) as a ratio of base-2 logs; exact for the default a = 2.
-        return math.log2(count + 1) / math.log2(self.log_base)
+    @property
+    def freq(self) -> dict:
+        """(head, relation) -> n for every pair the train split holds, as a
+        dict read from `index`."""
+        heads, rels, tails = self.index.groups()
+        return {(h, r): len(t) for h, r, t in zip(heads.tolist(), rels.tolist(), tails)}
 
     def value(self, h: int, r: int) -> float:
-        return self._smoothed(self.freq.get((int(h), int(r)), 0))
-
-    @functools.cached_property
-    def _index(self):
-        """The keys head * R + relation, sorted, with the value of each,
-        computed once by `value`'s arithmetic; R bounds the table's own
-        relation ids. Built at the first batch lookup."""
-        pairs = np.fromiter(itertools.chain.from_iterable(self.freq), dtype=np.int64,
-                            count=2 * len(self.freq)).reshape(-1, 2)
-        counts = np.fromiter(self.freq.values(), dtype=np.int64, count=len(self.freq))
-        max_head = int(pairs[:, 0].max(initial=-1))
-        n_rel = int(pairs[:, 1].max(initial=-1)) + 1
-        keys = pairs[:, 0] * n_rel + pairs[:, 1]
-        order = np.argsort(keys)
-        distinct, which = np.unique(counts[order], return_inverse=True)
-        vals = np.array([self._smoothed(c) for c in distinct.tolist()], dtype=np.float64)
-        return keys[order], vals[which], max_head, n_rel
+        return float(self.values([h], [r])[0])
 
     def values(self, h_ids, r_ids) -> np.ndarray:
-        """`value` of each (h_ids[i], r_ids[i]), by one searchsorted."""
-        keys, vals, max_head, n_rel = self._index
-        h_ids, r_ids = np.asarray(h_ids), np.asarray(r_ids)
-        out = np.full(h_ids.shape, self._smoothed(0), dtype=np.float64)
-        inside = (h_ids >= 0) & (h_ids <= max_head) & (r_ids >= 0) & (r_ids < n_rel)
-        query = h_ids[inside] * n_rel + r_ids[inside]
-        pos = np.minimum(np.searchsorted(keys, query), keys.shape[0] - 1)
-        found = keys[pos] == query
-        out[np.flatnonzero(inside)[found]] = vals[pos[found]]
-        return out
+        """P of each (h_ids[i], r_ids[i]); 0 where the index counts none."""
+        _, counts = self.index.spans(h_ids, r_ids)
+        # log_a(n+1) as a ratio of base-2 logs, once per count the batch
+        # holds; exact for the default a = 2.
+        present = np.flatnonzero(np.bincount(counts))
+        logs = np.zeros(counts.max(initial=0) + 1)
+        logs[present] = [math.log2(n + 1) for n in present.tolist()]
+        return (logs / math.log2(self.log_base))[counts]
 
 
 def build_priori(store: TripleStore, a: float = 2.0) -> PrioriTable:
-    """Count (head, relation) pairs over the train split only (no leakage)."""
+    """The priori table over the train split's `QueryIndex`; valid and test
+    are never counted, so nothing leaks into P."""
     if not a > 1.0:
         raise ConfigError(f"priori log base must be > 1, got {a}")
-    n_rel = store.n_relations
-    keys, counts = np.unique(store.train[:, 0] * n_rel + store.train[:, 1], return_counts=True)
-    heads, rels = np.divmod(keys, n_rel)
-    freq = dict(zip(zip(heads.tolist(), rels.tolist()), counts.tolist()))
-    return PrioriTable(freq=freq, log_base=a)
+    return PrioriTable(QueryIndex.of(store.train, store.n_relations), a)
 
 
 def smoothed_targets_matrix(queries, positives_by_query, label_smoothing, n_entities):

@@ -122,7 +122,7 @@ def evaluate(params, store: TripleStore, split: str, cfg: ModelConfig,
     h_ids = np.column_stack([h, t]).ravel()
     r_ids = np.column_stack([r, r + base]).ravel()
     true_ids = np.column_stack([t, h]).ravel()
-    keys = h_ids * store.known.n_relations + r_ids
+    keys = store.known.key(h_ids, r_ids)
     order = np.argsort(keys, kind="stable")
     # Where each distinct (head, relation) query's run starts in `order`.
     starts = np.flatnonzero(np.diff(keys[order], prepend=-1))

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 import convd.numerics
-from convd.data import TripleStore, Vocab, augment_reciprocal, build_priori, generate_toy_kg
+from convd.data import (
+    PrioriTable,
+    QueryIndex,
+    TripleStore,
+    Vocab,
+    augment_reciprocal,
+    build_priori,
+    generate_toy_kg,
+)
 from convd.model import ModelConfig, init_params
 from convd.rng import RngStream
 from convd.training import TrainConfig, train
@@ -98,6 +106,14 @@ def make_store(train, valid=(), test=()):
         ).reshape(-1, 3)
 
     return TripleStore(vocab=vocab, train=ids(train), valid=ids(valid), test=ids(test))
+
+
+def priori_table(counts, n_relations, log_base=2.0) -> PrioriTable:
+    """A priori table over a train split that repeats each (head, relation)
+    pair of `counts` as often as its count says, every time with tail 0."""
+    train = [(h, r, 0) for (h, r), n in counts.items() for _ in range(n)]
+    index = QueryIndex.of(np.array(train, dtype=np.int64).reshape(-1, 3), n_relations)
+    return PrioriTable(index, log_base)
 
 
 def many_to_many_rows():

@@ -275,6 +275,15 @@ def oracle_tails_index(triples):
     return index
 
 
+def oracle_pair_counts(triples):
+    """(head, relation) -> number of triples of an (n, 3) id array, one
+    row at a time; a duplicate triple counts each time."""
+    counts = {}
+    for h, r, _ in triples.tolist():
+        counts[(h, r)] = counts.get((h, r), 0) + 1
+    return counts
+
+
 def oracle_tails_by_query(store):
     """(head, relation) -> tails over every split."""
     return oracle_tails_index(np.concatenate([store.train, store.valid, store.test]))

@@ -10,7 +10,6 @@ import pytest
 from convd.checkpoint import load_checkpoint, save_checkpoint
 from convd.cli import gradcheck_table, main
 from convd.data import (
-    PrioriTable,
     augment_reciprocal,
     build_priori,
     generate_toy_kg,
@@ -29,6 +28,7 @@ from convd.training import TrainConfig, train
 from conftest import (
     TINY_ENTITIES,
     TINY_RELATIONS,
+    priori_table,
     rel_err,
     small_toy_train_config,
     tiny_config,
@@ -83,7 +83,7 @@ def test_criterion_02_forward_oracle_100_instances():
             h = int(draw.uniform(1)[0] * TINY_ENTITIES)
             r = int(draw.uniform(1)[0] * TINY_RELATIONS)
             p_hr = float(draw.uniform(1)[0] * 4.0)
-            priori = PrioriTable(freq={(h, r): max(1, int(2**p_hr) - 1)}, log_base=2.0)
+            priori = priori_table({(h, r): max(1, int(2**p_hr) - 1)}, TINY_RELATIONS)
             logits, _ = forward_score(h, r, params, priori, cfg, mode="eval")
             expected = oracle_forward(h, r, arrays_of(params), dims_of(cfg),
                                       priori.value(h, r))

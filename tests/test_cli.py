@@ -10,7 +10,7 @@ import pytest
 
 import convd.cli
 import convd.training
-from convd.checkpoint import load_checkpoint
+from convd.checkpoint import load_checkpoint, save_checkpoint
 from convd.cli import main
 from convd.errors import CheckpointError
 
@@ -244,7 +244,7 @@ class TestTrainCommand:
 
 @pytest.mark.parametrize("case, code", [
     ("config_is_a_directory", 2), ("config_not_utf8", 2), ("data_dir_is_a_file", 3),
-    ("checkpoint_is_a_directory", 3), ("output_dir_is_a_file", 3),
+    ("checkpoint_is_a_directory", 3), ("output_dir_is_a_file", 3), ("best_ckpt_is_a_directory", 3),
     ("eval_out_under_a_file", 3), ("eval_out_is_a_directory", 3), ("gen_toy_out_is_a_file", 3),
 ])
 def test_unusable_path_exits_with_its_code(trained, tmp_path, capsys, case, code):
@@ -253,6 +253,7 @@ def test_unusable_path_exits_with_its_code(trained, tmp_path, capsys, case, code
     a_file.write_text("x", encoding="utf-8")
     (tmp_path / "a_dir").mkdir()
     (tmp_path / "bad.json").write_bytes(b"\xff\xfe{}")
+    (tmp_path / "run" / "best.ckpt").mkdir(parents=True)
     ckpt = os.path.join(out_dir, "best.ckpt")
     argv = {
         "config_is_a_directory": ["train", "--config", str(tmp_path)],
@@ -260,12 +261,15 @@ def test_unusable_path_exits_with_its_code(trained, tmp_path, capsys, case, code
         "data_dir_is_a_file": ["train", "--config", cfg_path, "--set", f"data_dir={a_file}"],
         "checkpoint_is_a_directory": ["eval", "--checkpoint", out_dir],
         "output_dir_is_a_file": ["train", "--config", cfg_path, "--set", f"output_dir={a_file}"],
+        "best_ckpt_is_a_directory": ["train", "--config", cfg_path, "--set", "max_epochs=1",
+                                     "--set", f"output_dir={tmp_path / 'run'}"],
         "eval_out_under_a_file": ["eval", "--checkpoint", ckpt, "--out", f"{a_file}/r.json"],
         "eval_out_is_a_directory": ["eval", "--checkpoint", ckpt, "--out", str(tmp_path / "a_dir")],
         "gen_toy_out_is_a_file": ["gen-toy", "--out", str(a_file), "--entities", "25"],
     }[case]
     assert main(argv) == code
-    assert not list(tmp_path.glob("*.tmp.*"))  # a failed write leaves no temp file
+    # A failed write leaves no temp file, here or in an output directory.
+    assert not list(tmp_path.rglob("*.tmp.*")) and not list(Path(out_dir).glob("*.tmp.*"))
     err = capsys.readouterr().err
     assert err.startswith("config error:" if code == 2 else "data error:")
     assert "Traceback" not in err
@@ -391,23 +395,36 @@ class TestPredictCommand:
         return json.loads(text, parse_constant=reject)
 
     @staticmethod
-    def _first_train_query(toy_dir):
-        """A (head, relation) of the train split and all its train tails."""
-        rows = [line.split("\t") for line in
-                Path(toy_dir, "train.txt").read_text(encoding="utf-8").splitlines()]
-        head, relation, _ = rows[0]
-        return head, relation, {t for h, r, t in rows if (h, r) == (head, relation)}
+    def _many_to_many_query(toy_dir, data):
+        """Copies the toy graph to `data`, giving the first train query two
+        more train tails and a valid tail it has in no split, with the
+        vocabulary unchanged. Returns the query, its train tails and that
+        valid tail."""
+        shutil.copytree(toy_dir, data)
+        rows = [line.split("\t") for name in ("train", "valid", "test") for line in
+                (data / f"{name}.txt").read_text(encoding="utf-8").splitlines()]
+        head, relation, tail = rows[0]
+        seen = {t for h, r, t in rows if (h, r) == (head, relation)}
+        more = sorted({t for _, _, t in rows} - seen)[:3]
+        for name, tails in (("train", more[:2]), ("valid", more[2:])):
+            with open(data / f"{name}.txt", "a", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(f"{head}\t{relation}\t{t}\n" for t in tails)
+        return head, relation, {tail, *more[:2]}, more[2]
 
     @pytest.mark.parametrize("top_k", [0, 5])
-    def test_filter_known_drops_train_tails(self, trained, toy_dir, capsys, top_k):
+    def test_filter_known_drops_train_tails(self, trained, toy_dir, tmp_path, capsys, top_k):
         _, out_dir = trained
-        head, relation, known = self._first_train_query(toy_dir)
-        assert main(["predict", "--checkpoint", os.path.join(out_dir, "best.ckpt"),
-                     "--head", head, "--relation", relation,
+        head, relation, known, valid_tail = self._many_to_many_query(toy_dir, tmp_path / "data")
+        config, params = load_checkpoint(os.path.join(out_dir, "best.ckpt"))
+        ckpt = str(tmp_path / "best.ckpt")
+        save_checkpoint(ckpt, {**config, "data_dir": str(tmp_path / "data")}, params)
+        assert main(["predict", "--checkpoint", ckpt, "--head", head, "--relation", relation,
                      "--top-k", str(top_k), "--filter-known"]) == 0
         rows = self._strict_json(capsys.readouterr().out)
         assert not known & {row["entity"] for row in rows}
         assert len(rows) == (top_k or 40 - len(known))
+        # The filter covers the train split only: a valid tail stays listed.
+        assert top_k or valid_tail in {row["entity"] for row in rows}
         scores = [row["score"] for row in rows]
         assert scores == sorted(scores, reverse=True)
 

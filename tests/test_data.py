@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from convd.data import (
-    PrioriTable,
     QueryIndex,
     TripleStore,
     Vocab,
@@ -19,8 +18,13 @@ from convd.data import (
 )
 from convd.errors import ConfigError, DataError, GenerationError, StateError
 
-from conftest import make_store, many_to_many_rows
-from oracles import oracle_smoothed_targets, oracle_tails_by_query, oracle_tails_index
+from conftest import make_store, many_to_many_rows, priori_table
+from oracles import (
+    oracle_pair_counts,
+    oracle_smoothed_targets,
+    oracle_tails_by_query,
+    oracle_tails_index,
+)
 
 
 def write(tmp_path, name, lines):
@@ -177,15 +181,22 @@ class TestPriori:
         rng = np.random.default_rng(5)
         store = make_store(*many_to_many_rows())
         table = build_priori(store, a=base)
+        counts = oracle_pair_counts(store.train)
         # Heads and relations past every key, and negative ids, are unseen.
-        h_ids = rng.integers(-2, store.n_entities + 3, size=400)
-        r_ids = rng.integers(-2, store.n_relations + 3, size=400)
-        seen = sum((h, r) in table.freq for h, r in zip(h_ids.tolist(), r_ids.tolist()))
-        assert 0 < seen < 400
-        want = np.array([table.value(h, r) for h, r in zip(h_ids, r_ids)], dtype=np.float64)
+        # So is (h, -1) for h >= 1, although its key h * R - 1 is the key of
+        # (h - 1, R - 1); `aliased` holds every h whose (h - 1, R - 1) is seen.
+        n_rel = store.n_relations
+        aliased = [h + 1 for h, r in sorted(counts) if r == n_rel - 1]
+        h_ids = np.concatenate([rng.integers(-2, store.n_entities + 3, size=400), aliased])
+        r_ids = np.concatenate([rng.integers(-2, n_rel + 3, size=400), [-1] * len(aliased)])
+        pairs = list(zip(h_ids.tolist(), r_ids.tolist()))
+        seen = sum(pair in counts for pair in pairs)
+        assert 0 < seen < len(pairs) and aliased
+        want = np.array([math.log2(counts.get(pair, 0) + 1) / math.log2(base) for pair in pairs])
         assert table.values(h_ids, r_ids).tobytes() == want.tobytes()
-        empty = PrioriTable(freq={}, log_base=base)
-        assert empty.values(h_ids, r_ids).tobytes() == np.zeros(400).tobytes()
+        assert [table.value(h, r) for h, r in pairs] == want.tolist()
+        empty = priori_table({}, n_rel, base)
+        assert empty.values(h_ids, r_ids).tobytes() == np.zeros(len(pairs)).tobytes()
 
 
 def train_targets(store, eps, n_entities):

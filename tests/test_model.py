@@ -30,6 +30,7 @@ from convd.training import DROPOUT_LABELS, bce_loss
 from conftest import (
     TINY_ENTITIES,
     TINY_RELATIONS,
+    priori_table,
     rel_err,
     tiny_config,
     tiny_params,
@@ -37,7 +38,7 @@ from conftest import (
 )
 from oracles import BatchNormState, batchnorm_apply, oracle_forward, oracle_plain_conv
 
-PRIORI = PrioriTable(freq={(0, 0): 3, (2, 1): 5, (5, 2): 1, (1, 0): 2}, log_base=2.0)
+PRIORI = priori_table({(0, 0): 3, (2, 1): 5, (5, 2): 1, (1, 0): 2}, TINY_RELATIONS)
 
 
 def arrays_of(params):

@@ -7,7 +7,6 @@ import pytest
 
 import convd.training
 from convd.data import (
-    PrioriTable,
     QueryIndex,
     TripleStore,
     augment_reciprocal,
@@ -33,7 +32,9 @@ from convd.evaluation import evaluate
 
 from conftest import (
     TINY_ENTITIES,
+    TINY_RELATIONS,
     no_training,
+    priori_table,
     rel_err,
     small_toy_train_config,
     tiny_config,
@@ -42,7 +43,7 @@ from conftest import (
 )
 from oracles import oracle_bce
 
-PRIORI = PrioriTable(freq={(0, 0): 2, (1, 1): 1}, log_base=2.0)
+PRIORI = priori_table({(0, 0): 2, (1, 1): 1}, TINY_RELATIONS)
 
 
 class TestBceLoss:
