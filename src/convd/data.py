@@ -3,8 +3,12 @@
 from the train split's query index), and a deterministic toy graph
 generator for desk-scale runs.
 
-Triple file format: UTF-8, LF line endings, one `head<TAB>relation<TAB>tail`
-per line, no header, tabs forbidden inside symbols.
+Triple file format: UTF-8 with an optional leading byte-order mark, LF,
+CRLF or CR line ends, one `head<TAB>relation<TAB>tail` per line, no header,
+tabs forbidden inside symbols; empty lines are skipped. `load_triples`
+decodes and splits a whole file at once, and maps its symbols to ids in
+bulk. Every stable (head, relation) key sort, `QueryIndex.of`'s and
+`evaluate`'s, runs through `stable_key_order`, a 16-bit radix sort.
 """
 
 import functools
@@ -50,39 +54,38 @@ class Vocab:
         return len(self.id_to_relation)
 
 
-def _parse_lines(path):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise DataError(f"{path}:{lineno}: expected head<TAB>relation<TAB>tail")
-                yield parts
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: not valid UTF-8 text ({exc.reason})") from exc
-
-
 def load_triples(path, vocab: Vocab | None = None, strict: bool = True):
     """Load one split file. Returns (vocab, (n, 3) int64 id array).
 
     Without a vocab, symbols are collected and ids assigned lexicographically.
     With one, unseen symbols raise in strict mode (the filtered-evaluation
     convention) and are appended in lexicographic batches otherwise.
+
+    The file is decoded and split whole, so a decode error anywhere is
+    reported before a malformed line; only then is it scanned line by line,
+    to name the first malformed one.
     """
-    rows = list(_parse_lines(path))
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not valid UTF-8 text ({exc.reason})") from exc
+    rows = list(filter(None, lines))
+    if set(map(str.count, rows, itertools.repeat("\t"))) - {2}:
+        lineno = next(i for i, line in enumerate(lines, start=1)
+                      if line and line.count("\t") != 2)
+        raise DataError(f"{path}:{lineno}: expected head<TAB>relation<TAB>tail")
+    del lines
+    # Every row holds two tabs, so the joined rows split into 3n symbols.
+    tokens = "\t".join(rows).split("\t") if rows else []
+    del rows
+    heads, rels, tails = tokens[0::3], tokens[1::3], tokens[2::3]
+    del tokens
     if vocab is None:
-        heads = [h for h, _, _ in rows]
-        rels = [r for _, r, _ in rows]
-        tails = [t for _, _, t in rows]
-        vocab = Vocab.from_symbols(heads + tails, rels)
+        vocab = Vocab.from_symbols(itertools.chain(heads, tails), rels)
     else:
-        new_ents = sorted(
-            {s for h, _, t in rows for s in (h, t) if s not in vocab.entity_to_id}
-        )
-        new_rels = sorted({r for _, r, _ in rows if r not in vocab.relation_to_id})
+        new_ents = sorted(set(heads).union(tails).difference(vocab.entity_to_id))
+        new_rels = sorted(set(rels).difference(vocab.relation_to_id))
         if strict and (new_ents or new_rels):
             sample = (new_ents + new_rels)[0]
             raise DataError(f"{path}: symbol {sample!r} not present in the vocabulary")
@@ -92,22 +95,43 @@ def load_triples(path, vocab: Vocab | None = None, strict: bool = True):
         for r in new_rels:
             vocab.relation_to_id[r] = len(vocab.id_to_relation)
             vocab.id_to_relation.append(r)
-    ids = np.array(
-        [
-            (vocab.entity_to_id[h], vocab.relation_to_id[r], vocab.entity_to_id[t])
-            for h, r, t in rows
-        ],
-        dtype=np.int64,
-    ).reshape(-1, 3)
-    return vocab, ids
+    columns = ((heads, vocab.entity_to_id), (rels, vocab.relation_to_id),
+               (tails, vocab.entity_to_id))
+    return vocab, np.stack(
+        [np.fromiter(map(ids.__getitem__, symbols), np.int64, len(symbols))
+         for symbols, ids in columns],
+        axis=1,
+    )
+
+
+def stable_key_order(keys) -> np.ndarray:
+    """np.argsort(keys, kind="stable") of non-negative integer keys.
+
+    LSD passes of NumPy's stable sort over the keys' 16-bit digits, low
+    digit first; on 16-bit digits that sort is a radix sort. One pass per
+    digit that keys.max() needs, and at least one. A negative key would
+    sort wrongly; the keys of a store's triples are never negative, as
+    `TripleStore` bounds-checks every id.
+    """
+    keys = np.asarray(keys)
+    top = int(keys.max(initial=0))
+    order = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
+    shift = 16
+    while top >> shift:
+        digit = ((keys[order] >> shift) & 0xFFFF).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
 
 
 @dataclass(frozen=True)
 class QueryIndex:
     """Triples grouped by (head, relation) query: every triple's `key`,
-    sorted by one stable argsort, with the tails aligned to it (a duplicate
-    triple repeats its tail). A query's triples are one run of equal keys,
-    so the run's length is the query's triple count."""
+    in the stable order of `stable_key_order` (the order of
+    np.argsort(kind="stable"), by LSD radix passes over 16-bit digits),
+    with the tails aligned to it (a duplicate triple repeats its tail). A
+    query's triples are one run of equal keys, so the run's length is the
+    query's triple count."""
 
     keys: np.ndarray
     tails: np.ndarray
@@ -116,7 +140,7 @@ class QueryIndex:
     @classmethod
     def of(cls, triples, n_relations: int) -> "QueryIndex":
         keys = triples[:, 0] * n_relations + triples[:, 1]
-        order = np.argsort(keys, kind="stable")
+        order = stable_key_order(keys)
         return cls(keys[order], triples[order, 2], n_relations)
 
     def key(self, h_ids, r_ids) -> np.ndarray:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import PrioriTable, TripleStore, build_priori
+from .data import PrioriTable, TripleStore, build_priori, stable_key_order
 from .errors import ConfigError, DimensionError, NumericError, StateError
 from .model import ModelConfig, _entity_blocks, forward_batch
 from .numerics import parallel
@@ -16,6 +16,9 @@ from .numerics import parallel
 HITS_LEVELS = (1, 3, 10)
 # Distinct queries per forward pass, and rows per gathered slab of rank_of.
 _EVAL_BATCH = 256
+# Cells per task of rank_of where it reads whole rows in place: 52 rows of
+# 5000 entities; one task, run inline, for a small table's chunk.
+_SLAB_CELLS = 1 << 18
 
 
 def rank_of(scores: np.ndarray, true_ids, rows, cols, query_rows) -> np.ndarray:
@@ -28,10 +31,12 @@ def rank_of(scores: np.ndarray, true_ids, rows, cols, query_rows) -> np.ndarray:
     does not rank everything first; a query's own true cell is neither,
     known or not. True scores must be finite, as masked cells read -inf.
 
-    Both counts are taken per model entity block of columns, one task each
-    through `parallel`, and summed; the integer counts make the ranks exact
-    at any worker count. Rows shared by several queries are gathered at
-    most _EVAL_BATCH at a time; rows in query order are read in place.
+    Both counts are taken per task through `parallel` and summed; the
+    integer counts make the ranks exact at any worker count. Rows in query
+    order (no row shared) are read in place, each task a slab of whole rows
+    holding at most _SLAB_CELLS cells (at least one row). Otherwise each
+    task gathers at most _EVAL_BATCH queries' rows over one model entity
+    block of columns.
     """
     scores = np.asarray(scores, dtype=np.float64)
     true_ids = np.asarray(true_ids, dtype=np.int64)
@@ -51,23 +56,25 @@ def rank_of(scores: np.ndarray, true_ids, rows, cols, query_rows) -> np.ndarray:
     unmasked = scores[query_rows, true_ids] == s_true
 
     b = true_ids.shape[0]
-    in_place = b == d and np.array_equal(query_rows, np.arange(d))
-    blocks = _entity_blocks(n)
+    if b == d and np.array_equal(query_rows, np.arange(d)):
+        # Rows in query order are read in place, each in one contiguous pass.
+        col_blocks, slab, gather = [(0, n)], max(1, _SLAB_CELLS // n), False
+    else:
+        col_blocks, slab, gather = _entity_blocks(n), _EVAL_BATCH, True
     # int32 sums: count_nonzero's int64 sums took twice as long.
-    better = np.empty((len(blocks), b), dtype=np.int32)
-    ties = np.empty((len(blocks), b), dtype=np.int32)
+    better = np.empty((len(col_blocks), b), dtype=np.int32)
+    ties = np.empty((len(col_blocks), b), dtype=np.int32)
 
-    def count(k, lo, hi):
-        for s in range(0, b, _EVAL_BATCH):
-            e = min(s + _EVAL_BATCH, b)
-            block = scores[s:e, lo:hi] if in_place else scores[query_rows[s:e], lo:hi]
-            ref = s_true[s:e, None]
-            better[k, s:e] = np.sum(block > ref, axis=1, dtype=np.int32)
-            ties[k, s:e] = np.sum(block == ref, axis=1, dtype=np.int32)
+    def count(k, lo, hi, s, e):
+        block = scores[query_rows[s:e], lo:hi] if gather else scores[s:e, lo:hi]
+        ref = s_true[s:e, None]
+        better[k, s:e] = np.sum(block > ref, axis=1, dtype=np.int32)
+        ties[k, s:e] = np.sum(block == ref, axis=1, dtype=np.int32)
 
-    # The last and longest block first, so the queue ends on short tasks.
-    parallel([functools.partial(count, k, lo, hi)
-              for k, (lo, hi) in reversed(list(enumerate(blocks)))])
+    # The last and longest column block first, so the queue ends on short tasks.
+    parallel([functools.partial(count, k, lo, hi, s, min(s + slab, b))
+              for k, (lo, hi) in reversed(list(enumerate(col_blocks)))
+              for s in range(0, b, slab)])
     return 1.0 + better.sum(axis=0) + (ties.sum(axis=0) - unmasked) / 2.0
 
 
@@ -103,12 +110,12 @@ def evaluate(params, store: TripleStore, split: str, cfg: ModelConfig,
     directions run as tail queries: (h, r, ?) and (t, r_inv, ?). Within an
     augmented split only original-direction triples are iterated; their
     mirrors would repeat the same two queries. The queries are walked in
-    key order (`QueryIndex`'s key), `_EVAL_BATCH` distinct (head, relation)
-    queries at a time, so each distinct query is scored exactly once. Its
-    logits row is consumed by `rank_of`, which masks the known tails in
-    place and ranks every query of that key against the row, with counts
-    summed per entity block; the ranks are kept in split order. The priori
-    table is built from the store's train split when not supplied.
+    key order (`QueryIndex`'s key, sorted by `stable_key_order`),
+    `_EVAL_BATCH` distinct (head, relation) queries at a time, so each
+    distinct query is scored exactly once. Its logits row is consumed by
+    `rank_of`, which masks the known tails in place and ranks every query
+    of that key against the row; the ranks are kept in split order. The
+    priori table is built from the store's train split when not supplied.
     """
     if not store.augmented:
         raise StateError("evaluation expects a reciprocal-augmented store")
@@ -123,7 +130,7 @@ def evaluate(params, store: TripleStore, split: str, cfg: ModelConfig,
     r_ids = np.column_stack([r, r + base]).ravel()
     true_ids = np.column_stack([t, h]).ravel()
     keys = store.known.key(h_ids, r_ids)
-    order = np.argsort(keys, kind="stable")
+    order = stable_key_order(keys)
     # Where each distinct (head, relation) query's run starts in `order`.
     starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
     bounds = np.append(starts, order.shape[0])

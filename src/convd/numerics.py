@@ -13,8 +13,9 @@ elements at a time, so each block stays in cache across its passes.
 `parallel` runs tasks over a partition that never depends on the worker
 count: the elementwise passes give each worker a run of whole blocks, and
 their results do not depend on the blocking; the 1-N products in model.py
-and the better/tied counts of evaluation.rank_of split by the fixed
-model.ENTITY_BLOCK. Parameter bytes therefore depend on
+split by the fixed model.ENTITY_BLOCK, and the better/tied counts of
+evaluation.rank_of by fixed row slabs and, for gathered rows, by
+ENTITY_BLOCK too. Parameter bytes therefore depend on
 OPENBLAS_NUM_THREADS, the BLAS build and ENTITY_BLOCK, never on the number
 of workers. Ranks add up integer counts, which are exact in any order,
 so they depend on the logits alone. Tasks run NumPy calls only, so the GIL

@@ -265,6 +265,51 @@ def constant_scorer_mrr(store, split):
     return float(np.mean(rrs))
 
 
+def oracle_load_triples(path, entities=None, relations=None, strict=True):
+    """One triple file read one character at a time: a leading byte-order
+    mark is dropped; CRLF, a lone CR and LF each end a line; an empty line
+    is skipped; any other line must split into three fields on tabs, else
+    ValueError(line number). Without `entities` and `relations` the ids are
+    the symbols' positions in sorted order; with them, an unseen symbol is
+    KeyError(the first, entities before relations) when strict, else the
+    unseen ones are appended, sorted. Returns (entities, relations, list of
+    (head, relation, tail) id tuples)."""
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    if text[:1] == "\ufeff":
+        text = text[1:]
+    lines, current, i = [], "", 0
+    while i < len(text):
+        if text[i] == "\r" or text[i] == "\n":
+            lines.append(current)
+            current = ""
+            if text[i] == "\r" and text[i + 1:i + 2] == "\n":
+                i += 1
+        else:
+            current += text[i]
+        i += 1
+    lines.append(current)
+    rows = []
+    for number, line in enumerate(lines, start=1):
+        if line == "":
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ValueError(number)
+        rows.append(fields)
+    seen_e = {s for h, _, t in rows for s in (h, t)}
+    seen_r = {r for _, r, _ in rows}
+    if entities is None:
+        entities, relations = sorted(seen_e), sorted(seen_r)
+    else:
+        new_e, new_r = sorted(seen_e - set(entities)), sorted(seen_r - set(relations))
+        if strict and (new_e or new_r):
+            raise KeyError((new_e + new_r)[0])
+        entities, relations = entities + new_e, relations + new_r
+    ids = [(entities.index(h), relations.index(r), entities.index(t)) for h, r, t in rows]
+    return entities, relations, ids
+
+
 def oracle_tails_index(triples):
     """(head, relation) -> set of tails of an (n, 3) id array, one numpy row
     at a time; keys and tails are Python ints, and a duplicate triple is

@@ -14,12 +14,14 @@ from convd.data import (
     generate_toy_kg,
     load_triples,
     smoothed_targets_matrix,
+    stable_key_order,
     write_splits,
 )
 from convd.errors import ConfigError, DataError, GenerationError, StateError
 
 from conftest import make_store, many_to_many_rows, priori_table
 from oracles import (
+    oracle_load_triples,
     oracle_pair_counts,
     oracle_smoothed_targets,
     oracle_tails_by_query,
@@ -31,6 +33,58 @@ def write(tmp_path, name, lines):
     path = tmp_path / name
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     return str(path)
+
+
+def write_bytes(tmp_path, name, raw):
+    path = tmp_path / name
+    path.write_bytes(raw)
+    return str(path)
+
+
+# Train files the loader must read as the per-line oracle does.
+ORACLE_FILES = {
+    "blank_lines": b"\n\na\tr\tb\n\n\nb\tr\tc\n\n\n",
+    "crlf": b"a\tr\tb\r\nb\tr\tc\r\n",
+    "lone_cr": b"a\tr\tb\rb\tr\tc\r",
+    "mixed_line_ends": b"\r\na\tr\tb\r\r\nb\ts\tc\n\rc\tr\ta",
+    "no_final_newline": b"a\tr\tb\nb\tr\tc",
+    "duplicates": b"a\tr\tb\na\tr\tb\nb\tr\ta\na\tr\tb\n",
+    "non_ascii_and_spaces": "Zoë\tparent of\tmy entity\n東京\tcapital\tZoë\n".encode(),
+    "empty_fields": b"a\t\tb\n\tr\tc\n\t\t\n",
+    # Only CR and LF end a line; str.splitlines would also break at these.
+    "other_breaks_in_symbols": "a\x0bb\tr\u2028s\tc\x85d\n\x1c\tr\u2028s\te\x0c\n".encode(),
+    "leading_bom": b"\xef\xbb\xbfa\tr\tb\nb\tr\ta\n",
+    "inner_bom": b"a\tr\tb\n\xef\xbb\xbfc\tr\ta\n",
+}
+
+# Later splits over the train file "a r b / b s c", loaded in order with
+# the train vocabulary.
+LATER_SPLITS = {
+    "known_only": [b"b\tr\ta\r\n\r\nc\ts\tb", b"a\ts\tc\n"],
+    "new_entities": [b"a\tr\tz\n0\tr\tb\n", b"y\ts\tz\n"],
+    "new_relation": [b"a\tnew rel\tb\n", b"c\tr\ta\n"],
+    # Strict loads name the unseen entity z, not the relation q before it.
+    "new_entity_and_relation": [b"a\tq\tz\n", b"c\tr\ta\n"],
+    "new_in_test_only": [b"c\tr\ta\n", b"c\tq\tx\n"],
+}
+
+# Malformed files and the physical line each must be reported at.
+MALFORMED_FILES = {
+    # 2 + 1 + 3 tabs: the file's tab total matches three good lines.
+    "two_then_four_fields": (b"a\tr\tb\na\tr\nb\tr\tc\td\n", 2),
+    "after_blank_lines": (b"\n\na\tr\tb\n\n\nonly one field\na\tr\tb\n", 6),
+    "crlf_blank_lines": (b"a\tr\tb\r\n\r\n\rb\tr\n", 4),
+    "last_line_no_newline": (b"a\tr\tb\nb\tr\tc\nc\tr", 3),
+}
+
+
+def assert_matches_oracle(vocab, ids, entities, relations, rows):
+    assert vocab.id_to_entity == entities and vocab.id_to_relation == relations
+    assert vocab.entity_to_id == {e: i for i, e in enumerate(entities)}
+    assert vocab.relation_to_id == {r: i for i, r in enumerate(relations)}
+    assert ids.dtype == np.int64 and ids.shape == (len(rows), 3)
+    assert ids.flags.c_contiguous
+    assert ids.tolist() == [list(row) for row in rows]
 
 
 class TestLoadTriples:
@@ -78,6 +132,54 @@ class TestLoadTriples:
         assert vocab.entity_to_id["z"] == 2
         assert triples[0, 2] == 2
 
+    @pytest.mark.parametrize("raw", ORACLE_FILES.values(), ids=ORACLE_FILES.keys())
+    def test_matches_per_line_oracle(self, tmp_path, raw):
+        path = write_bytes(tmp_path, "train.txt", raw)
+        assert_matches_oracle(*load_triples(path), *oracle_load_triples(path))
+
+    @pytest.mark.parametrize("strict", [True, False], ids=["strict", "non_strict"])
+    @pytest.mark.parametrize("later", LATER_SPLITS.values(), ids=LATER_SPLITS.keys())
+    def test_later_splits_match_per_line_oracle(self, tmp_path, later, strict):
+        train = write_bytes(tmp_path, "train.txt", b"a\tr\tb\nb\ts\tc\n")
+        vocab, _ = load_triples(train)
+        entities, relations, _ = oracle_load_triples(train)
+        for name, raw in zip(("valid.txt", "test.txt"), later):
+            path = write_bytes(tmp_path, name, raw)
+            try:
+                entities, relations, rows = oracle_load_triples(
+                    path, entities, relations, strict)
+            except KeyError as exc:
+                message = f"{path}: symbol {exc.args[0]!r} not present in the vocabulary"
+                with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+                    load_triples(path, vocab, strict=strict)
+                return
+            vocab, ids = load_triples(path, vocab, strict=strict)
+            assert_matches_oracle(vocab, ids, entities, relations, rows)
+
+    @pytest.mark.parametrize("raw, lineno", MALFORMED_FILES.values(), ids=MALFORMED_FILES.keys())
+    def test_malformed_line_names_its_physical_line(self, tmp_path, raw, lineno):
+        path = write_bytes(tmp_path, "train.txt", raw)
+        with pytest.raises(ValueError) as oracle:
+            oracle_load_triples(path)
+        assert oracle.value.args == (lineno,)
+        message = f"{path}:{lineno}: expected head<TAB>relation<TAB>tail"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            load_triples(path)
+
+    def test_decode_error_is_reported_before_a_malformed_line(self, tmp_path):
+        path = write_bytes(tmp_path, "train.txt", b"a\tr\nb\tr\tc\xff\n")
+        message = f"{path}: not valid UTF-8 text (invalid start byte)"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            load_triples(path)
+
+    def test_byte_order_mark_is_not_part_of_the_first_symbol(self, tmp_path):
+        write_bytes(tmp_path, "train.txt", b"\xef\xbb\xbfa\tr\tb\n")
+        write(tmp_path, "valid.txt", ["a\tr\tb"])
+        write(tmp_path, "test.txt", ["b\tr\ta"])
+        store = TripleStore.from_dir(str(tmp_path), strict=True)
+        assert store.vocab.id_to_entity == ["a", "b"]
+        assert store.valid.tolist() == [[0, 0, 1]]
+
     @pytest.mark.skipif(
         "CONVD_FB15K237_DIR" not in os.environ,
         reason="set CONVD_FB15K237_DIR to run against the real dataset",
@@ -88,6 +190,35 @@ class TestLoadTriples:
         assert triples.shape[0] == 272_115
         assert vocab.n_entities == 14_541
         assert vocab.n_relations == 237
+
+
+class TestStableKeyOrder:
+    @pytest.mark.parametrize("top", [2**16 - 1, 2**32 - 1, 2**40],
+                             ids=["one_pass", "two_passes", "three_passes"])
+    def test_equals_stable_argsort(self, top):
+        # 40 distinct keys, the largest `top`, each drawn ~100 times.
+        rng = np.random.default_rng(top % 1000)
+        pool = np.append(rng.integers(0, top, size=39), top)
+        keys = pool[rng.integers(0, pool.size, size=4000)]
+        assert stable_key_order(keys).tolist() == np.argsort(keys, kind="stable").tolist()
+
+    @pytest.mark.parametrize("keys", [[], [7], [0, 0, 0], [2**16, 1, 2**16, 0]],
+                             ids=["empty", "single", "all_zero", "second_digit_ties"])
+    def test_small_inputs(self, keys):
+        keys = np.array(keys, dtype=np.int64)
+        order = stable_key_order(keys)
+        want = np.argsort(keys, kind="stable")
+        assert order.dtype == want.dtype and order.tolist() == want.tolist()
+
+    def test_query_index_of_many_to_many_store_is_unchanged(self):
+        store = augment_reciprocal(make_store(*many_to_many_rows()))
+        triples = np.concatenate([store.train, store.valid, store.test])
+        for rows in (store.train, triples):
+            keys = rows[:, 0] * store.n_relations + rows[:, 1]
+            order = np.argsort(keys, kind="stable")
+            index = QueryIndex.of(rows, store.n_relations)
+            assert index.keys.tolist() == keys[order].tolist()
+            assert index.tails.tolist() == rows[order, 2].tolist()
 
 
 class TestAugment:

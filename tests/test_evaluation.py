@@ -117,11 +117,14 @@ class TestRankOf:
 
     @pytest.mark.parametrize("shared", [True, False], ids=["gathered", "in_place"])
     def test_entity_blocks_match_oracle_at_any_worker_count(self, monkeypatch, shared):
-        # Three entity blocks; shared rows are gathered in two slabs.
+        # Three entity blocks; shared rows are gathered in two slabs per
+        # block, and unshared rows are read in place in three row slabs.
         rng = np.random.default_rng(5)
+        n = 3 * ENTITY_BLOCK + 37
+        monkeypatch.setattr(evaluation, "_SLAB_CELLS", 16 * n + 15)
         n_rows = 24 if shared else 40
         n_queries = evaluation._EVAL_BATCH + 24 if shared else n_rows
-        chunk = random_chunk(rng, n_rows, 3 * ENTITY_BLOCK + 37, n_queries)
+        chunk = random_chunk(rng, n_rows, n, n_queries)
         assert len(_entity_blocks(chunk[0].shape[1])) == 3
         want = oracle_ranks(*chunk)
         for _ in worker_counts(monkeypatch, (1, 2, 3)):
