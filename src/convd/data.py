@@ -7,8 +7,9 @@ Triple file format: UTF-8 with an optional leading byte-order mark, LF,
 CRLF or CR line ends, one `head<TAB>relation<TAB>tail` per line, no header,
 tabs forbidden inside symbols; empty lines are skipped. `load_triples`
 decodes and splits a whole file at once, and maps its symbols to ids in
-bulk. Every stable (head, relation) key sort, `QueryIndex.of`'s and
-`evaluate`'s, runs through `stable_key_order`, a 16-bit radix sort.
+bulk. Every (head, relation) grouping, of a store's triples and of the
+queries `evaluate` ranks alike, is a `QueryIndex.of`, whose stable key
+sort is `stable_key_order`, a 16-bit radix sort.
 """
 
 import functools
@@ -126,14 +127,16 @@ def stable_key_order(keys) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QueryIndex:
-    """Triples grouped by (head, relation) query: every triple's `key`,
+    """Triples grouped by (head, relation) query, each query stored once:
+    `keys` holds the distinct keys head * n_relations + relation in
+    ascending order, and query i's tails are tails[offsets[i]:offsets[i + 1]],
     in the stable order of `stable_key_order` (the order of
-    np.argsort(kind="stable"), by LSD radix passes over 16-bit digits),
-    with the tails aligned to it (a duplicate triple repeats its tail). A
-    query's triples are one run of equal keys, so the run's length is the
-    query's triple count."""
+    np.argsort(kind="stable"), by LSD radix passes over 16-bit digits). A
+    duplicate triple repeats its tail, so a run's length is the query's
+    triple count."""
 
     keys: np.ndarray
+    offsets: np.ndarray
     tails: np.ndarray
     n_relations: int
 
@@ -141,32 +144,35 @@ class QueryIndex:
     def of(cls, triples, n_relations: int) -> "QueryIndex":
         keys = triples[:, 0] * n_relations + triples[:, 1]
         order = stable_key_order(keys)
-        return cls(keys[order], triples[order, 2], n_relations)
+        keys = keys[order]
+        # Runs start at the first key (keys are never negative) and at each new key.
+        starts = np.flatnonzero(np.concatenate([keys[:1] >= 0, keys[1:] != keys[:-1]]))
+        return cls(keys[starts], np.append(starts, len(keys)), triples[:, 2][order], n_relations)
 
-    def key(self, h_ids, r_ids) -> np.ndarray:
-        """The key head * n_relations + relation of each query."""
-        return np.asarray(h_ids) * self.n_relations + np.asarray(r_ids)
+    def queries(self):
+        """The distinct queries in key order, as head and relation id arrays."""
+        return np.divmod(self.keys, self.n_relations)
 
     def groups(self):
-        """The distinct queries in key order, as head and relation id
-        arrays, and a list holding each query's tails as a list of ints
-        (quicker to iterate per batch than array slices)."""
-        starts = np.flatnonzero(np.diff(self.keys, prepend=-1))
-        heads, rels = np.divmod(self.keys[starts], self.n_relations)
-        bounds, tails = starts.tolist() + [self.keys.shape[0]], self.tails.tolist()
-        return heads, rels, [tails[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        """`queries()`, and a list holding each query's tails as a list of
+        ints (quicker to iterate per batch than array slices)."""
+        bounds, tails = self.offsets.tolist(), self.tails.tolist()
+        return (*self.queries(), [tails[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
 
     def spans(self, h_ids, r_ids):
-        """Where each query's run starts in `keys`, and its length: the
+        """Where each query's run starts in `tails`, and its length: the
         query's triple count. A relation id outside [0, n_relations) counts
         0, as its key could alias another query's; so does a negative head,
         whose key is negative."""
         r_ids = np.asarray(r_ids)
-        keys = self.key(h_ids, r_ids)
-        lo = np.searchsorted(self.keys, keys, side="left")
-        counts = np.searchsorted(self.keys, keys, side="right") - lo
-        counts[(r_ids < 0) | (r_ids >= self.n_relations)] = 0
-        return lo, counts
+        keys = np.asarray(h_ids) * self.n_relations + r_ids
+        at = np.searchsorted(self.keys, keys)
+        # A query is found where its insertion point holds its own key;
+        # offsets[at] is valid for every insertion point, the end included.
+        found = (r_ids >= 0) & (r_ids < self.n_relations) & (at < self.keys.shape[0])
+        found[found] = self.keys[at[found]] == keys[found]
+        lo = self.offsets[at]
+        return lo, self.offsets[at + found] - lo
 
     def cells(self, h_ids, r_ids):
         """Every known (row, tail) cell of a batch of (head, relation) queries:
@@ -185,7 +191,8 @@ class TripleStore:
     `known` is the `QueryIndex` of all three splits, which filters evaluation,
     and `tails_by_query` its (head, relation) -> set of tails view, built at
     its first read; both are None before (only augmented stores are trained
-    on or evaluated)."""
+    on or evaluated). `train_index`, the train split's `QueryIndex`, is also
+    built at its first read; training and the priori table share it."""
 
     vocab: Vocab
     train: np.ndarray
@@ -213,6 +220,10 @@ class TripleStore:
             return None
         heads, rels, tails = self.known.groups()
         return {(h, r): set(t) for h, r, t in zip(heads.tolist(), rels.tolist(), tails)}
+
+    @functools.cached_property
+    def train_index(self) -> QueryIndex:
+        return QueryIndex.of(self.train, self.n_relations)
 
     def split(self, name: str) -> np.ndarray:
         try:
@@ -289,16 +300,6 @@ class PrioriTable:
     index: QueryIndex
     log_base: float
 
-    @property
-    def freq(self) -> dict:
-        """(head, relation) -> n for every pair the train split holds, as a
-        dict read from `index`."""
-        heads, rels, tails = self.index.groups()
-        return {(h, r): len(t) for h, r, t in zip(heads.tolist(), rels.tolist(), tails)}
-
-    def value(self, h: int, r: int) -> float:
-        return float(self.values([h], [r])[0])
-
     def values(self, h_ids, r_ids) -> np.ndarray:
         """P of each (h_ids[i], r_ids[i]); 0 where the index counts none."""
         _, counts = self.index.spans(h_ids, r_ids)
@@ -311,11 +312,11 @@ class PrioriTable:
 
 
 def build_priori(store: TripleStore, a: float = 2.0) -> PrioriTable:
-    """The priori table over the train split's `QueryIndex`; valid and test
-    are never counted, so nothing leaks into P."""
+    """The priori table over the store's `train_index`; valid and test are
+    never counted, so nothing leaks into P."""
     if not a > 1.0:
         raise ConfigError(f"priori log base must be > 1, got {a}")
-    return PrioriTable(QueryIndex.of(store.train, store.n_relations), a)
+    return PrioriTable(store.train_index, a)
 
 
 def smoothed_targets_matrix(queries, positives_by_query, label_smoothing, n_entities):

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import PrioriTable, TripleStore, build_priori, stable_key_order
+from .data import PrioriTable, QueryIndex, TripleStore, build_priori
 from .errors import ConfigError, DimensionError, NumericError, StateError
 from .model import ModelConfig, _entity_blocks, forward_batch
 from .numerics import parallel
@@ -109,13 +109,13 @@ def evaluate(params, store: TripleStore, split: str, cfg: ModelConfig,
     Head prediction is realized through the reciprocal relation, so both
     directions run as tail queries: (h, r, ?) and (t, r_inv, ?). Within an
     augmented split only original-direction triples are iterated; their
-    mirrors would repeat the same two queries. The queries are walked in
-    key order (`QueryIndex`'s key, sorted by `stable_key_order`),
-    `_EVAL_BATCH` distinct (head, relation) queries at a time, so each
-    distinct query is scored exactly once. Its logits row is consumed by
-    `rank_of`, which masks the known tails in place and ranks every query
-    of that key against the row; the ranks are kept in split order. The
-    priori table is built from the store's train split when not supplied.
+    mirrors would repeat the same two queries. A `QueryIndex` groups the
+    queries, its tails their positions (every tail query, then every head
+    query); its distinct (head, relation) queries are walked in key order,
+    `_EVAL_BATCH` at a time, so each is scored exactly once. Its logits
+    row is consumed by `rank_of`, which masks the known tails in place and
+    ranks every query of that run against the row. The priori table is
+    built from the store's train split when not supplied.
     """
     if not store.augmented:
         raise StateError("evaluation expects a reciprocal-augmented store")
@@ -123,29 +123,23 @@ def evaluate(params, store: TripleStore, split: str, cfg: ModelConfig,
         priori = build_priori(store, cfg.priori_base)
     triples = store.split(split)
     base = store.n_base_relations
-    h, r, t = triples[triples[:, 1] < base].T
+    original = triples[triples[:, 1] < base]
+    # (head, relation, true id) rows: each (h, r, t), then each (t, r_inv, h).
+    asked = np.concatenate([original, original[:, [2, 1, 0]] + [0, base, 0]])
+    index = QueryIndex.of(np.column_stack([asked[:, :2], np.arange(len(asked))]), store.n_relations)
+    heads, rels = index.queries()
+    ranks = np.empty(len(asked), dtype=np.float64)
+    for lo in range(0, heads.shape[0], _EVAL_BATCH):
+        hi = min(lo + _EVAL_BATCH, heads.shape[0])
+        bounds = index.offsets[lo:hi + 1]
+        chunk = index.tails[bounds[0]:bounds[-1]]
+        query_rows = np.repeat(np.arange(hi - lo), np.diff(bounds))
+        logits = forward_batch(heads[lo:hi], rels[lo:hi], params, priori, cfg, mode="eval")[0]
+        rows, cols = store.known.cells(heads[lo:hi], rels[lo:hi])
+        ranks[chunk] = rank_of(logits, asked[chunk, 2], rows, cols, query_rows)
+    tail, head = np.split(ranks, 2)
 
-    # Two queries per original triple, interleaved: (h, r, ?) then (t, r_inv, ?).
-    h_ids = np.column_stack([h, t]).ravel()
-    r_ids = np.column_stack([r, r + base]).ravel()
-    true_ids = np.column_stack([t, h]).ravel()
-    keys = store.known.key(h_ids, r_ids)
-    order = stable_key_order(keys)
-    # Where each distinct (head, relation) query's run starts in `order`.
-    starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
-    bounds = np.append(starts, order.shape[0])
-    ranks = np.empty(h_ids.shape[0], dtype=np.float64)
-    for lo in range(0, starts.shape[0], _EVAL_BATCH):
-        hi = min(lo + _EVAL_BATCH, starts.shape[0])
-        first = order[starts[lo:hi]]
-        chunk = order[bounds[lo]:bounds[hi]]
-        query_rows = np.repeat(np.arange(hi - lo), np.diff(bounds[lo:hi + 1]))
-        logits = forward_batch(h_ids[first], r_ids[first], params, priori, cfg, mode="eval")[0]
-        rows, cols = store.known.cells(h_ids[first], r_ids[first])
-        ranks[chunk] = rank_of(logits, true_ids[chunk], rows, cols, query_rows)
-    tail, head = ranks[0::2], ranks[1::2]
-
-    combined = _summarize(np.concatenate([tail, head]))
+    combined = _summarize(ranks)
     return MetricsReport(
         mrr=combined["mrr"],
         hits=combined["hits"],

@@ -30,6 +30,7 @@ init, parameter counts and the checkpoint format are derived from them.
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, fields
 from decimal import Decimal
 
@@ -128,6 +129,9 @@ class ModelConfig:
             value = getattr(self, f.name)
             if f.type is float:
                 ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+                # JSON parses NaN, Infinity and ints past the float range.
+                if ok and not abs(value) <= sys.float_info.max:
+                    raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
             elif f.type is int:
                 ok = isinstance(value, int) and not isinstance(value, bool)
             else:

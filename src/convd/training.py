@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import PrioriTable, QueryIndex, TripleStore, smoothed_targets_matrix
+from .data import PrioriTable, TripleStore, smoothed_targets_matrix
 from .errors import ConfigError, NumericError, StateError
 from .model import (
     ModelConfig,
@@ -175,7 +175,7 @@ def train(cfg: TrainConfig, store: TripleStore, priori: PrioriTable,
     if store.train.shape[0] == 0:
         raise ConfigError("empty train split")
 
-    heads, rels, positives = QueryIndex.of(store.train, store.n_relations).groups()
+    heads, rels, positives = store.train_index.groups()
     n_entities = store.n_entities
 
     init_rng = RngStream(cfg.seed, "init")

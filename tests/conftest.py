@@ -116,6 +116,18 @@ def priori_table(counts, n_relations, log_base=2.0) -> PrioriTable:
     return PrioriTable(index, log_base)
 
 
+def priori_freq(table) -> dict:
+    """(head, relation) -> n for every pair the table's train split holds,
+    as a dict read from its index."""
+    heads, rels, tails = table.index.groups()
+    return {(h, r): len(t) for h, r, t in zip(heads.tolist(), rels.tolist(), tails)}
+
+
+def priori_value(table, h: int, r: int) -> float:
+    """P(h, r) of one query, through `PrioriTable.values`."""
+    return float(table.values([h], [r])[0])
+
+
 def many_to_many_rows():
     """Several tails per (head, relation) and several heads per tail, dealt
     round-robin to train/valid/test."""

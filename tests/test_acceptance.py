@@ -28,7 +28,9 @@ from convd.training import TrainConfig, train
 from conftest import (
     TINY_ENTITIES,
     TINY_RELATIONS,
+    priori_freq,
     priori_table,
+    priori_value,
     rel_err,
     small_toy_train_config,
     tiny_config,
@@ -86,7 +88,7 @@ def test_criterion_02_forward_oracle_100_instances():
             priori = priori_table({(h, r): max(1, int(2**p_hr) - 1)}, TINY_RELATIONS)
             logits, _ = forward_score(h, r, params, priori, cfg, mode="eval")
             expected = oracle_forward(h, r, arrays_of(params), dims_of(cfg),
-                                      priori.value(h, r))
+                                      priori_value(priori, h, r))
             assert rel_err(logits, expected) <= 1e-10, trial
 
 
@@ -299,8 +301,8 @@ def test_criterion_12_priori_correctness():
             (eid["e2"], rid["r1"]): 1,
             (eid["e0"], rid["r1"]): 1,
         }
-        assert t_bare.freq == hand_tally
-        assert t_leaky.freq == hand_tally  # same entity/relation ids by construction
-        assert t_bare.value(eid["e0"], rid["r0"]) == math.log2(3)
-        assert t_bare.value(eid["e1"], rid["r0"]) == 1.0
-        assert t_bare.value(eid["e2"], rid["r0"]) == 0.0
+        assert priori_freq(t_bare) == hand_tally
+        assert priori_freq(t_leaky) == hand_tally  # same entity/relation ids by construction
+        assert priori_value(t_bare, eid["e0"], rid["r0"]) == math.log2(3)
+        assert priori_value(t_bare, eid["e1"], rid["r0"]) == 1.0
+        assert priori_value(t_bare, eid["e2"], rid["r0"]) == 0.0

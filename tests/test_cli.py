@@ -134,6 +134,9 @@ class TestTrainCommand:
         # Read by search, which rejects them before it trains anything.
         'grid={"d_e":16}', 'grid={"lr":"fast"}', 'grid={"ablation":["full","no_priori"]}',
         'grid={"m":[4,9]}',
+        # JSON and --set parse these; a float field must be finite.
+        "lr=NaN", "lr=Infinity", "priori_weight=NaN", "priori_weight=Infinity",
+        "priori_base=Infinity",
     ])
     def test_mistyped_value_exits_2(self, tmp_path, toy_dir, capsys, override):
         cfg_path = write_config(tmp_path / "c.json", data_dir=toy_dir,
@@ -141,7 +144,7 @@ class TestTrainCommand:
         command = "search" if override.startswith("grid=") else "train"
         assert main([command, "--config", cfg_path, "--set", override]) == 2
         err = capsys.readouterr().err
-        assert "config error:" in err
+        assert "config error:" in err and "Traceback" not in err
         if command == "search":
             key = next(iter(json.loads(override.partition("=")[2])))
             assert f"grid key {key!r}" in err

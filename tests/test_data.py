@@ -19,7 +19,7 @@ from convd.data import (
 )
 from convd.errors import ConfigError, DataError, GenerationError, StateError
 
-from conftest import make_store, many_to_many_rows, priori_table
+from conftest import make_store, many_to_many_rows, priori_freq, priori_table, priori_value
 from oracles import (
     oracle_load_triples,
     oracle_pair_counts,
@@ -211,13 +211,18 @@ class TestStableKeyOrder:
         assert order.dtype == want.dtype and order.tolist() == want.tolist()
 
     def test_query_index_of_many_to_many_store_is_unchanged(self):
+        # Each distinct key once, its run starting where the key first
+        # appears in stable argsort order, and the tails in that order.
         store = augment_reciprocal(make_store(*many_to_many_rows()))
         triples = np.concatenate([store.train, store.valid, store.test])
         for rows in (store.train, triples):
             keys = rows[:, 0] * store.n_relations + rows[:, 1]
             order = np.argsort(keys, kind="stable")
+            distinct, starts = np.unique(keys[order], return_index=True)
+            assert distinct.size < rows.shape[0]
             index = QueryIndex.of(rows, store.n_relations)
-            assert index.keys.tolist() == keys[order].tolist()
+            assert index.keys.tolist() == distinct.tolist()
+            assert index.offsets.tolist() == starts.tolist() + [rows.shape[0]]
             assert index.tails.tolist() == rows[order, 2].tolist()
 
 
@@ -263,12 +268,12 @@ class TestAugment:
 class TestPriori:
     def test_unseen_pair_is_zero(self):
         table = build_priori(make_store([("a", "r", "b")]), a=2.0)
-        assert table.value(99, 99) == 0.0
+        assert priori_value(table, 99, 99) == 0.0
 
     def test_log2_of_four(self):
         store = make_store([("a", "r", "b")] * 3)
         table = build_priori(store, a=2.0)
-        assert table.value(store.vocab.entity_to_id["a"], 0) == pytest.approx(2.0)
+        assert priori_value(table, store.vocab.entity_to_id["a"], 0) == pytest.approx(2.0)
 
     def test_five_triple_hand_tally(self):
         rows = [
@@ -282,13 +287,13 @@ class TestPriori:
         table = build_priori(store, a=3.0)
         eid = store.vocab.entity_to_id
         rid = store.vocab.relation_to_id
-        assert table.freq == {
+        assert priori_freq(table) == {
             (eid["e0"], rid["r0"]): 2,
             (eid["e1"], rid["r0"]): 1,
             (eid["e2"], rid["r1"]): 1,
             (eid["e0"], rid["r1"]): 1,
         }
-        assert table.value(eid["e0"], rid["r0"]) == pytest.approx(math.log(3, 3))
+        assert priori_value(table, eid["e0"], rid["r0"]) == pytest.approx(math.log(3, 3))
 
     def test_no_leakage_from_valid_and_test(self):
         train = [("a", "r", "b"), ("b", "r", "c")]
@@ -299,7 +304,7 @@ class TestPriori:
         def by_name(store, table):
             return {
                 (store.vocab.id_to_entity[h], store.vocab.id_to_relation[r]): c
-                for (h, r), c in table.freq.items()
+                for (h, r), c in priori_freq(table).items()
             }
         assert by_name(with_eval, t1) == by_name(without, build_priori(without))
 
@@ -325,7 +330,7 @@ class TestPriori:
         assert 0 < seen < len(pairs) and aliased
         want = np.array([math.log2(counts.get(pair, 0) + 1) / math.log2(base) for pair in pairs])
         assert table.values(h_ids, r_ids).tobytes() == want.tobytes()
-        assert [table.value(h, r) for h, r in pairs] == want.tolist()
+        assert [priori_value(table, h, r) for h, r in pairs] == want.tolist()
         empty = priori_table({}, n_rel, base)
         assert empty.values(h_ids, r_ids).tobytes() == np.zeros(len(pairs)).tobytes()
 
@@ -333,7 +338,7 @@ class TestPriori:
 def train_targets(store, eps, n_entities):
     """Sorted train queries and their smoothed 1-N target rows, as training
     builds them: positions into the train index's groups."""
-    heads, rels, positives = QueryIndex.of(store.train, store.n_relations).groups()
+    heads, rels, positives = store.train_index.groups()
     queries = list(zip(heads.tolist(), rels.tolist()))
     return queries, smoothed_targets_matrix(range(len(queries)), positives, eps, n_entities)
 
@@ -420,16 +425,23 @@ STORE_IDS = ["duplicates_across_splits", "augmented_toy", "many_to_many"]
 
 
 def assert_index_matches(index, n_triples, want):
-    """`index` holds one cell per triple, keyed head * R + relation and
-    sorted, and groups them as the dict oracle `want` does; `cells`
-    expands a batch of queries, one with no triple included."""
-    assert index.keys.shape == index.tails.shape == (n_triples,)
-    assert np.all(np.diff(index.keys) >= 0)
-    expanded = {}
-    for key, tail in zip(index.keys.tolist(), index.tails.tolist()):
-        expanded.setdefault(divmod(key, index.n_relations), set()).add(tail)
+    """`index` holds each query once, keyed head * R + relation and sorted,
+    with one tail per triple in the query's run, and groups them as the
+    dict oracle `want` does, through its fields and through `groups`;
+    `cells` expands a batch of queries, one with no triple included."""
+    assert index.keys.shape == (len(want),) and index.tails.shape == (n_triples,)
+    assert np.all(np.diff(index.keys) > 0)
+    assert index.offsets.shape == (len(want) + 1,) and np.all(np.diff(index.offsets) > 0)
+    assert index.offsets[0] == 0 and index.offsets[-1] == n_triples
+    bounds = index.offsets.tolist()
+    expanded = {divmod(key, index.n_relations): set(index.tails[lo:hi].tolist())
+                for key, lo, hi in zip(index.keys.tolist(), bounds, bounds[1:])}
     assert expanded == want
-    queries = sorted(want, reverse=True) + [(max(h for h, _ in want) + 1, 0)]
+    heads, rels, positives = index.groups()
+    assert heads.dtype == rels.dtype == np.int64
+    assert list(zip(heads.tolist(), rels.tolist())) == sorted(want)
+    assert [set(t) for t in positives] == [want[q] for q in sorted(want)]
+    queries = sorted(want, reverse=True) + [(max((h for h, _ in want), default=0) + 1, 0)]
     rows, cols = index.cells(np.array([h for h, _ in queries]),
                              np.array([r for _, r in queries]))
     assert np.all(np.diff(rows) >= 0)
@@ -456,16 +468,20 @@ class TestTailsIndex:
         # sorted (head, relation) order, each with its tails, duplicates
         # included.
         store = make()
-        index = QueryIndex.of(store.train, store.n_relations)
+        index = store.train_index
         want = oracle_tails_index(store.train)
         assert_index_matches(index, store.train.shape[0], want)
         heads, rels, positives = index.groups()
-        assert heads.dtype == rels.dtype == np.int64
-        assert list(zip(heads.tolist(), rels.tolist())) == sorted(want)
         assert sum(len(t) for t in positives) == store.train.shape[0]
         for query, tails in zip(sorted(want), positives):
             per_row = [int(t) for h, r, t in store.train if (h, r) == query]
             assert sorted(tails) == sorted(per_row)
+
+    def test_index_over_zero_triples(self):
+        index = QueryIndex.of(np.zeros((0, 3), dtype=np.int64), 2)
+        assert_index_matches(index, 0, {})
+        _, counts = index.spans([0, -1, 5], [0, 1, 9])
+        assert counts.tolist() == [0, 0, 0]
 
     def test_only_augmented_stores_are_indexed(self):
         store = make_store(*many_to_many_rows())

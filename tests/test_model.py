@@ -31,6 +31,7 @@ from conftest import (
     TINY_ENTITIES,
     TINY_RELATIONS,
     priori_table,
+    priori_value,
     rel_err,
     tiny_config,
     tiny_params,
@@ -56,7 +57,8 @@ class TestForward:
         params = tiny_params(cfg)
         for h, r in ((0, 0), (2, 1), (6, 2)):
             logits, _ = forward_score(h, r, params, PRIORI, cfg, mode="eval")
-            expected = oracle_forward(h, r, arrays_of(params), dims_of(cfg), PRIORI.value(h, r))
+            expected = oracle_forward(h, r, arrays_of(params), dims_of(cfg),
+                                      priori_value(PRIORI, h, r))
             assert rel_err(logits, expected) <= 1e-10
 
     def test_m_one_reduces_to_static_kernel_pipeline(self):

@@ -230,7 +230,7 @@ class TestTrain:
         repeated = TripleStore(vocab=raw.vocab, valid=raw.valid, test=raw.test,
                                train=np.concatenate([raw.train, raw.train[:1], raw.train]))
         stores = [augment_reciprocal(raw), augment_reciprocal(repeated)]
-        _, _, positives = QueryIndex.of(stores[1].train, stores[1].n_relations).groups()
+        _, _, positives = stores[1].train_index.groups()
         assert any(len(set(t)) < len(t) for t in positives)
         # The priori table counts triples, so both runs read the table of
         # the store without repeats.
@@ -242,6 +242,22 @@ class TestTrain:
         records = [json.dumps([asdict(r) for r in h.records]) for h in (h1, h2)]
         assert records[0] == records[1]
         assert h1.best_valid_mrr is not None
+
+    def test_training_builds_no_second_train_index(self, monkeypatch):
+        # The priori table and the 1-N targets read the store's one train
+        # index; evaluate still groups its own queries with `QueryIndex.of`.
+        store = augment_reciprocal(generate_toy_kg(3, 40, 3, 2))
+        priori = build_priori(store)
+        assert priori.index is store.train_index
+        grouped, of = [], QueryIndex.of
+
+        def spy(cls, triples, n_relations):
+            grouped.append(triples)
+            return of(triples, n_relations)
+
+        monkeypatch.setattr(QueryIndex, "of", classmethod(spy))
+        train(small_toy_train_config(max_epochs=2, eval_every=1), store, priori)
+        assert grouped and not any(np.array_equal(t, store.train) for t in grouped)
 
     def test_requires_augmented_store(self):
         store = generate_toy_kg(3, 25, 2, 1)
