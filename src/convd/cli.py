@@ -28,6 +28,7 @@ from .data import (
     augment_reciprocal,
     build_priori,
     generate_toy_kg,
+    smoothed_targets_matrix,
     write_splits,
 )
 from .errors import (
@@ -343,20 +344,18 @@ def gradcheck_table(cfg: TrainConfig, n_entities: int, n_relations: int,
     qrng = RngStream(cfg.seed, "gradcheck")
     h_ids = (qrng.uniform(seed_queries) * n_entities).astype(np.int64)
     r_ids = (qrng.uniform(seed_queries) * n_relations).astype(np.int64)
-    targets = (qrng.uniform(seed_queries * n_entities).reshape(seed_queries, -1) < 0.3).astype(
-        np.float64
-    )
-    targets = targets * (1 - mcfg.label_smoothing) + mcfg.label_smoothing / n_entities
+    positive = qrng.uniform(seed_queries * n_entities).reshape(seed_queries, -1) < 0.3
+    targets = smoothed_targets_matrix(range(seed_queries), [np.flatnonzero(row) for row in positive],
+                                      mcfg.label_smoothing, n_entities)
 
     def loss_for(arrays):
         p = params.with_arrays(arrays)
-        logits, _ = forward_batch(h_ids, r_ids, p, priori, mcfg, mode="train", rng=None)
-        loss, _ = bce_loss(logits, targets)
-        return loss
+        _, trace = forward_batch(h_ids, r_ids, p, priori, mcfg, mode="train", rng=None)
+        return bce_loss(trace.z, p.ent, targets)[0]
 
-    logits, trace = forward_batch(h_ids, r_ids, params, priori, mcfg, mode="train", rng=None)
-    _, grad_logits = bce_loss(logits, targets)
-    analytic = backward(trace, grad_logits)
+    _, trace = forward_batch(h_ids, r_ids, params, priori, mcfg, mode="train", rng=None)
+    _, g_z, grad_ent = bce_loss(trace.z, params.ent, targets)
+    analytic = backward(trace, g_z, grad_ent)
     numeric = finite_diff_grad(loss_for, params.named_arrays(), h=h)
 
     blocks = []

@@ -319,20 +319,37 @@ def build_priori(store: TripleStore, a: float = 2.0) -> PrioriTable:
     return PrioriTable(store.train_index, a)
 
 
-def smoothed_targets_matrix(queries, positives_by_query, label_smoothing, n_entities):
-    """Dense (len(queries), n_entities) target matrix for a batch of queries.
+@dataclass(frozen=True)
+class SmoothedTargets:
+    """The label-smoothed 1-N target matrix of a batch, in closed form.
 
-    Every cell holds label_smoothing / n_entities; each positive (row, tail)
-    cell gets 1 - label_smoothing added once, by one fancy-index add.
-    """
-    out = np.full(
-        (len(queries), n_entities), label_smoothing / n_entities, dtype=np.float64
-    )
+    Every cell of the (n_queries, n_entities) matrix holds `negative`,
+    label_smoothing / n_entities; a positive (rows[i], cols[i]) cell holds
+    `positive`, that plus 1 - label_smoothing, once however often it is
+    listed."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    label_smoothing: float
+    n_queries: int
+    n_entities: int
+
+    @property
+    def negative(self) -> float:
+        return self.label_smoothing / self.n_entities
+
+    @property
+    def positive(self) -> float:
+        return self.negative + (1.0 - self.label_smoothing)
+
+
+def smoothed_targets_matrix(queries, positives_by_query, label_smoothing, n_entities):
+    """The smoothed 1-N targets of a batch of queries, as `SmoothedTargets`:
+    row i's positive cells are the tails positives_by_query[queries[i]]."""
     tails = [positives_by_query[q] for q in queries]
-    rows = np.repeat(np.arange(len(queries)), [len(t) for t in tails])
+    rows = np.repeat(np.arange(len(tails)), [len(t) for t in tails])
     cols = np.fromiter(itertools.chain.from_iterable(tails), dtype=np.int64, count=rows.size)
-    out[rows, cols] += 1.0 - label_smoothing
-    return out
+    return SmoothedTargets(rows, cols, float(label_smoothing), len(tails), int(n_entities))
 
 
 def generate_toy_kg(

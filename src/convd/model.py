@@ -18,9 +18,10 @@ Scoring pipeline for one (head, relation) query:
   6. fully connected projection to d_e
   7. output dropout, ReLU, second projection d_e -> d_e
   8. logits = entity_table @ hidden, one score per candidate entity
-Steps 1-4 are the dynamic front-end; steps 5-8 are scorer_head, which the
-plain-convolution baseline shares. Probabilities are produced by the loss
-(sigmoid there, not here).
+Steps 1-4 are the dynamic front-end; steps 5-7 are scorer_head, which the
+plain-convolution baseline shares. Step 8 runs here at evaluation only:
+training fuses it into its loss (training.bce_loss), which applies the
+sigmoid, and backward starts at step 7 from the gradients that loss returns.
 
 param_layout (the dynamic model) and baseline_layout (the plain-convolution
 baseline) are the one statement of which arrays a model holds and their
@@ -56,15 +57,18 @@ from .rng import RngStream
 
 ABLATION_MODES = ("full", "no_priori", "no_attention", "no_both")
 
-# Entity rows per task of the 1-N products. A constant, never derived from
-# the worker count, so the partition, and with it every byte, is the same
-# at any number of workers. The last block takes the remainder (ENTITY_BLOCK
-# to 2 * ENTITY_BLOCK - 1 rows), because OpenBLAS computes a product of a
-# few rows with other kernels: with a short last block, the logits of its
-# rows differ in the last bits from those of the whole product. With every
-# block at least 512 rows, the blocked logits equal the whole product byte
-# for byte on OpenBLAS 0.3.31 at every batch size tried (1 to 512) but 2.
-# Tables of fewer than two blocks run one product.
+# Entity rows per task of the 1-N work: the evaluation logits here, and in
+# training the fused logits, loss and entity products of
+# training.bce_loss, whose loss and g_z are summed in block order. A
+# constant, never derived from the worker count, so the partition, and
+# with it every byte, is the same at any number of workers. The last block
+# takes the remainder (ENTITY_BLOCK to 2 * ENTITY_BLOCK - 1 rows), because
+# OpenBLAS computes a product of a few rows with other kernels: with a
+# short last block, the logits of its rows differ in the last bits from
+# those of the whole product. With every block at least 512 rows, the
+# blocked logits equal the whole product byte for byte on OpenBLAS 0.3.31
+# at every batch size tried (1 to 512) but 2. Tables of fewer than two
+# blocks run one product.
 ENTITY_BLOCK = 512
 
 
@@ -347,10 +351,12 @@ def forward_batch(
 ):
     """Score a batch of (h, r) queries against every entity.
 
-    Returns (logits (B, n_entities), ForwardTrace). Train mode consumes the
-    rng bundle for the three dropout sites and normalizes with batch
-    statistics unless cfg.bn_frozen; eval mode consumes nothing and uses the
-    running statistics, so repeated eval calls are bit-identical.
+    Returns (logits (B, n_entities), ForwardTrace) in eval mode. Train mode
+    stops at the query vectors trace.z and returns (None, ForwardTrace):
+    training scores them in its fused loss, training.bce_loss. Train mode
+    consumes the rng bundle for the three dropout sites and normalizes with
+    batch statistics unless cfg.bn_frozen; eval mode consumes nothing and
+    uses the running statistics, so repeated eval calls are bit-identical.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"unknown mode {mode!r}")
@@ -393,7 +399,8 @@ def forward_batch(
     # summing the n per-kernel feature maps.
     w_mix = np.einsum("bm,bmwh->bwh", alpha, active)
     conv = conv2d_batch(plane, w_mix)
-    logits, head = scorer_head(conv.reshape(b, cfg.conv_map), params, cfg, training, rng)
+    head = scorer_head(conv.reshape(b, cfg.conv_map), params, cfg, training, rng)
+    logits = None if training else _score_entities(head["z"], params.ent, cfg)
     trace = ForwardTrace(
         h_ids=h_ids,
         r_ids=r_ids,
@@ -412,11 +419,11 @@ def forward_batch(
 
 
 def scorer_head(feats, params, cfg: ModelConfig, training: bool, rng):
-    """Pipeline steps 5-8 over (B, F) convolution features, shared by both
+    """Pipeline steps 5-7 over (B, F) convolution features, shared by both
     front-ends: batch norm -> ReLU -> feature dropout -> FC -> output
-    dropout -> ReLU -> FC -> 1-N dot. Normalizes with batch statistics when
-    training and not cfg.bn_frozen, else with the running ones. Returns
-    (logits (B, n_entities), the ForwardTrace fields of these steps)."""
+    dropout -> ReLU -> FC. Normalizes with batch statistics when training
+    and not cfg.bn_frozen, else with the running ones. Returns the
+    ForwardTrace fields of these steps, the query vectors z included."""
     batch_stats = training and not cfg.bn_frozen
     new_running = None
     if batch_stats:
@@ -444,66 +451,59 @@ def scorer_head(feats, params, cfg: ModelConfig, training: bool, rng):
     mask_out = _dropout(rng, "dropout.out", cfg.dropout_out, v_out.shape, training)
     h1 = np.maximum(v_out * mask_out, 0.0)
     z = h1 @ params.w_out + params.b_out
-    query = 1.0 / (1.0 + np.exp(-z)) if cfg.sigmoid_pre_dot else z
-    # One task per entity block, the last and longest first, so the queue
-    # ends on short tasks; a single block runs inline.
-    logits = np.empty((query.shape[0], params.ent.shape[0]))
-    parallel([
-        functools.partial(np.matmul, query, params.ent[lo:hi].T, out=logits[:, lo:hi])
-        for lo, hi in reversed(_entity_blocks(params.ent.shape[0]))
-    ])
-    if not np.all(np.isfinite(logits)):
-        raise NumericError("non-finite logits")
-    return logits, dict(
+    return dict(
         batch_stats=batch_stats, norm_var=var, new_running=new_running,
         x_hat=x_hat, y_bn=y_bn, mask_feat=mask_feat, a2=a2,
         mask_out=mask_out, h1=h1, z=z,
     )
 
 
+def _score_entities(z, ent, cfg: ModelConfig) -> np.ndarray:
+    """Step 8 outside training: the (B, n_entities) logits of the query
+    vectors z (their sigmoid with cfg.sigmoid_pre_dot) against every entity
+    row. One task per entity block, the last and longest first, so the
+    queue ends on short tasks; a single block runs inline."""
+    query = 1.0 / (1.0 + np.exp(-z)) if cfg.sigmoid_pre_dot else z
+    logits = np.empty((query.shape[0], ent.shape[0]))
+    parallel([
+        functools.partial(np.matmul, query, ent[lo:hi].T, out=logits[:, lo:hi])
+        for lo, hi in reversed(_entity_blocks(ent.shape[0]))
+    ])
+    if not np.all(np.isfinite(logits)):
+        raise NumericError("non-finite logits")
+    return logits
+
+
 def forward_score(h_id, r_id, params, priori, cfg, mode="eval", rng=None):
-    """Single-query scoring. Returns (logits (n_entities,), trace)."""
+    """Single-query scoring. Returns (logits (n_entities,), trace), the
+    logits None in train mode, as forward_batch's are."""
     logits, trace = forward_batch(
         np.array([h_id]), np.array([r_id]), params, priori, cfg, mode=mode, rng=rng
     )
-    return logits[0], trace
+    return (None if logits is None else logits[0]), trace
 
 
-def backward(trace: ForwardTrace, grad_logits: np.ndarray) -> dict:
-    """Exact gradients of a scalar loss given d loss / d logits, taken at
-    the params and config the trace's forward ran on.
+def backward(trace: ForwardTrace, g_z: np.ndarray, grad_ent: np.ndarray) -> dict:
+    """Exact gradients of a scalar loss, taken at the params and config the
+    trace's forward ran on, from step 7 down. g_z (B, d_e) is the loss's
+    gradient with respect to the query vectors z, and grad_ent the entity
+    table's gradient through the 1-N scores of step 8, as training.bce_loss
+    returns them. grad_ent becomes grads["ent"]: the head-entity input
+    route (1) is added to it in place.
 
     Covers every learned array: both routes into the relation row (kernel
     values through the convolution, keys/values through the attention), the
-    dense 1-N route into the whole entity table plus the head-entity input
-    route, and the scalar gamma/beta of the normalization.
+    1-N and head-entity routes into the entity table, and the scalar
+    gamma/beta of the normalization.
     """
     params, cfg = trace.params, trace.cfg
     if cfg.sigmoid_pre_dot:
         raise ConfigError("no backward for the sigmoid_pre_dot inspection path")
-    grad_logits = np.asarray(grad_logits, dtype=np.float64)
-    if grad_logits.ndim == 1:
-        grad_logits = grad_logits[None]
-    if grad_logits.shape != (trace.z.shape[0], params.ent.shape[0]):
-        raise DimensionError(f"grad_logits shape {grad_logits.shape} does not match the trace")
-    b = grad_logits.shape[0]
+    if g_z.shape != trace.z.shape or grad_ent.shape != params.ent.shape:
+        raise DimensionError(f"gradient shapes {g_z.shape} and {grad_ent.shape} do not "
+                             f"match the trace's z {trace.z.shape} and ent {params.ent.shape}")
+    b = g_z.shape[0]
 
-    # (8) logits = z @ ent.T. The dense 1-N route covers every row of the
-    # entity gradient, so it is that block's first value; the head-entity
-    # route (1) adds to it. Over two or more entity blocks, g_z and each
-    # row block of the entity gradient are one task each, longest first:
-    # g_z, then the last block.
-    blocks = _entity_blocks(params.ent.shape[0])
-    if len(blocks) < 2:
-        grad_ent = grad_logits.T @ trace.z
-        g_z = grad_logits @ params.ent  # (B, d_e)
-    else:
-        grad_ent = np.empty_like(params.ent)
-        g_z = np.empty_like(trace.z)
-        parallel([functools.partial(np.matmul, grad_logits, params.ent, out=g_z)] + [
-            functools.partial(np.matmul, grad_logits[:, lo:hi].T, trace.z, out=grad_ent[lo:hi])
-            for lo, hi in reversed(blocks)
-        ])
     grads = {
         k: grad_ent if k == "ent" else np.zeros_like(v)
         for k, v in params.named_arrays().items()
@@ -584,5 +584,5 @@ def score_plain_conv(h_id, r_id, params: ModelParams, cfg: ModelConfig) -> np.nd
     r_plane = params.rel[r_id].reshape(cfg.d_w, cfg.d_h)
     stacked = np.concatenate([e_plane, r_plane], axis=0)
     maps = conv2d_batch(np.repeat(stacked[None], cfg.n_static, axis=0), params.kernels)
-    logits, _ = scorer_head(maps.reshape(1, -1), params, cfg, False, None)
-    return logits[0]
+    head = scorer_head(maps.reshape(1, -1), params, cfg, False, None)
+    return _score_entities(head["z"], params.ent, cfg)[0]

@@ -6,20 +6,21 @@ Everything is 64-bit float. Randomness and optimizer state enter only
 through explicit arguments. Adam is the one routine that mutates its
 arguments: it updates the parameters and both moments in place.
 
-BLOCK is the one block size of the elementwise passes over large arrays:
-Adam here and the 1-N loss in training.py walk their arrays BLOCK
-elements at a time, so each block stays in cache across its passes.
+BLOCK is Adam's block size: it walks its arrays BLOCK elements at a time,
+so each block stays in cache across its passes.
 
 `parallel` runs tasks over a partition that never depends on the worker
-count: the elementwise passes give each worker a run of whole blocks, and
-their results do not depend on the blocking; the 1-N products in model.py
-split by the fixed model.ENTITY_BLOCK, and the better/tied counts of
-evaluation.rank_of by fixed row slabs and, for gathered rows, by
-ENTITY_BLOCK too. Parameter bytes therefore depend on
-OPENBLAS_NUM_THREADS, the BLAS build and ENTITY_BLOCK, never on the number
-of workers. Ranks add up integer counts, which are exact in any order,
-so they depend on the logits alone. Tasks run NumPy calls only, so the GIL
-is released while they compute.
+count: Adam gives each worker a run of whole blocks, and its results do
+not depend on the blocking; the 1-N work (the evaluation logits in
+model.py and the fused logits, loss and entity products of
+training.bce_loss) splits by the fixed model.ENTITY_BLOCK, and the fused
+tail adds its per-block loss sums and g_z partials in block order after
+the join; the better/tied counts of evaluation.rank_of split by fixed row
+slabs and, for gathered rows, by ENTITY_BLOCK too. Parameter bytes
+therefore depend on OPENBLAS_NUM_THREADS, the BLAS build and
+ENTITY_BLOCK, never on the number of workers. Ranks add up integer
+counts, which are exact in any order, so they depend on the logits alone.
+Tasks run NumPy calls only, so the GIL is released while they compute.
 """
 
 import concurrent.futures

@@ -11,17 +11,18 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import PrioriTable, TripleStore, smoothed_targets_matrix
-from .errors import ConfigError, NumericError, StateError
+from .data import PrioriTable, SmoothedTargets, TripleStore, smoothed_targets_matrix
+from .errors import ConfigError, DimensionError, NumericError, StateError
 from .model import (
     ModelConfig,
+    _entity_blocks,
     backward,
     commit_running_stats,
     count_parameters,
     forward_batch,
     init_params,
 )
-from .numerics import adam_init, adam_step, block_runs, parallel
+from .numerics import adam_init, adam_step, parallel
 from .rng import RngStream, stream_bundle
 
 DROPOUT_LABELS = ("dropout.in", "dropout.feat", "dropout.out")
@@ -84,54 +85,77 @@ class TrainHistory:
         return [r for r in self.records if r.valid_mrr is not None]
 
 
-def bce_loss(logits: np.ndarray, target: np.ndarray):
-    """Mean binary cross-entropy over candidate entities, in stable
-    softplus form. Returns (loss, grad_logits) with grad = (sigmoid - y)/n.
+def bce_loss(z: np.ndarray, ent: np.ndarray, targets: SmoothedTargets):
+    """The 1-N tail of a training step, fused: the logits z @ ent.T of the
+    query vectors z (B, d_e) against the entity table ent (N, d_e), their
+    mean binary cross-entropy against the smoothed targets, and its
+    gradients. Returns (loss, g_z, grad_ent): d loss / d z, and the entity
+    table's gradient through the logits, which `backward` takes over.
 
-    One exp per logit: with e = exp(-|z|), softplus(z) = max(z, 0) +
-    log1p(e), and sigmoid(z) is 1/(1+e) for z >= 0 and e/(1+e) otherwise,
-    so no exp overflows. The passes run over BLOCK elements at a time, so
-    a block stays in cache, and each worker walks its own run of blocks;
-    the per-element loss terms are kept whole and reduced by one mean after
-    the join, so the loss bytes do not depend on the blocking."""
-    logits = np.asarray(logits, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if logits.shape != target.shape:
-        raise ConfigError(f"logits shape {logits.shape} != target shape {target.shape}")
-    n = logits.size
-    per_entity = np.empty(logits.shape)
-    grad = np.empty(logits.shape)
-    z_flat, y_flat = np.ravel(logits), np.ravel(target)
-    loss_flat, grad_flat = per_entity.reshape(-1), grad.reshape(-1)
+    No (B, N) array outlives an entity block. One task per block of
+    model._entity_blocks, the last and longest first, computes its logits,
+    rejects a non-finite one, and takes each cell's loss and gradient
+    g = (sigmoid - y) / (B * N) in stable softplus form, one exp per logit:
+    with e = exp(-|x|), softplus(x) = max(x, 0) + log1p(e), and sigmoid(x)
+    is 1/(1+e) for x >= 0 and e/(1+e) otherwise, so no exp overflows. Every
+    cell takes the targets' negative value, then the positive cells are
+    assigned theirs, so a listed duplicate counts once. The task writes its
+    rows of grad_ent = g.T @ z and keeps its loss sum and its g @ ent
+    partial of g_z. After the join, the sums and the partials are added in
+    block order, so the bytes do not depend on the worker count; over one
+    block they are the dense route's: the mean of the loss matrix, g @ ent
+    and g.T @ z."""
+    b, n = z.shape[0], ent.shape[0]
+    if (targets.n_queries, targets.n_entities) != (b, n):
+        raise ConfigError(f"targets of shape {(targets.n_queries, targets.n_entities)} "
+                          f"for logits of shape {(b, n)}")
+    order = np.argsort(targets.cols, kind="stable")
+    rows, cols = targets.rows[order], targets.cols[order]
+    if cols.size and (cols[0] < 0 or cols[-1] >= n):
+        raise DimensionError(f"a positive target column lies outside [0, {n})")
+    blocks = _entity_blocks(n)
+    cuts = np.searchsorted(cols, [lo for lo, _ in blocks] + [n]).tolist()
+    y_neg, y_pos, cells = targets.negative, targets.positive, b * n
+    grad_ent = np.empty_like(ent)
+    sums, partials = [None] * len(blocks), [None] * len(blocks)
 
-    def run_blocks(run):
-        width = max((hi - lo for _, lo, hi in run), default=0)
-        scratch_e = np.empty(width)
-        scratch_t = np.empty(width)
-        for _, lo, hi in run:
-            z, y, lb, gb = z_flat[lo:hi], y_flat[lo:hi], loss_flat[lo:hi], grad_flat[lo:hi]
-            e, t = scratch_e[: hi - lo], scratch_t[: hi - lo]
-            if not np.isfinite(z).all():
-                raise NumericError("non-finite logits in the loss")
-            np.abs(z, out=e)
-            np.negative(e, out=e)
-            np.exp(e, out=e)
-            # y*softplus(-z) + (1-y)*softplus(z) == softplus(z) - y*z
-            np.maximum(z, 0.0, out=lb)
-            lb += np.log1p(e, out=t)
-            lb -= np.multiply(y, z, out=t)
-            # 1 where z >= 0, else e: equal to np.where(z >= 0, 1, e) since
-            # 0 <= e <= 1, without a branch per element.
-            np.maximum(e, z >= 0, out=gb)
-            e += 1.0
-            gb /= e
-            gb -= y
-            # Batched input averages over queries as well, so the gradient
-            # scale is the full element count either way.
-            gb /= n
+    def run_block(i):
+        lo, hi = blocks[i]
+        pos = rows[cuts[i]:cuts[i + 1]], cols[cuts[i]:cuts[i + 1]] - lo
+        x = z @ ent[lo:hi].T
+        if not np.isfinite(x).all():
+            raise NumericError("non-finite logits in the loss")
+        e = np.abs(x)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        # y*softplus(-x) + (1-y)*softplus(x) == softplus(x) - y*x
+        cell_loss = np.maximum(x, 0.0)
+        t = np.log1p(e)
+        cell_loss += t
+        softplus_pos = cell_loss[pos]
+        cell_loss -= np.multiply(x, y_neg, out=t)
+        cell_loss[pos] = softplus_pos - y_pos * x[pos]
+        sums[i] = cell_loss.sum()
+        del cell_loss, t
+        # The gradient is written over the logits. 1 where x >= 0, else e:
+        # equal to np.where(x >= 0, 1, e) since 0 <= e <= 1, without a
+        # branch per element.
+        np.maximum(e, x >= 0, out=x)
+        e += 1.0
+        x /= e
+        sigmoid_pos = x[pos]
+        x -= y_neg
+        x[pos] = sigmoid_pos - y_pos
+        x /= cells
+        np.matmul(x.T, z, out=grad_ent[lo:hi])
+        partials[i] = x @ ent[lo:hi]
 
-    parallel([functools.partial(run_blocks, run) for run in block_runs([n])])
-    return per_entity.mean(), grad
+    parallel([functools.partial(run_block, i) for i in reversed(range(len(blocks)))])
+    loss, g_z = sums[0], partials[0]
+    for block_sum, partial in zip(sums[1:], partials[1:]):
+        loss = loss + block_sum
+        g_z += partial
+    return loss / cells, g_z, grad_ent
 
 
 def early_stop(history: TrainHistory, patience: int) -> bool:
@@ -195,13 +219,13 @@ def train(cfg: TrainConfig, store: TripleStore, priori: PrioriTable,
         total_queries = 0
         for batch_idx in _epoch_batches(order, cfg.batch_size):
             targets = smoothed_targets_matrix(batch_idx, positives, cfg.label_smoothing, n_entities)
-            logits, trace = forward_batch(
+            _, trace = forward_batch(
                 heads[batch_idx], rels[batch_idx], params, priori, mcfg, mode="train", rng=rng
             )
-            loss, grad_logits = bce_loss(logits, targets)
+            loss, g_z, grad_ent = bce_loss(trace.z, params.ent, targets)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite training loss at epoch {epoch}")
-            grads = backward(trace, grad_logits)
+            grads = backward(trace, g_z, grad_ent)
             # In place: params keeps its arrays for the whole run.
             adam_step(params.named_arrays(), grads, adam, cfg.lr)
             commit_running_stats(trace)

@@ -10,8 +10,9 @@ from convd.data import (
     augment_reciprocal,
     build_priori,
     generate_toy_kg,
+    smoothed_targets_matrix,
 )
-from convd.model import ModelConfig, init_params
+from convd.model import ModelConfig, backward, init_params
 from convd.rng import RngStream
 from convd.training import TrainConfig, train
 
@@ -77,6 +78,21 @@ def no_training(*args, **kwargs):
     """A stand-in for `training.train` where a run must be refused before
     anything trains."""
     raise AssertionError("trained before every config was checked")
+
+
+def targets_of(positive, eps):
+    """Smoothed targets whose positive cells are the True cells of a
+    (B, N) mask."""
+    positive = np.atleast_2d(positive)
+    return smoothed_targets_matrix(range(positive.shape[0]),
+                                   [np.flatnonzero(row) for row in positive],
+                                   eps, positive.shape[1])
+
+
+def dense_backward(trace, grad_logits):
+    """`backward` from a gradient with respect to the (B, N) logits: step
+    8's two products, as the dense route takes them, then steps 7 down."""
+    return backward(trace, grad_logits @ trace.params.ent, grad_logits.T @ trace.z)
 
 
 def worker_counts(monkeypatch, counts=(1, 3)):

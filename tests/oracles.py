@@ -364,10 +364,11 @@ def oracle_adam(params, grad_steps, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 
 
 def oracle_smoothed_targets(queries, positives_by_query, label_smoothing, n_entities):
-    """Per-row, per-cell loop over the smoothed 1-N target matrix."""
+    """Per-row, per-cell loop over the smoothed 1-N target matrix. A tail
+    listed twice (a duplicate triple) is one positive cell."""
     out = np.full((len(queries), n_entities), label_smoothing / n_entities)
     for row, q in enumerate(queries):
-        for tail in sorted(positives_by_query[q]):
+        for tail in sorted(set(positives_by_query[q])):
             out[row, tail] += 1.0 - label_smoothing
     return out
 
@@ -395,3 +396,11 @@ def oracle_bce(logits, target):
     # the full element count either way.
     grad /= grad.size
     return loss, grad
+
+
+def oracle_tail(z, ent, target):
+    """The dense 1-N route that `training.bce_loss` fuses: the whole logit
+    matrix z @ ent.T, oracle_bce against the dense target matrix, and both
+    products of its gradient g. Returns (loss, g @ ent, g.T @ z)."""
+    loss, grad = oracle_bce(z @ ent.T, target)
+    return loss, grad @ ent, grad.T @ z

@@ -100,9 +100,10 @@ class TestTrainCommand:
 
     @pytest.mark.skipif(len(AFFINITY) < 2, reason="needs two CPUs to run on")
     def test_worker_count_leaves_the_bytes_unchanged(self, tmp_path):
-        # 1,100 entities: the 1-N products run in two entity blocks, and the
-        # loss (128 x 1,100 logits) and Adam (a 110,000-entry entity table)
-        # in runs of whole blocks, one run per worker.
+        # 1,100 entities: the fused 1-N tail (logits, loss and both entity
+        # products) runs one task per entity block, two of them, its loss
+        # and g_z summed in block order; Adam (a 110,000-entry entity table)
+        # runs in runs of whole blocks, one run per worker.
         data_dir = tmp_path / "data"
         assert main(["gen-toy", "--out", str(data_dir), "--seed", "5",
                      "--entities", "1100", "--relations", "2", "--depth", "2"]) == 0

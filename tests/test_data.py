@@ -335,12 +335,19 @@ class TestPriori:
         assert empty.values(h_ids, r_ids).tobytes() == np.zeros(len(pairs)).tobytes()
 
 
+def dense(targets):
+    """The matrix a `SmoothedTargets` stands for, written out cell by cell."""
+    out = np.full((targets.n_queries, targets.n_entities), targets.negative)
+    out[targets.rows, targets.cols] = targets.positive
+    return out
+
+
 def train_targets(store, eps, n_entities):
     """Sorted train queries and their smoothed 1-N target rows, as training
     builds them: positions into the train index's groups."""
     heads, rels, positives = store.train_index.groups()
     queries = list(zip(heads.tolist(), rels.tolist()))
-    return queries, smoothed_targets_matrix(range(len(queries)), positives, eps, n_entities)
+    return queries, dense(smoothed_targets_matrix(range(len(queries)), positives, eps, n_entities))
 
 
 class TestOneToN:
@@ -354,7 +361,7 @@ class TestOneToN:
         queries = sorted(by_head, key=lambda h: (-h % 7, h))
         assert max(len(by_head[q]) for q in queries) > 1
         for batch in (queries, queries[:1]):
-            got = smoothed_targets_matrix(batch, by_head, 0.1, store.n_entities)
+            got = dense(smoothed_targets_matrix(batch, by_head, 0.1, store.n_entities))
             want = oracle_smoothed_targets(batch, by_head, 0.1, store.n_entities)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()

@@ -5,7 +5,7 @@ import pytest
 
 import convd.model
 from convd.attention import slice_batch, unslice_batch
-from convd.data import PrioriTable
+from convd.data import PrioriTable, smoothed_targets_matrix
 from convd.errors import ConfigError, DegenerateBatchError, DimensionError
 from convd.model import (
     ABLATION_MODES,
@@ -30,16 +30,33 @@ from convd.training import DROPOUT_LABELS, bce_loss
 from conftest import (
     TINY_ENTITIES,
     TINY_RELATIONS,
+    dense_backward,
     priori_table,
     priori_value,
     rel_err,
+    targets_of,
     tiny_config,
     tiny_params,
     worker_counts,
 )
-from oracles import BatchNormState, batchnorm_apply, oracle_forward, oracle_plain_conv
+from oracles import (
+    BatchNormState,
+    batchnorm_apply,
+    oracle_bce,
+    oracle_forward,
+    oracle_plain_conv,
+    oracle_smoothed_targets,
+    oracle_tail,
+)
 
 PRIORI = priori_table({(0, 0): 3, (2, 1): 5, (5, 2): 1, (1, 0): 2}, TINY_RELATIONS)
+
+
+def loss_and_grads(trace, targets):
+    """The fused loss of a train-mode trace and backward from its
+    gradients: (loss, grads)."""
+    loss, g_z, grad_ent = bce_loss(trace.z, trace.params.ent, targets)
+    return loss, backward(trace, g_z, grad_ent)
 
 
 def arrays_of(params):
@@ -187,13 +204,13 @@ class TestAblationFlags:
         assert not np.array_equal(full.attn.alpha, cut.attn.alpha)
 
     def test_no_attention_changes_only_the_weights(self):
-        full_logits, full = self._forward("full", self._bundle())
-        cut_logits, cut = self._forward("no_attention", self._bundle())
+        full = self._trace("full", self._bundle())
+        cut = self._trace("no_attention", self._bundle())
         for field in ("mask_in", "mask_feat", "mask_out", "plane", "banks"):
             assert np.array_equal(getattr(full, field), getattr(cut, field)), field
         assert cut.attn is None
         assert np.all(cut.alpha == 1.0 / 4)
-        assert not np.array_equal(full_logits, cut_logits)
+        assert not np.array_equal(full.z, cut.z)
 
     @pytest.mark.parametrize("ablation", ["no_priori", "no_attention", "no_both"])
     def test_ablated_stages_are_not_run(self, monkeypatch, ablation):
@@ -208,10 +225,9 @@ class TestAblationFlags:
         params = tiny_params(cfg)
         before = params.copy()
         h_ids, r_ids = np.array([0, 2, 5]), np.array([0, 1, 2])
-        targets = np.full((3, TINY_ENTITIES), 0.01)
-        targets[:, 3] = 0.91
-        logits, trace = forward_batch(h_ids, r_ids, params, PRIORI, cfg, mode="train")
-        grads = backward(trace, bce_loss(logits, targets)[1])
+        targets = smoothed_targets_matrix(range(3), [[3]] * 3, 0.07, TINY_ENTITIES)
+        _, trace = forward_batch(h_ids, r_ids, params, PRIORI, cfg, mode="train")
+        _, grads = loss_and_grads(trace, targets)
         adam_step(params.named_arrays(), grads, adam_init(params.named_arrays()), 0.01)
         for name in ("ent", "rel", "w_fc"):
             assert not np.array_equal(getattr(params, name), getattr(before, name)), name
@@ -244,19 +260,19 @@ class TestBackward:
         cfg = tiny_config(**overrides)
         params = tiny_params(cfg)
         h_ids, r_ids = np.array([0, 2, 5]), np.array([0, 1, 2])
-        logits, trace = forward_batch(h_ids, r_ids, params, PRIORI, cfg, mode="train")
-        return cfg, params, logits, trace
+        _, trace = forward_batch(h_ids, r_ids, params, PRIORI, cfg, mode="train")
+        return cfg, params, trace
 
     def test_zero_grad_logits(self):
-        cfg, params, logits, trace = self._setup()
-        grads = backward(trace, np.zeros_like(logits))
+        cfg, params, trace = self._setup()
+        grads = dense_backward(trace, np.zeros((3, TINY_ENTITIES)))
         assert all(np.all(g == 0) for g in grads.values())
 
     def test_backward_is_linear(self):
-        cfg, params, logits, trace = self._setup()
-        g = RngStream(4, "g").uniform_signed(logits.size, 1.0).reshape(logits.shape)
-        g1 = backward(trace, g)
-        g2 = backward(trace, 2.0 * g)
+        cfg, params, trace = self._setup()
+        g = RngStream(4, "g").uniform_signed(3 * TINY_ENTITIES, 1.0).reshape(3, -1)
+        g1 = dense_backward(trace, g)
+        g2 = dense_backward(trace, 2.0 * g)
         for name in g1:
             assert np.allclose(2.0 * g1[name], g2[name], atol=1e-12)
 
@@ -266,16 +282,17 @@ class TestBackward:
         cfg = tiny_config(bn_frozen=False, ablation=ablation, kernel_fraction=fraction)
         params = tiny_params(cfg, randomize_stats=False)
         h_ids, r_ids = np.array([0, 2, 5, 1]), np.array([0, 1, 2, 0])
-        targets = (RngStream(12, "t").uniform(4 * TINY_ENTITIES).reshape(4, -1) < 0.3) * 0.9 + 0.01
+        # About 30% of the cells positive; eps = 0.07 puts the others at 0.01.
+        targets = targets_of(RngStream(12, "t").uniform(4 * TINY_ENTITIES).reshape(4, -1) < 0.3,
+                             0.07)
 
         def loss_for(arrs):
             p = params.with_arrays(arrs)
-            logits, _ = forward_batch(h_ids, r_ids, p, PRIORI, cfg, mode="train")
-            return bce_loss(logits, targets)[0]
+            _, trace = forward_batch(h_ids, r_ids, p, PRIORI, cfg, mode="train")
+            return bce_loss(trace.z, p.ent, targets)[0]
 
-        logits, trace = forward_batch(h_ids, r_ids, params, PRIORI, cfg, mode="train")
-        _, grad_logits = bce_loss(logits, targets)
-        analytic = backward(trace, grad_logits)
+        _, trace = forward_batch(h_ids, r_ids, params, PRIORI, cfg, mode="train")
+        _, analytic = loss_and_grads(trace, targets)
         numeric = finite_diff_grad(loss_for, params.named_arrays(), h=1e-5)
         for name in analytic:
             assert rel_err(analytic[name], numeric[name]) <= 1e-4, name
@@ -288,11 +305,9 @@ class TestBackward:
         params = tiny_params(cfg)
         before = {k: v.copy() for k, v in params.named_arrays().items()}
         h_ids, r_ids = np.array([1]), np.array([0])
-        targets = np.full((1, TINY_ENTITIES), 0.01)
-        targets[0, 3] = 0.91
-        logits, trace = forward_batch(h_ids, r_ids, params, PRIORI, cfg, mode="train")
-        _, grad_logits = bce_loss(logits, targets)
-        grads = backward(trace, grad_logits)
+        targets = smoothed_targets_matrix([0], [[3]], 0.07, TINY_ENTITIES)
+        _, trace = forward_batch(h_ids, r_ids, params, PRIORI, cfg, mode="train")
+        _, grads = loss_and_grads(trace, targets)
         new_arrays, _ = adam_step(params.named_arrays(), grads, adam_init(before), 0.01)
         for name, arr in new_arrays.items():
             assert not np.array_equal(arr, before[name]), f"{name} silently dead"
@@ -306,23 +321,24 @@ def _dot_rounding(x, y):
 
 
 class TestEntityBlocks:
-    """The 1-N products run in tasks over ENTITY_BLOCK entity rows. Their
-    bytes are the same at 1 and 3 workers, and each is checked against its
-    single expression. The blocked and whole products may round apart on
-    another BLAS, so that check allows the rounding of a dot product; on
-    OpenBLAS 0.3.31 they agree byte for byte (model.ENTITY_BLOCK)."""
+    """The 1-N work runs in tasks over ENTITY_BLOCK entity rows: the
+    evaluation logits, and the fused training tail. Their bytes are the
+    same at 1 and 3 workers, and each is checked against its single
+    expression. The blocked and whole products may round apart on another
+    BLAS, so that check allows the rounding of a dot product; on OpenBLAS
+    0.3.31 the logits agree byte for byte (model.ENTITY_BLOCK)."""
 
     # Two full blocks and a ragged remainder, which the last block takes.
     N_ENTITIES = 2 * ENTITY_BLOCK + 37
 
-    def _forward(self, batch, d_w, d_h):
+    def _forward(self, batch, d_w, d_h, mode="train"):
         cfg = tiny_config(d_w=d_w, d_h=d_h, bn_frozen=False, dropout_in=0.1,
                           dropout_feat=0.1, dropout_out=0.1)
         params = init_params(cfg, self.N_ENTITIES, TINY_RELATIONS, RngStream(8, "init"))
         rng = np.random.default_rng(batch)
         h_ids = rng.integers(0, self.N_ENTITIES, batch)
         r_ids = rng.integers(0, TINY_RELATIONS, batch)
-        logits, trace = forward_batch(h_ids, r_ids, params, None, cfg, mode="train",
+        logits, trace = forward_batch(h_ids, r_ids, params, None, cfg, mode=mode,
                                       rng=stream_bundle(3, DROPOUT_LABELS))
         return cfg, params, logits, trace
 
@@ -341,7 +357,7 @@ class TestEntityBlocks:
     def test_logits_match_the_single_product(self, monkeypatch, batch, d_w, d_h):
         seen = set()
         for _ in worker_counts(monkeypatch):
-            _, params, logits, trace = self._forward(batch, d_w, d_h)
+            _, params, logits, trace = self._forward(batch, d_w, d_h, mode="eval")
             seen.add(logits.tobytes())
             want = trace.z @ params.ent.T
             assert np.all(np.abs(logits - want) <= _dot_rounding(trace.z, params.ent.T))
@@ -349,24 +365,31 @@ class TestEntityBlocks:
 
     @pytest.mark.parametrize("batch", [3, 128])
     def test_backward_matches_the_single_products(self, monkeypatch, batch):
-        cfg, params, logits, trace = self._forward(batch, 10, 20)
-        grad_logits = np.random.default_rng(batch).normal(size=logits.shape)
-        # One block covering the table: backward runs grad.T @ z and grad @ ent.
-        with monkeypatch.context() as patch:
-            patch.setattr(convd.model, "ENTITY_BLOCK", self.N_ENTITIES)
-            want = backward(trace, grad_logits)
-        # The head-entity route adds the same rows to both.
-        bound = (_dot_rounding(grad_logits.T, trace.z)
-                 + 4 * np.finfo(np.float64).eps * np.abs(want["ent"]))
+        # The fused tail against the dense route: the whole logit matrix,
+        # its loss mean and gradient g, and the single products g @ ent and
+        # g.T @ z. Blocked logits may round apart from the whole product
+        # (within _dot_rounding); a cell's loss moves by at most as much,
+        # and its gradient by a quarter of it over the cell count.
+        _, params, _, trace = self._forward(batch, 10, 20)
+        z, ent, n = trace.z, params.ent, self.N_ENTITIES
+        positives = [np.random.default_rng([batch, q]).choice(n, 3, replace=False)
+                     for q in range(batch)]
+        targets = smoothed_targets_matrix(range(batch), positives, 0.1, n)
+        dense = oracle_smoothed_targets(range(batch), positives, 0.1, n)
+        want_loss, want_g_z, want_grad_ent = oracle_tail(z, ent, dense)
+        eps = np.finfo(np.float64).eps
+        logit_err = _dot_rounding(z, ent.T)
+        g = oracle_bce(z @ ent.T, dense)[1]
+        g_err = logit_err / (4 * g.size) + 4 * eps * np.abs(g)
+        loss_bound = 2 * g.size * eps * want_loss + logit_err.mean()
         seen = set()
         for _ in worker_counts(monkeypatch):
-            got = backward(trace, grad_logits)
-            assert list(got) == list(want)
-            seen.add(got["ent"].tobytes())
-            assert np.all(np.abs(got["ent"] - want["ent"]) <= bound)
-            # g_z is one whole product either way, so the rest is the same.
-            for name in want.keys() - {"ent"}:
-                assert got[name].tobytes() == want[name].tobytes(), name
+            loss, g_z, grad_ent = bce_loss(z, ent, targets)
+            seen.add((np.float64(loss).tobytes(), g_z.tobytes(), grad_ent.tobytes()))
+            assert abs(loss - want_loss) <= loss_bound
+            assert np.all(np.abs(g_z - want_g_z) <= _dot_rounding(g, ent) + g_err @ np.abs(ent))
+            assert np.all(np.abs(grad_ent - want_grad_ent)
+                          <= _dot_rounding(g.T, z) + g_err.T @ np.abs(z))
         assert len(seen) == 1
 
 
@@ -407,7 +430,7 @@ class TestKernelFraction:
         assert not np.array_equal(moved.rel, params.rel)
         moved_logits, _ = forward_score(2, 1, moved, PRIORI, cfg, mode="eval")
         assert np.array_equal(moved_logits, logits)
-        grads = backward(trace, np.linspace(-1.0, 1.0, logits.size))
+        grads = dense_backward(trace, np.linspace(-1.0, 1.0, logits.size)[None])
         g_banks = slice_batch(grads["rel"][1:2], cfg.m, cfg.r_w, cfg.r_h)
         assert np.any(g_banks[:, :2] != 0)
         assert np.all(g_banks[:, 2:] == 0)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -12,12 +13,14 @@ from convd.data import (
     augment_reciprocal,
     build_priori,
     generate_toy_kg,
+    smoothed_targets_matrix,
 )
-from convd.errors import ConfigError, NumericError, StateError
-from convd.model import forward_batch, backward
+from convd.errors import ConfigError, DimensionError, NumericError, StateError
+from convd.model import ENTITY_BLOCK, _entity_blocks, backward, forward_batch, init_params
 from convd.numerics import BLOCK, adam_init, adam_step, finite_diff_grad
-from convd.rng import RngStream
+from convd.rng import RngStream, stream_bundle
 from convd.training import (
+    DROPOUT_LABELS,
     EpochRecord,
     TrainConfig,
     TrainHistory,
@@ -37,34 +40,56 @@ from conftest import (
     priori_table,
     rel_err,
     small_toy_train_config,
+    targets_of,
     tiny_config,
     tiny_params,
     worker_counts,
 )
-from oracles import oracle_bce
+from oracles import oracle_bce, oracle_smoothed_targets, oracle_tail
 
 PRIORI = priori_table({(0, 0): 2, (1, 1): 1}, TINY_RELATIONS)
 
 
+def tail_on_logits(logits, targets):
+    """bce_loss on given (B, N) logits: z = I and ent = logits.T make
+    z @ ent.T the logits, and grad_ent.T their gradient, exactly, since
+    every product is by 1 or 0. Returns (loss, grad_logits)."""
+    logits = np.atleast_2d(logits)
+    loss, _, grad_ent = bce_loss(np.eye(logits.shape[0]), np.ascontiguousarray(logits.T),
+                                 targets)
+    return loss, grad_ent.T
+
+
+def dense_route(z, ent, target):
+    """The unfused tail on the model's entity blocks: the logits and the
+    entity products per block, the loss and gradient g over the whole
+    matrix, and g_z as one product. Returns (loss, g_z, grad_ent, g)."""
+    blocks = _entity_blocks(ent.shape[0])
+    logits = np.concatenate([z @ ent[lo:hi].T for lo, hi in blocks], axis=1)
+    loss, g = oracle_bce(logits, target)
+    return loss, g @ ent, np.concatenate([g[:, lo:hi].T @ z for lo, hi in blocks]), g
+
+
 class TestBceLoss:
     def test_symmetric_point(self):
-        logits = np.zeros(8)
-        target = np.full(8, 0.5)
-        loss, grad = bce_loss(logits, target)
+        # Eight queries over one entity, every target 0.5.
+        loss, grad = tail_on_logits(np.zeros((8, 1)), targets_of(np.zeros((8, 1), bool), 0.5))
         assert loss == pytest.approx(math.log(2.0), abs=1e-15)
         assert np.allclose(grad, 0.0, atol=1e-15)
 
     def test_gradient_matches_finite_difference(self):
         rng = RngStream(3, "bce")
-        logits = rng.uniform_signed(5, 2.0)
-        target = rng.uniform(5)
+        z = rng.uniform_signed(6, 1.0).reshape(2, 3)
+        ent = rng.uniform_signed(15, 1.0).reshape(5, 3)
+        targets = targets_of(rng.uniform(10).reshape(2, 5) < 0.4, 0.1)
 
         def loss_fn(p):
-            return bce_loss(p["z"], target)[0]
+            return bce_loss(p["z"], p["ent"], targets)[0]
 
-        _, grad = bce_loss(logits, target)
-        fd = finite_diff_grad(loss_fn, {"z": logits}, h=1e-6)
-        assert rel_err(grad, fd["z"]) <= 1e-8
+        _, g_z, grad_ent = bce_loss(z, ent, targets)
+        fd = finite_diff_grad(loss_fn, {"z": z, "ent": ent}, h=1e-6)
+        assert rel_err(g_z, fd["z"]) <= 1e-8
+        assert rel_err(grad_ent, fd["ent"]) <= 1e-8
 
     def test_hand_evaluated_smoothed_case(self):
         # One positive among 10 with smoothing 0.1 and hand-set logits.
@@ -75,80 +100,150 @@ class TestBceLoss:
         logits = np.linspace(-1.0, 1.0, n)
         rho = 1.0 / (1.0 + np.exp(-logits))
         expected = -np.mean(target * np.log(rho) + (1 - target) * np.log(1 - rho))
-        loss, _ = bce_loss(logits, target)
+        loss, _ = tail_on_logits(logits, targets_of(np.arange(n) == 4, eps))
         assert loss == pytest.approx(expected, abs=1e-12)
 
     def test_batched_grad_includes_batch_size(self):
+        # No positives and eps = 0.6: every target is 0.6 / 6 = 0.1.
         logits = np.zeros((4, 6))
-        target = np.full((4, 6), 0.25)
-        _, grad = bce_loss(logits, target)
+        loss, grad = tail_on_logits(logits, targets_of(np.zeros((4, 6), bool), 0.6))
         assert grad.shape == (4, 6)
-        assert np.allclose(grad, (0.5 - 0.25) / 24)
+        assert np.allclose(grad, (0.5 - 0.1) / 24)
 
     def test_non_finite_rejected(self):
         with pytest.raises(NumericError):
-            bce_loss(np.array([np.nan]), np.array([0.5]))
+            tail_on_logits(np.array([np.nan]), targets_of(np.zeros(1, bool), 0.5))
 
     def test_gradient_matches_two_exp_oracle(self):
         # 0/1 labels keep sigmoid - y well conditioned, so the only
         # difference left is the rounding of the sigmoid itself.
         rng = np.random.default_rng(29)
         logits = rng.uniform(-40.0, 40.0, size=10_000)
-        target = (rng.uniform(size=logits.size) < 0.5).astype(np.float64)
-        _, grad = bce_loss(logits, target)
-        oracle = (1.0 / (1.0 + np.exp(-logits)) - target) / logits.size
-        np.testing.assert_allclose(grad, oracle, rtol=1e-14, atol=0.0)
+        positive = rng.uniform(size=logits.size) < 0.5
+        _, grad = tail_on_logits(logits, targets_of(positive, 0.0))
+        oracle = (1.0 / (1.0 + np.exp(-logits)) - positive) / logits.size
+        np.testing.assert_allclose(grad[0], oracle, rtol=1e-14, atol=0.0)
 
     def test_soft_target_gradient_within_operand_rounding(self):
         # With soft labels sigmoid - y can cancel; bound the difference by
-        # the size of the operands instead of the result.
+        # the size of the operands instead of the result. eps = 0.5 over
+        # 100 entities puts the targets at 0.005 and 0.505.
         rng = np.random.default_rng(30)
-        logits = rng.uniform(-40.0, 40.0, size=10_000)
-        target = rng.uniform(size=logits.size)
-        _, grad = bce_loss(logits, target)
+        logits = rng.uniform(-40.0, 40.0, size=(100, 100))
+        positive = rng.uniform(size=logits.shape) < 0.5
+        _, grad = tail_on_logits(logits, targets_of(positive, 0.5))
+        target = np.where(positive, 0.005 + 0.5, 0.005)
         sig = 1.0 / (1.0 + np.exp(-logits))
         oracle = (sig - target) / logits.size
         assert np.all(np.abs(grad - oracle) <= 1e-14 * (sig + target) / logits.size)
 
     def test_extreme_logits_raise_no_floating_point_error(self):
         logits = np.array([1e4, -1e4, 1e4, -1e4])
-        target = np.array([1.0, 0.0, 0.0, 1.0])
+        positive = np.array([True, False, False, True])
         with np.errstate(over="raise", invalid="raise"):
-            loss, grad = bce_loss(logits, target)
+            loss, grad = tail_on_logits(logits, targets_of(positive, 0.0))
         assert np.isfinite(loss) and np.all(np.isfinite(grad))
         # Two confident hits cost nothing; two confident misses cost |z| each.
         assert loss == pytest.approx(2e4 / 4)
-        assert np.array_equal(grad, np.array([0.0, 0.0, 1.0, -1.0]) / 4)
+        assert np.array_equal(grad[0], np.array([0.0, 0.0, 1.0, -1.0]) / 4)
 
     @pytest.mark.parametrize("shape", [
         (BLOCK - 1,), (BLOCK,), (BLOCK + 1,), (3 * BLOCK + 7,), (64, 600), (3, 40, 500),
     ])
     @pytest.mark.parametrize("soft", [False, True], ids=["binary", "soft"])
     def test_blocked_matches_dense_oracle_bit_for_bit(self, shape, soft, monkeypatch):
-        # A seed per case, so no case repeats the arrays of the one before.
+        # The shape is (queries..., entities): the 1-D ones are one query
+        # over 127 to 384 entity blocks, the others one block. Every cell's
+        # gradient is the oracle's, bit for bit; so is the loss over one
+        # block, while over several it is a sum in block order.
         rng = np.random.default_rng([31, int(soft), *shape])
-        logits = rng.uniform(-40.0, 40.0, size=shape)
+        logits = rng.uniform(-40.0, 40.0, size=shape).reshape(-1, shape[-1])
         flat = logits.reshape(-1)
         # Signed zeros, and exps that underflow to 0, at both ends.
         flat[:4] = flat[-4:] = [-0.0, 0.0, 800.0, -800.0]
-        target = rng.uniform(size=shape)
-        if not soft:
-            target = (target < 0.5).astype(np.float64)
-        want_loss, want_grad = oracle_bce(logits, target)
+        positive = rng.uniform(size=logits.shape) < 0.5
+        eps = 0.3 if soft else 0.0
+        want_loss, want_grad = oracle_bce(logits, np.where(positive, 1 - eps + eps / shape[-1],
+                                                           eps / shape[-1]))
+        several = len(_entity_blocks(shape[-1])) > 1
         for _ in worker_counts(monkeypatch):
-            loss, grad = bce_loss(logits, target)
-            assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+            loss, grad = tail_on_logits(logits, targets_of(positive, eps))
+            if several:
+                assert abs(loss - want_loss) <= 2 * logits.size * np.finfo(float).eps * want_loss
+            else:
+                assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
             assert grad.shape == want_grad.shape
             assert grad.tobytes() == want_grad.tobytes()
 
     def test_non_finite_in_last_block_rejected(self, monkeypatch):
-        # The last block is in the last worker's run of blocks.
-        n = 2 * BLOCK + 1
-        logits = np.zeros(n)
-        logits[n - 1] = np.nan
-        for _ in worker_counts(monkeypatch):
+        # An infinite entity row in the last (longest) entity block: its
+        # logits are infinite, and the block's task is the first to run.
+        n = 3 * ENTITY_BLOCK + 5
+        z = np.ones((4, 3))
+        ent = np.zeros((n, 3))
+        ent[n - 1] = np.inf
+        for _ in worker_counts(monkeypatch, (1, 2, 3)):
             with pytest.raises(NumericError):
-                bce_loss(logits, np.full(n, 0.5))
+                bce_loss(z, ent, targets_of(np.zeros((4, n), bool), 0.1))
+
+    @pytest.mark.parametrize("n", [2 * ENTITY_BLOCK - 1, 4 * ENTITY_BLOCK + 37],
+                             ids=["one_block", "several_blocks"])
+    def test_fused_tail_matches_the_dense_route(self, monkeypatch, n):
+        # One block: the loss and both gradients are the dense route's
+        # bytes. Several: grad_ent still is, as each cell's gradient and
+        # each block's product are; the loss and g_z are the dense route's
+        # per-block sums and products added in block order, each within
+        # the rounding bound of a sum of that many terms of the
+        # whole-matrix value (Higham, Accuracy and Stability, 3.1). The
+        # same bytes at 1, 2 and 3 workers.
+        rng = np.random.default_rng(n)
+        z, ent = rng.normal(size=(128, 20)), rng.normal(size=(n, 20)) * 0.2
+        positives = [np.unique(rng.integers(0, n, 1 + q % 3)) for q in range(128)]
+        targets = smoothed_targets_matrix(range(128), positives, 0.1, n)
+        dense = oracle_smoothed_targets(range(128), positives, 0.1, n)
+        want_loss, want_g_z, want_grad_ent, g = dense_route(z, ent, dense)
+        blocks = _entity_blocks(n)
+        if len(blocks) > 1:
+            logits = np.concatenate([z @ ent[lo:hi].T for lo, hi in blocks], axis=1)
+            cells = (np.maximum(logits, 0.0) + np.log1p(np.exp(-np.abs(logits)))
+                     - dense * logits)
+            block_loss, block_g_z = 0.0, 0.0
+            for lo, hi in blocks:
+                block_loss = block_loss + np.ascontiguousarray(cells[:, lo:hi]).sum()
+                block_g_z = block_g_z + np.ascontiguousarray(g[:, lo:hi]) @ ent[lo:hi]
+            block_loss = block_loss / g.size
+        eps = np.finfo(np.float64).eps
+        seen = set()
+        for _ in worker_counts(monkeypatch, (1, 2, 3)):
+            loss, g_z, grad_ent = bce_loss(z, ent, targets)
+            seen.add((np.float64(loss).tobytes(), g_z.tobytes(), grad_ent.tobytes()))
+            assert grad_ent.tobytes() == want_grad_ent.tobytes()
+            if len(blocks) == 1:
+                assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+                assert g_z.tobytes() == want_g_z.tobytes()
+            else:
+                assert np.float64(loss).tobytes() == np.float64(block_loss).tobytes()
+                assert g_z.tobytes() == block_g_z.tobytes()
+                assert abs(loss - want_loss) <= 2 * g.size * eps * want_loss
+                assert np.all(np.abs(g_z - want_g_z) <= 2 * n * eps * (np.abs(g) @ np.abs(ent)))
+        assert len(seen) == 1
+
+    def test_listed_duplicate_counts_once(self):
+        # A duplicate triple lists its tail twice; its cell is still one
+        # positive, as in the oracle's matrix.
+        rng = np.random.default_rng(43)
+        z, ent = rng.normal(size=(2, 4)), rng.normal(size=(9, 4))
+        positives = [[3, 3, 5], [0]]
+        got = bce_loss(z, ent, smoothed_targets_matrix(range(2), positives, 0.1, 9))
+        want = oracle_tail(z, ent, oracle_smoothed_targets(range(2), positives, 0.1, 9))
+        assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(got, want))
+
+    def test_targets_of_another_shape_rejected(self):
+        z, ent = np.zeros((2, 3)), np.zeros((5, 3))
+        with pytest.raises(ConfigError):
+            bce_loss(z, ent, smoothed_targets_matrix(range(3), [[0]] * 3, 0.1, 5))
+        with pytest.raises(DimensionError):
+            bce_loss(z, ent, smoothed_targets_matrix(range(2), [[0], [5]], 0.1, 5))
 
 
 class TestEarlyStop:
@@ -302,16 +397,15 @@ class TestTrain:
         params = tiny_params(cfg, randomize_stats=False)
         h_ids = np.array([0, 1, 2, 3, 4, 5])
         r_ids = np.array([0, 1, 2, 0, 1, 2])
-        targets = np.full((6, TINY_ENTITIES), 0.01)
-        for row, t in enumerate((1, 2, 3, 4, 5, 6)):
-            targets[row, t] = 0.91
+        targets = smoothed_targets_matrix(range(6), [[1], [2], [3], [4], [5], [6]], 0.07,
+                                          TINY_ENTITIES)
         adam = adam_init(params.named_arrays())
         losses = []
         for _ in range(50):
-            logits, trace = forward_batch(h_ids, r_ids, params, PRIORI, cfg, mode="train")
-            loss, grad = bce_loss(logits, targets)
+            _, trace = forward_batch(h_ids, r_ids, params, PRIORI, cfg, mode="train")
+            loss, g_z, grad_ent = bce_loss(trace.z, params.ent, targets)
             losses.append(loss)
-            grads = backward(trace, grad)
+            grads = backward(trace, g_z, grad_ent)
             arrays, adam = adam_step(params.named_arrays(), grads, adam, 0.01)
             params = params.with_arrays(arrays)
         assert losses[-1] < losses[0]
@@ -322,16 +416,15 @@ class TestTrain:
             cfg = tiny_config()
             params = tiny_params(cfg, seed=seed)
             h_ids, r_ids = np.array([0, 3]), np.array([0, 2])
-            targets = np.full((2, TINY_ENTITIES), 0.01)
-            targets[0, 1] = targets[1, 5] = 0.91
+            targets = smoothed_targets_matrix(range(2), [[1], [5]], 0.07, TINY_ENTITIES)
 
             def current_loss(p):
-                logits, _ = forward_batch(h_ids, r_ids, p, PRIORI, cfg, mode="train")
-                return bce_loss(logits, targets)[0]
+                _, trace = forward_batch(h_ids, r_ids, p, PRIORI, cfg, mode="train")
+                return bce_loss(trace.z, p.ent, targets)[0]
 
-            logits, trace = forward_batch(h_ids, r_ids, params, PRIORI, cfg, mode="train")
-            loss, grad = bce_loss(logits, targets)
-            grads = backward(trace, grad)
+            _, trace = forward_batch(h_ids, r_ids, params, PRIORI, cfg, mode="train")
+            loss, g_z, grad_ent = bce_loss(trace.z, params.ent, targets)
+            grads = backward(trace, g_z, grad_ent)
             stepped = {
                 name: arr - 1e-4 * grads[name]
                 for name, arr in params.named_arrays().items()
@@ -340,13 +433,15 @@ class TestTrain:
         assert passes >= 19
 
     def test_blocked_loss_trains_the_oracle_bytes(self, monkeypatch):
-        # 64 queries x 2,100 entities = 134,400 logits: three loss blocks a
-        # step, split over the workers when the host has more than one CPU.
-        store = augment_reciprocal(generate_toy_kg(5, 2100, 3, 2))
+        # 1,000 entities are one entity block, where the fused tail trains
+        # the bytes of the dense route: the oracle's target matrix, whole
+        # logits, oracle_bce and both products of its gradient.
+        store = augment_reciprocal(generate_toy_kg(5, 1000, 3, 2))
         priori = build_priori(store)
         cfg = small_toy_train_config(max_epochs=1, eval_every=1, batch_size=64)
         blocked, _ = train(cfg, store, priori)
-        monkeypatch.setattr(convd.training, "bce_loss", oracle_bce)
+        monkeypatch.setattr(convd.training, "smoothed_targets_matrix", oracle_smoothed_targets)
+        monkeypatch.setattr(convd.training, "bce_loss", oracle_tail)
         dense, _ = train(cfg, store, priori)
         for name, arr in blocked.named_arrays().items():
             assert arr.tobytes() == dense.named_arrays()[name].tobytes(), name
@@ -365,6 +460,70 @@ class TestTrain:
         )
         with pytest.raises(ConfigError):
             train(small_toy_train_config(), empty, build_priori(empty))
+
+
+class TestStepOverSeveralEntityBlocks:
+    """A training step over N >= 2 * ENTITY_BLOCK entities, where the fused
+    tail runs several blocks; the gradient check's 7 entities are one."""
+
+    def _batch(self, n, b, seed):
+        """Seeded queries and one to three positive tails for each."""
+        rng = np.random.default_rng(seed)
+        h_ids, r_ids = rng.integers(0, n, b), rng.integers(0, TINY_RELATIONS, b)
+        return h_ids, r_ids, [np.unique(rng.integers(0, n, 1 + q % 3)) for q in range(b)]
+
+    def test_directional_derivatives_match_central_differences(self):
+        # (L(theta + h v) - L(theta - h v)) / 2h against <grad L, v>, for
+        # seeded directions v over every learned array: two forwards per
+        # direction, where finite_diff_grad takes two per coordinate.
+        n = 2 * ENTITY_BLOCK + 37
+        cfg = tiny_config(bn_frozen=False)
+        params = init_params(cfg, n, TINY_RELATIONS, RngStream(9, "init"))
+        h_ids, r_ids, positives = self._batch(n, 16, 9)
+        h_ids[:2], r_ids[:2] = (0, 1), (0, 1)  # two queries with a priori count
+        targets = smoothed_targets_matrix(range(16), positives, 0.1, n)
+
+        def loss_at(arrays):
+            p = params.with_arrays(arrays)
+            _, trace = forward_batch(h_ids, r_ids, p, PRIORI, cfg, mode="train")
+            return bce_loss(trace.z, p.ent, targets)[0]
+
+        _, trace = forward_batch(h_ids, r_ids, params, PRIORI, cfg, mode="train")
+        grads = backward(trace, *bce_loss(trace.z, params.ent, targets)[1:])
+        theta = params.named_arrays()
+        h = 1e-6
+        for seed in range(3):
+            v = {name: np.random.default_rng([seed, i]).normal(size=arr.shape)
+                 for i, (name, arr) in enumerate(theta.items())}
+            up = loss_at({name: arr + h * v[name] for name, arr in theta.items()})
+            down = loss_at({name: arr - h * v[name] for name, arr in theta.items()})
+            analytic = sum(float(np.sum(grads[name] * v[name])) for name in theta)
+            assert (up - down) / (2 * h) == pytest.approx(analytic, rel=1e-6), seed
+
+    def test_step_holds_no_batch_by_entity_array(self, monkeypatch):
+        # One step at one worker, B = 128 and N = 8 * ENTITY_BLOCK: less the
+        # entity gradient, which is the size of the table, its peak traced
+        # memory stays under one B x N float64 array. The unfused tail held
+        # four: the targets, the logits, the loss cells and their gradient.
+        n, b = 8 * ENTITY_BLOCK, 128
+        cfg = tiny_config(bn_frozen=False, dropout_in=0.2, dropout_feat=0.2, dropout_out=0.3)
+        params = init_params(cfg, n, TINY_RELATIONS, RngStream(4, "init"))
+        adam = adam_init(params.named_arrays())
+        h_ids, r_ids, positives = self._batch(n, b, 4)
+        bundle = stream_bundle(4, DROPOUT_LABELS)
+        for _ in worker_counts(monkeypatch, (1,)):
+            tracemalloc.start()
+            try:
+                targets = smoothed_targets_matrix(range(b), positives, 0.1, n)
+                _, trace = forward_batch(h_ids, r_ids, params, PRIORI, cfg, mode="train",
+                                         rng=bundle)
+                loss, g_z, grad_ent = bce_loss(trace.z, params.ent, targets)
+                adam_step(params.named_arrays(), backward(trace, g_z, grad_ent), adam, cfg.lr)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert np.isfinite(loss)
+        assert peak - params.ent.nbytes < b * n * 8, peak
 
 
 class TestHyperSearch:
