@@ -5,7 +5,8 @@ a single LF, followed by the raw little-endian float64 arrays concatenated
 in manifest order. The arrays, their order and their shapes are those of
 model.param_layout under the stored config. The manifest maps array name ->
 [rows, cols, byte offset into the binary section]; 1-D arrays are stored as
-a single row. Round trips are bit-exact.
+a single row. Taken in offset order, the arrays must tile the binary
+section, with no overlap and no gap. Round trips are bit-exact.
 """
 
 import contextlib
@@ -91,8 +92,9 @@ def save_checkpoint(path, config: dict, params: ModelParams) -> None:
 
 def load_checkpoint(path):
     """Returns (config dict, ModelParams). Raises CheckpointError on version
-    mismatch, truncation, a malformed header or manifest entry, array shapes
-    that disagree with the stored config, or non-finite values."""
+    mismatch, truncation, a malformed header or manifest entry, arrays that
+    overlap or leave a gap in the binary section, array shapes that
+    disagree with the stored config, or non-finite values."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         body = fh.read()
@@ -121,18 +123,24 @@ def load_checkpoint(path):
         raise CheckpointError("checkpoint header lacks a config object")
     layout = _check_layout(config, {name: entry[:2] for name, entry in manifest.items()})
     arrays = {}
-    total = 0
-    for name, shape in layout.items():
+    end = 0
+    # Taken in offset order, the arrays tile the binary section; the layout
+    # order is not required of the offsets.
+    for name in sorted(layout, key=lambda name: manifest[name][2]):
         rows, cols, offset = manifest[name]
-        nbytes = rows * cols * 8
-        if offset + nbytes > len(body):
+        if offset != end:
+            raise CheckpointError(
+                f"array {name!r} starts at byte {offset}, not {end}: "
+                f"the manifest's arrays overlap or leave a gap"
+            )
+        end = offset + rows * cols * 8
+        if end > len(body):
             raise CheckpointError(f"checkpoint truncated inside array {name!r}")
         flat = np.frombuffer(body, dtype="<f8", count=rows * cols, offset=offset)
-        arrays[name] = flat.astype(np.float64).reshape(shape)
-        total = max(total, offset + nbytes)
-    if total != len(body):
-        raise CheckpointError("checkpoint has trailing or missing bytes")
-    params = ModelParams(arrays)
+        arrays[name] = flat.astype(np.float64).reshape(layout[name])
+    if end != len(body):
+        raise CheckpointError("checkpoint has trailing bytes")
+    params = ModelParams({name: arrays[name] for name in layout})
     try:
         params.check_finite()
     except NumericError as exc:

@@ -243,6 +243,17 @@ def _params_from_checkpoint(path):
     return cfg, io, params
 
 
+def _check_tables(params, store) -> None:
+    """Raises CheckpointError, naming both counts, unless the entity and
+    relation tables hold one row per id of the store's vocabulary."""
+    for kind, rows, ids in (("entity", params.ent.shape[0], store.n_entities),
+                            ("relation", params.rel.shape[0], store.n_relations)):
+        if rows != ids:
+            raise CheckpointError(
+                f"the {kind} table has {rows} rows, but the data has {ids} {kind} ids"
+            )
+
+
 def cmd_eval(args) -> int:
     import time
 
@@ -254,6 +265,7 @@ def cmd_eval(args) -> int:
         check_params(asdict(cfg), params)
     split = args.split or io.get("split", "test")
     store, priori = _load_data(cfg, io)
+    _check_tables(params, store)
     tic = time.perf_counter()
     report = evaluate(params, store, split, cfg.model_config(), priori=priori)
     payload = {
@@ -289,6 +301,7 @@ def cmd_predict(args) -> int:
         raise ConfigError(f"--top-k must be >= 0, got {args.top_k}")
     cfg, io, params = _params_from_checkpoint(args.checkpoint)
     store, priori = _load_data(cfg, io)
+    _check_tables(params, store)
     vocab = store.vocab
     for kind, symbol, ids in (("entity", args.head, vocab.entity_to_id),
                               ("relation", args.relation, vocab.relation_to_id)):

@@ -10,14 +10,14 @@ import numpy as np
 
 from .data import PrioriTable, QueryIndex, TripleStore, build_priori
 from .errors import ConfigError, DimensionError, NumericError, StateError
-from .model import ModelConfig, _entity_blocks, forward_batch
+from .model import ModelConfig, forward_batch
 from .numerics import parallel
 
 HITS_LEVELS = (1, 3, 10)
-# Distinct queries per forward pass, and rows per gathered slab of rank_of.
+# Distinct queries per forward pass of evaluate.
 _EVAL_BATCH = 256
-# Cells per task of rank_of where it reads whole rows in place: 52 rows of
-# 5000 entities; one task, run inline, for a small table's chunk.
+# Cells per task of rank_of, a slab of whole query rows: 52 rows of 5000
+# entities; one task, run inline, for a small table's chunk.
 _SLAB_CELLS = 1 << 18
 
 
@@ -31,12 +31,11 @@ def rank_of(scores: np.ndarray, true_ids, rows, cols, query_rows) -> np.ndarray:
     does not rank everything first; a query's own true cell is neither,
     known or not. True scores must be finite, as masked cells read -inf.
 
-    Both counts are taken per task through `parallel` and summed; the
-    integer counts make the ranks exact at any worker count. Rows in query
-    order (no row shared) are read in place, each task a slab of whole rows
-    holding at most _SLAB_CELLS cells (at least one row). Otherwise each
-    task gathers at most _EVAL_BATCH queries' rows over one model entity
-    block of columns.
+    Both counts are integers, taken through `parallel` with one task per
+    slab of queries: whole rows, at most _SLAB_CELLS cells and at least one
+    row. So the ranks are exact at any worker count. A slab reads its rows
+    in place when they are in query order (no row shared), and gathers
+    them otherwise.
     """
     scores = np.asarray(scores, dtype=np.float64)
     true_ids = np.asarray(true_ids, dtype=np.int64)
@@ -56,26 +55,20 @@ def rank_of(scores: np.ndarray, true_ids, rows, cols, query_rows) -> np.ndarray:
     unmasked = scores[query_rows, true_ids] == s_true
 
     b = true_ids.shape[0]
-    if b == d and np.array_equal(query_rows, np.arange(d)):
-        # Rows in query order are read in place, each in one contiguous pass.
-        col_blocks, slab, gather = [(0, n)], max(1, _SLAB_CELLS // n), False
-    else:
-        col_blocks, slab, gather = _entity_blocks(n), _EVAL_BATCH, True
+    in_place = b == d and np.array_equal(query_rows, np.arange(d))
+    slab = max(1, _SLAB_CELLS // n)
     # int32 sums: count_nonzero's int64 sums took twice as long.
-    better = np.empty((len(col_blocks), b), dtype=np.int32)
-    ties = np.empty((len(col_blocks), b), dtype=np.int32)
+    better = np.empty(b, dtype=np.int32)
+    ties = np.empty(b, dtype=np.int32)
 
-    def count(k, lo, hi, s, e):
-        block = scores[query_rows[s:e], lo:hi] if gather else scores[s:e, lo:hi]
+    def count(s, e):
+        block = scores[s:e] if in_place else scores[query_rows[s:e]]
         ref = s_true[s:e, None]
-        better[k, s:e] = np.sum(block > ref, axis=1, dtype=np.int32)
-        ties[k, s:e] = np.sum(block == ref, axis=1, dtype=np.int32)
+        better[s:e] = np.sum(block > ref, axis=1, dtype=np.int32)
+        ties[s:e] = np.sum(block == ref, axis=1, dtype=np.int32)
 
-    # The last and longest column block first, so the queue ends on short tasks.
-    parallel([functools.partial(count, k, lo, hi, s, min(s + slab, b))
-              for k, (lo, hi) in reversed(list(enumerate(col_blocks)))
-              for s in range(0, b, slab)])
-    return 1.0 + better.sum(axis=0) + (ties.sum(axis=0) - unmasked) / 2.0
+    parallel([functools.partial(count, s, min(s + slab, b)) for s in range(0, b, slab)])
+    return 1.0 + better + (ties - unmasked) / 2.0
 
 
 @dataclass

@@ -15,8 +15,8 @@ not depend on the blocking; the 1-N work (the evaluation logits in
 model.py and the fused logits, loss and entity products of
 training.bce_loss) splits by the fixed model.ENTITY_BLOCK, and the fused
 tail adds its per-block loss sums and g_z partials in block order after
-the join; the better/tied counts of evaluation.rank_of split by fixed row
-slabs and, for gathered rows, by ENTITY_BLOCK too. Parameter bytes
+the join; the better/tied counts of evaluation.rank_of split by slabs of
+whole query rows, each at most a fixed cell count. Parameter bytes
 therefore depend on OPENBLAS_NUM_THREADS, the BLAS build and
 ENTITY_BLOCK, never on the number of workers. Ranks add up integer
 counts, which are exact in any order, so they depend on the logits alone.

@@ -92,3 +92,55 @@ def test_garbage_header(tmp_path):
     bad.write_bytes(b"\x00\x01not json\n\x00\x00")
     with pytest.raises(CheckpointError):
         load_checkpoint(str(bad))
+
+
+def rewritten(tmp_path, edit):
+    """The tiny checkpoint with its manifest and body passed through
+    edit(manifest, body) -> body, as a new file."""
+    cfg = tiny_config()
+    path, _ = roundtrip(tmp_path, cfg, tiny_params(cfg))
+    header, body = path.read_bytes().split(b"\n", 1)
+    doc = json.loads(header)
+    body = edit(doc["manifest"], body)
+    out = tmp_path / "edited.ckpt"
+    out.write_bytes(json.dumps(doc).encode() + b"\n" + body)
+    return str(out)
+
+
+def test_overlapping_arrays_rejected(tmp_path):
+    # b_out (d_e floats, like b_fc) points at b_fc's bytes; its own go unread.
+    def edit(manifest, body):
+        manifest["b_out"][2] = manifest["b_fc"][2]
+        return body
+
+    with pytest.raises(CheckpointError, match="'b_out' starts at byte .* overlap or leave a gap"):
+        load_checkpoint(rewritten(tmp_path, edit))
+
+
+def test_gap_between_arrays_rejected(tmp_path):
+    # Eight bytes after ent, and every later offset moved past them.
+    def edit(manifest, body):
+        end = manifest["ent"][0] * manifest["ent"][1] * 8
+        for entry in manifest.values():
+            entry[2] += 8 if entry[2] >= end else 0
+        return body[:end] + bytes(8) + body[end:]
+
+    with pytest.raises(CheckpointError, match="'rel' starts at byte .* overlap or leave a gap"):
+        load_checkpoint(rewritten(tmp_path, edit))
+
+
+def test_arrays_out_of_layout_order_load(tmp_path):
+    # b_fc and b_out trade places in the body and the manifest: the arrays
+    # still tile it, so the file loads with each array's own bytes.
+    def edit(manifest, body):
+        lo, hi, size = manifest["b_fc"][2], manifest["b_out"][2], manifest["b_fc"][1] * 8
+        manifest["b_fc"][2], manifest["b_out"][2] = hi, lo
+        return (body[:lo] + body[hi:hi + size] + body[lo + size:hi] + body[lo:lo + size]
+                + body[hi + size:])
+
+    cfg = tiny_config()
+    params = tiny_params(cfg)
+    _, loaded = load_checkpoint(rewritten(tmp_path, edit))
+    for name, arr in {**params.named_arrays(), **params.running_arrays()}.items():
+        assert np.array_equal(arr, getattr(loaded, name)), name
+    assert list(vars(loaded)) == list(vars(params))

@@ -381,6 +381,25 @@ class TestEvalCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("entities", [30, 60])
+    def test_eval_on_data_of_another_vocabulary_exits_5(self, trained, tmp_path, capsys,
+                                                        entities):
+        # The checkpoint's tables hold the 40-entity graph's ids; fewer would
+        # rank against phantom entities, and more would index past the table.
+        _, out_dir = trained
+        data = tmp_path / "data"
+        assert main(["gen-toy", "--out", str(data), "--seed", "3", "--entities",
+                     str(entities), "--relations", "3", "--depth", "2"]) == 0
+        capsys.readouterr()
+        cfg = write_config(tmp_path / "x.json", data_dir=str(data), output_dir=str(tmp_path))
+        out = tmp_path / "report.json"
+        assert main(["eval", "--checkpoint", os.path.join(out_dir, "best.ckpt"),
+                     "--config", cfg, "--out", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert f"entity table has 40 rows, but the data has {entities} entity ids" in err
+        assert not out.exists()
+
+
 class TestPredictCommand:
     def test_full_ranking_scores_non_increasing(self, trained, capsys):
         _, out_dir = trained
@@ -431,6 +450,21 @@ class TestPredictCommand:
         assert top_k or valid_tail in {row["entity"] for row in rows}
         scores = [row["score"] for row in rows]
         assert scores == sorted(scores, reverse=True)
+
+    def test_data_dir_that_shrank_exits_5(self, trained, tmp_path, capsys):
+        _, out_dir = trained
+        data = tmp_path / "data"
+        assert main(["gen-toy", "--out", str(data), "--seed", "3", "--entities", "30",
+                     "--relations", "3", "--depth", "2"]) == 0
+        capsys.readouterr()
+        config, params = load_checkpoint(os.path.join(out_dir, "best.ckpt"))
+        ckpt = str(tmp_path / "best.ckpt")
+        save_checkpoint(ckpt, {**config, "data_dir": str(data)}, params)
+        assert main(["predict", "--checkpoint", ckpt, "--head", "e00000",
+                     "--relation", "r000", "--top-k", "0"]) == 5
+        captured = capsys.readouterr()
+        assert "entity table has 40 rows, but the data has 30 entity ids" in captured.err
+        assert captured.out == ""
 
     def test_negative_top_k_exits_2(self, trained, capsys):
         _, out_dir = trained

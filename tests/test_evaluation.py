@@ -13,7 +13,7 @@ from convd.evaluation import (
     run_fraction_sweep,
     _summarize,
 )
-from convd.model import ENTITY_BLOCK, _entity_blocks, forward_batch, init_params
+from convd.model import forward_batch, init_params
 from convd.rng import RngStream
 
 from conftest import make_store, many_to_many_rows, small_toy_train_config, worker_counts
@@ -116,19 +116,22 @@ class TestRankOf:
             rank_of(np.array([[0.1, -np.inf]]), [1], [], [], [0])
 
     @pytest.mark.parametrize("shared", [True, False], ids=["gathered", "in_place"])
-    def test_entity_blocks_match_oracle_at_any_worker_count(self, monkeypatch, shared):
-        # Three entity blocks; shared rows are gathered in two slabs per
-        # block, and unshared rows are read in place in three row slabs.
+    def test_slabs_match_oracle_at_any_worker_count(self, monkeypatch, shared):
+        # Slabs of 5 rows: 23 queries make four full slabs and a short last
+        # one. Shared rows come sorted, as evaluate's do, and some row's
+        # queries straddle a slab boundary.
         rng = np.random.default_rng(5)
-        n = 3 * ENTITY_BLOCK + 37
-        monkeypatch.setattr(evaluation, "_SLAB_CELLS", 16 * n + 15)
-        n_rows = 24 if shared else 40
-        n_queries = evaluation._EVAL_BATCH + 24 if shared else n_rows
-        chunk = random_chunk(rng, n_rows, n, n_queries)
-        assert len(_entity_blocks(chunk[0].shape[1])) == 3
+        n, slab, n_queries = 37, 5, 23
+        monkeypatch.setattr(evaluation, "_SLAB_CELLS", slab * n + n - 1)
+        scores, true_ids, rows, cols, query_rows = random_chunk(
+            rng, 9 if shared else n_queries, n, n_queries)
+        query_rows = np.sort(query_rows)
+        bounds = np.arange(slab, n_queries, slab)
+        assert np.any(query_rows[bounds - 1] == query_rows[bounds]) == shared
+        chunk = (scores, true_ids, rows, cols, query_rows)
         want = oracle_ranks(*chunk)
         for _ in worker_counts(monkeypatch, (1, 2, 3)):
-            assert rank_of(chunk[0].copy(), *chunk[1:]).tolist() == want
+            assert rank_of(scores.copy(), *chunk[1:]).tolist() == want
 
 
 class TestSummaries:
