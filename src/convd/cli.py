@@ -38,7 +38,7 @@ from .errors import (
     DataError,
     NumericError,
 )
-from .evaluation import evaluate, run_ablation, run_fraction_sweep
+from .evaluation import evaluate
 from .model import ABLATION_MODES, backward, forward_batch, init_params
 from .numerics import finite_diff_grad, workers
 from .rng import RngStream
@@ -47,6 +47,8 @@ from .training import (
     bce_loss,
     config_hash,
     hyper_search,
+    run_ablation,
+    run_fraction_sweep,
     train,
 )
 
@@ -130,9 +132,8 @@ def _dump(obj, pretty: bool) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _load_data(cfg: TrainConfig, io: dict):
-    """(store, priori): the reciprocal-augmented store of the config's
-    data_dir and its priori table."""
+def _load_data(io: dict) -> TripleStore:
+    """The reciprocal-augmented store of the config's data_dir."""
     data_dir = io.get("data_dir")
     if not data_dir:
         raise ConfigError("config key data_dir is required")
@@ -143,7 +144,7 @@ def _load_data(cfg: TrainConfig, io: dict):
         raise DataError(f"missing split file: {exc}") from exc
     except OSError as exc:
         raise DataError(f"cannot read split file: {exc}") from exc
-    return store, build_priori(store, cfg.priori_base)
+    return store
 
 
 def _resolved_config(cfg: TrainConfig, io: dict) -> dict:
@@ -175,7 +176,8 @@ def cmd_train(args) -> int:
     out_dir = io.get("output_dir")
     if not out_dir:
         raise ConfigError("config key output_dir is required")
-    store, priori = _load_data(cfg, io)
+    store = _load_data(io)
+    priori = build_priori(store, cfg.priori_base)
     _write_resolved(cfg, io, out_dir, args.pretty)
     chash = config_hash(cfg)
     ckpt_path = os.path.join(out_dir, "best.ckpt")
@@ -264,10 +266,10 @@ def cmd_eval(args) -> int:
         cfg, io = load_run_config(args.config, args.set or ())
         check_params(asdict(cfg), params)
     split = args.split or io.get("split", "test")
-    store, priori = _load_data(cfg, io)
+    store = _load_data(io)
     _check_tables(params, store)
     tic = time.perf_counter()
-    report = evaluate(params, store, split, cfg.model_config(), priori=priori)
+    report = evaluate(params, store, split, cfg.model_config())
     payload = {
         "config_hash": config_hash(cfg),
         "dataset_fingerprint": dataset_fingerprint(io["data_dir"]),
@@ -300,8 +302,9 @@ def cmd_predict(args) -> int:
     if args.top_k < 0:
         raise ConfigError(f"--top-k must be >= 0, got {args.top_k}")
     cfg, io, params = _params_from_checkpoint(args.checkpoint)
-    store, priori = _load_data(cfg, io)
+    store = _load_data(io)
     _check_tables(params, store)
+    priori = build_priori(store, cfg.priori_base)
     vocab = store.vocab
     for kind, symbol, ids in (("entity", args.head, vocab.entity_to_id),
                               ("relation", args.relation, vocab.relation_to_id)):
@@ -386,8 +389,7 @@ def cmd_ablate(args) -> int:
     cfg, io = load_run_config(args.config, args.set or ())
     modes = (args.modes.split(",") if args.modes is not None
              else io.get("modes", list(ABLATION_MODES)))
-    store, priori = _load_data(cfg, io)
-    rows = run_ablation(cfg, store, priori, modes)
+    rows = run_ablation(cfg, _load_data(io), modes)
     _emit(cfg, io, "ablation.json", rows, args.pretty)
     return EXIT_OK
 
@@ -400,8 +402,7 @@ def cmd_sweep(args) -> int:
         fractions = [float(x) for x in raw]
     except ValueError as exc:
         raise ConfigError(f"--fractions expects numbers, got {args.fractions!r}") from exc
-    store, priori = _load_data(cfg, io)
-    rows = run_fraction_sweep(cfg, store, priori, fractions)
+    rows = run_fraction_sweep(cfg, _load_data(io), fractions)
     serializable = [{k: v for k, v in row.items() if k != "params"} for row in rows]
     _emit(cfg, io, "sweep.json", serializable, args.pretty)
     return EXIT_OK
@@ -409,8 +410,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_search(args) -> int:
     cfg, io = load_run_config(args.config, args.set or ())
-    store, priori = _load_data(cfg, io)
-    best, leaderboard = hyper_search(cfg, store, priori)
+    best, leaderboard = hyper_search(cfg, _load_data(io))
     payload = {"best": asdict(best), "best_hash": config_hash(best), "leaderboard": leaderboard}
     _emit(cfg, io, "search.json", payload, args.pretty)
     return EXIT_OK

@@ -1,15 +1,14 @@
 """Filtered link-prediction metrics (MRR, Hits@1/3/10) with tie-average
-ranking, plus the ablation and kernel-fraction sweep runners. The runners
-train through `training.train_each`, so every run's config is checked
-before the first one trains."""
+ranking. The experiment runners that train and then evaluate live in
+`training`; nothing here trains."""
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import PrioriTable, QueryIndex, TripleStore, build_priori
-from .errors import ConfigError, DimensionError, NumericError, StateError
+from .errors import DimensionError, NumericError, StateError
 from .model import ModelConfig, forward_batch
 from .numerics import parallel
 
@@ -142,45 +141,3 @@ def evaluate(params, store: TripleStore, split: str, cfg: ModelConfig,
             "head": _summarize(head),
         },
     )
-
-
-def _train_and_test(variants, store: TripleStore, priori: PrioriTable, fields) -> list:
-    """Trains every (label, config) pair through `train_each`, so all are
-    checked before the first trains, and tests each on the test split; a
-    row holds fields(config, params) and the run's results. An empty list
-    is a ConfigError."""
-    from .training import config_hash, train_each  # circular at import time otherwise
-
-    if not variants:
-        raise ConfigError("nothing to run: the list of modes or fractions is empty")
-    rows = []
-    for cfg, params, history in train_each(variants, store, priori):
-        report = evaluate(params, store, "test", cfg.model_config(), priori=priori)
-        rows.append(
-            {
-                **fields(cfg, params),
-                "config_hash": config_hash(cfg),
-                "best_epoch": history.best_epoch,
-                "valid_mrr": history.best_valid_mrr,
-                "test": report.as_dict(),
-            }
-        )
-    return rows
-
-
-def run_ablation(cfg, store: TripleStore, priori: PrioriTable, modes) -> list:
-    """Train one model per ablation mode with the shared seed and config;
-    one comparison row per mode."""
-    variants = [(f"mode {mode!r}", replace(cfg, ablation=mode)) for mode in modes]
-    return _train_and_test(variants, store, priori, lambda run, _: {"mode": run.ablation})
-
-
-def run_fraction_sweep(cfg, store: TripleStore, priori: PrioriTable, fractions) -> list:
-    """Train one model per kernel fraction; rows keyed by fraction, each
-    with its best params."""
-    variants = [(f"fraction {f}", replace(cfg, kernel_fraction=float(f))) for f in fractions]
-    return _train_and_test(variants, store, priori, lambda run, params: {
-        "fraction": run.kernel_fraction,
-        "active_kernels": run.active_kernels,
-        "params": params,
-    })

@@ -1,5 +1,5 @@
-"""1-N mini-batch training with label smoothing, Adam, early stopping, and
-grid-plus-random hyperparameter search."""
+"""1-N mini-batch training with label smoothing, Adam and early stopping,
+and the runs of ablate, sweep and hyperparameter search (`train_each`)."""
 
 import functools
 import hashlib
@@ -11,7 +11,10 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import PrioriTable, SmoothedTargets, TripleStore, smoothed_targets_matrix
+# Not `from .evaluation import evaluate`: train looks evaluate up on the
+# module at each call, where perfbench's tracer wraps it.
+from . import evaluation
+from .data import PrioriTable, SmoothedTargets, TripleStore, build_priori, smoothed_targets_matrix
 from .errors import ConfigError, DimensionError, NumericError, StateError
 from .model import (
     ModelConfig,
@@ -51,6 +54,9 @@ class TrainConfig(ModelConfig):
             raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
         if self.random_search_draws < 0:
             raise ConfigError("random_search_draws must be >= 0")
+        if self.batch_size < 2 and not self.bn_frozen:
+            raise ConfigError(f"batch size {self.batch_size} needs bn_frozen=true: "
+                              f"batch statistics need two examples")
 
     def model_config(self) -> ModelConfig:
         names = {f.name for f in ModelConfig.__dataclass_fields__.values()}
@@ -191,8 +197,6 @@ def train(cfg: TrainConfig, store: TripleStore, priori: PrioriTable,
     are the snapshot of the best validation epoch. Identical (seed, config,
     data) reruns produce identical params and records.
     """
-    from .evaluation import evaluate  # local import; evaluation needs the model too
-
     cfg.validate()
     if not store.augmented:
         raise StateError("train expects a reciprocal-augmented store")
@@ -235,7 +239,7 @@ def train(cfg: TrainConfig, store: TripleStore, priori: PrioriTable,
         mean_loss = total_loss / total_queries
         valid_mrr = None
         if epoch % cfg.eval_every == 0 or epoch == cfg.max_epochs:
-            report = evaluate(params, store, "valid", mcfg, priori=priori)
+            report = evaluation.evaluate(params, store, "valid", mcfg, priori=priori)
             valid_mrr = report.mrr
             if history.best_valid_mrr is None or valid_mrr > history.best_valid_mrr:
                 history.best_valid_mrr = valid_mrr
@@ -254,19 +258,61 @@ def train(cfg: TrainConfig, store: TripleStore, priori: PrioriTable,
     return (best_params if best_params is not None else params), history
 
 
-def train_each(variants, store: TripleStore, priori: PrioriTable):
-    """Trains each (label, config) pair in turn. Every config is validated
-    before the first one trains; a failure raises ConfigError prefixed with
-    its label. Yields (config, params, history) as each run ends."""
+def train_each(variants, store: TripleStore, row) -> list:
+    """The one run loop of ablate, sweep and search: trains each (label,
+    config) pair in turn, with the priori table of its own priori_base,
+    once every config has validated; a failure raises ConfigError prefixed
+    with its label. Returns row(config, params, history, priori) per run."""
     variants = list(variants)
     for label, cfg in variants:
         try:
             cfg.validate()
         except ConfigError as exc:
             raise ConfigError(f"{label}: {exc}") from None
-    for _, cfg in variants:
-        params, history = train(cfg, store, priori)
-        yield cfg, params, history
+
+    def run(cfg):
+        priori = build_priori(store, cfg.priori_base)
+        return row(cfg, *train(cfg, store, priori), priori)
+
+    return [run(cfg) for _, cfg in variants]
+
+
+def _train_and_test(variants, store: TripleStore, fields) -> list:
+    """Trains every (label, config) pair through `train_each` and tests
+    each on the test split; a row holds fields(config, params) and the
+    run's results. An empty list is a ConfigError."""
+    if not variants:
+        raise ConfigError("nothing to run: the list of modes or fractions is empty")
+
+    def tested(cfg, params, history, priori):
+        report = evaluation.evaluate(params, store, "test", cfg.model_config(), priori=priori)
+        return {
+            **fields(cfg, params),
+            "config_hash": config_hash(cfg),
+            "best_epoch": history.best_epoch,
+            "valid_mrr": history.best_valid_mrr,
+            "test": report.as_dict(),
+        }
+
+    return train_each(variants, store, tested)
+
+
+def run_ablation(cfg, store: TripleStore, modes) -> list:
+    """Train one model per ablation mode with the shared seed and config;
+    one comparison row per mode."""
+    variants = [(f"mode {mode!r}", replace(cfg, ablation=mode)) for mode in modes]
+    return _train_and_test(variants, store, lambda run, _: {"mode": run.ablation})
+
+
+def run_fraction_sweep(cfg, store: TripleStore, fractions) -> list:
+    """Train one model per kernel fraction; rows keyed by fraction, each
+    with its best params."""
+    variants = [(f"fraction {f}", replace(cfg, kernel_fraction=float(f))) for f in fractions]
+    return _train_and_test(variants, store, lambda run, params: {
+        "fraction": run.kernel_fraction,
+        "active_kernels": run.active_kernels,
+        "params": params,
+    })
 
 
 def _factor_embedding_dim(d_e: int) -> tuple:
@@ -322,15 +368,16 @@ def _draw(key: str, values: list, center, rng: RngStream):
     return sampled
 
 
-def hyper_search(base: TrainConfig, store: TripleStore, priori: PrioriTable):
+def hyper_search(base: TrainConfig, store: TripleStore):
     """Grid phase over the declared value lists, then seeded uniform draws
     around the grid winner. Returns (best TrainConfig, leaderboard).
 
     Every grid config is validated before the first one trains, and every
-    draw before the first draw trains (`train_each`). A drawn d_e whose
-    plane cannot hold the drawn kernel (a prime factors as 1 x d_e) moves
-    to the nearest one that can (`_fitting_d_e`). A grid holding d_e with
-    d_w or d_h is refused, since d_e sets both sides of the plane.
+    draw before the first draw trains; each run has the priori table of its
+    own priori_base (`train_each`). A drawn d_e whose plane cannot hold the
+    drawn kernel (a prime factors as 1 x d_e) moves to the nearest one that
+    can (`_fitting_d_e`). A grid holding d_e with d_w or d_h is refused,
+    since d_e sets both sides of the plane.
     Selection: highest validation MRR, ties broken by fewer parameters,
     then by lower config hash.
     """
@@ -363,22 +410,20 @@ def hyper_search(base: TrainConfig, store: TripleStore, priori: PrioriTable):
             cfg = _apply_grid_value(cfg, key, value)
         return cfg
 
-    def trials(variants):
-        return [
-            {
-                "config": asdict(cfg),
-                "config_hash": config_hash(cfg),
-                "valid_mrr": float(-1.0 if h.best_valid_mrr is None else h.best_valid_mrr),
-                "n_params": count_parameters(cfg, store.n_entities, store.n_relations),
-            }
-            for cfg, _, h in train_each(variants, store, priori)
-        ]
+    def entry(cfg, _, h, __):
+        return {
+            "config": asdict(cfg),
+            "config_hash": config_hash(cfg),
+            "valid_mrr": float(-1.0 if h.best_valid_mrr is None else h.best_valid_mrr),
+            "n_params": count_parameters(cfg, store.n_entities, store.n_relations),
+        }
 
     def sort_key(entry):
         return (-entry["valid_mrr"], entry["n_params"], entry["config_hash"])
 
     grid = [dict(zip(keys, combo)) for combo in itertools.product(*(base.grid[k] for k in keys))]
-    leaderboard = trials((f"grid values {values}", with_values(values)) for values in grid)
+    runs = [(f"grid values {values}", with_values(values)) for values in grid]
+    leaderboard = train_each(runs, store, entry)
     winner = grid[min(range(len(leaderboard)), key=lambda i: sort_key(leaderboard[i]))]
 
     def draw(rng):
@@ -390,6 +435,6 @@ def hyper_search(base: TrainConfig, store: TripleStore, priori: PrioriTable):
 
     draw_rng = RngStream(base.seed, "search")
     draws = [(f"draw {i}", draw(draw_rng)) for i in range(1, base.random_search_draws + 1)]
-    leaderboard += trials(draws)
+    leaderboard += train_each(draws, store, entry)
     leaderboard.sort(key=sort_key)
     return TrainConfig(**leaderboard[0]["config"]), leaderboard

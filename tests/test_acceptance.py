@@ -14,7 +14,7 @@ from convd.data import (
     build_priori,
     generate_toy_kg,
 )
-from convd.evaluation import evaluate, run_ablation, run_fraction_sweep
+from convd.evaluation import evaluate
 from convd.model import (
     ModelConfig,
     count_parameters,
@@ -23,7 +23,7 @@ from convd.model import (
 )
 from convd.numerics import conv2d_batch
 from convd.rng import RngStream
-from convd.training import TrainConfig, train
+from convd.training import TrainConfig, run_ablation, run_fraction_sweep, train
 
 from conftest import (
     TINY_ENTITIES,
@@ -194,12 +194,11 @@ def test_criterion_07_toy_kg_learning(toy_store, toy_priori, toy_train_config, t
 
 def test_criterion_08_ablation_direction(small_toy_store):
     with _criterion(8, "4-mode ablation table is produced deterministically (ordering is soft)"):
-        priori = build_priori(small_toy_store)
         modes = ["full", "no_priori", "no_attention", "no_both"]
 
         def run(seed):
             cfg = small_toy_train_config(max_epochs=30, eval_every=10, lr=0.01, seed=seed)
-            return run_ablation(cfg, small_toy_store, priori, modes)
+            return run_ablation(cfg, small_toy_store, modes)
 
         tables = {seed: run(seed) for seed in range(1, 6)}
         for table in tables.values():
@@ -220,7 +219,7 @@ def test_criterion_09_kernel_fraction_sweep(small_toy_store):
     with _criterion(9, "fraction sweep 3 rows; fraction 1.0 bit-identical to unmasked"):
         priori = build_priori(small_toy_store)
         cfg = small_toy_train_config(max_epochs=10, eval_every=5, lr=0.01, seed=2)
-        rows = run_fraction_sweep(cfg, small_toy_store, priori, [0.25, 0.5, 1.0])
+        rows = run_fraction_sweep(cfg, small_toy_store, [0.25, 0.5, 1.0])
         assert len(rows) == 3
         assert [row["active_kernels"] for row in rows] == [1, 2, 4]
 

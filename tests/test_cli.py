@@ -177,6 +177,15 @@ class TestTrainCommand:
         assert main(["search", "--config", cfg_path]) == 2
         assert f"config error: grid keys 'd_e' and {side!r}" in capsys.readouterr().err
 
+    def test_single_query_batch_exits_2_before_writing(self, tmp_path, toy_dir, capsys):
+        # Batch statistics need two examples; the config is refused before
+        # the output directory is made.
+        cfg_path = write_config(tmp_path / "c.json", data_dir=toy_dir,
+                                output_dir=str(tmp_path / "o"))
+        assert main(["train", "--config", cfg_path, "--set", "batch_size=1"]) == 2
+        assert "batch size 1 needs bn_frozen" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_non_square_m_exits_2(self, tmp_path, toy_dir):
         cfg_path = write_config(tmp_path / "c.json", m=3, data_dir=toy_dir,
                                 output_dir=str(tmp_path / "o"))

@@ -9,8 +9,6 @@ from convd.errors import DimensionError, NumericError, StateError
 from convd.evaluation import (
     evaluate,
     rank_of,
-    run_ablation,
-    run_fraction_sweep,
     _summarize,
 )
 from convd.model import forward_batch, init_params
@@ -319,32 +317,3 @@ class TestTrainedToyPredictions:
             checked += 1
         assert checked > 10
         assert hits / checked >= 0.95
-
-
-class TestRunners:
-    def test_single_mode_matches_plain_train(self, small_toy_store):
-        from convd.training import train
-
-        cfg = small_toy_train_config(max_epochs=2, eval_every=1)
-        priori = build_priori(small_toy_store)
-        rows = run_ablation(cfg, small_toy_store, priori, ["full"])
-        assert len(rows) == 1
-        params, history = train(cfg, small_toy_store, priori)
-        report = evaluate(params, small_toy_store, "test", cfg.model_config(), priori=priori)
-        assert rows[0]["test"]["mrr"] == report.mrr
-
-    def test_four_modes_share_config_shape(self, small_toy_store):
-        cfg = small_toy_train_config(max_epochs=1, eval_every=1)
-        priori = build_priori(small_toy_store)
-        rows = run_ablation(
-            cfg, small_toy_store, priori, ["full", "no_priori", "no_attention", "no_both"]
-        )
-        assert [row["mode"] for row in rows] == ["full", "no_priori", "no_attention", "no_both"]
-        assert len({row["config_hash"] for row in rows}) == 4
-
-    def test_fraction_sweep_rows(self, small_toy_store):
-        cfg = small_toy_train_config(max_epochs=1, eval_every=1)
-        priori = build_priori(small_toy_store)
-        rows = run_fraction_sweep(cfg, small_toy_store, priori, [0.25, 1.0])
-        assert [row["fraction"] for row in rows] == [0.25, 1.0]
-        assert [row["active_kernels"] for row in rows] == [1, 4]

@@ -1,7 +1,7 @@
 import json
 import math
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -29,6 +29,8 @@ from convd.training import (
     config_hash,
     early_stop,
     hyper_search,
+    run_ablation,
+    run_fraction_sweep,
     train,
 )
 from convd.evaluation import evaluate
@@ -461,6 +463,15 @@ class TestTrain:
         with pytest.raises(ConfigError):
             train(small_toy_train_config(), empty, build_priori(empty))
 
+    def test_single_query_batches_need_a_frozen_norm(self, small_toy_store):
+        # Batch statistics need two examples, so batch_size 1 cannot train
+        # unless the norm uses its running statistics.
+        with pytest.raises(ConfigError, match="batch size 1 needs bn_frozen"):
+            small_toy_train_config(batch_size=1)
+        cfg = small_toy_train_config(batch_size=1, bn_frozen=True, max_epochs=1, eval_every=1)
+        _, history = train(cfg, small_toy_store, build_priori(small_toy_store))
+        assert np.isfinite(history.records[0].loss)
+
 
 class TestStepOverSeveralEntityBlocks:
     """A training step over N >= 2 * ENTITY_BLOCK entities, where the fused
@@ -531,8 +542,7 @@ class TestHyperSearch:
         cfg = small_toy_train_config(max_epochs=2, eval_every=1)
         cfg.grid = {"priori_weight": [0.2]}
         cfg.random_search_draws = 0
-        priori = build_priori(small_toy_store)
-        best, leaderboard = hyper_search(cfg, small_toy_store, priori)
+        best, leaderboard = hyper_search(cfg, small_toy_store)
         assert len(leaderboard) == 1
         assert best.priori_weight == 0.2
 
@@ -540,8 +550,7 @@ class TestHyperSearch:
         cfg = small_toy_train_config(max_epochs=40, eval_every=10)
         cfg.grid = {"lr": [1e-300, 0.01]}  # the first one cannot learn
         cfg.random_search_draws = 0
-        priori = build_priori(small_toy_store)
-        best, leaderboard = hyper_search(cfg, small_toy_store, priori)
+        best, leaderboard = hyper_search(cfg, small_toy_store)
         assert best.lr == 0.01
         assert len(leaderboard) == 2
         assert leaderboard[0]["valid_mrr"] > leaderboard[1]["valid_mrr"]
@@ -550,8 +559,7 @@ class TestHyperSearch:
         cfg = small_toy_train_config(max_epochs=1, eval_every=1)
         cfg.grid = {"priori_weight": [0.1, 0.4]}
         cfg.random_search_draws = 3
-        priori = build_priori(small_toy_store)
-        _, leaderboard = hyper_search(cfg, small_toy_store, priori)
+        _, leaderboard = hyper_search(cfg, small_toy_store)
         assert len(leaderboard) == 2 + 3
 
     def test_draws_round_by_the_field_type_not_the_grid_order(self):
@@ -575,7 +583,7 @@ class TestHyperSearch:
         cfg.grid = {"m": [4, 9]}
         cfg.random_search_draws = 2
         with pytest.raises(ConfigError, match="grid key 'm'"):
-            hyper_search(cfg, small_toy_store, build_priori(small_toy_store))
+            hyper_search(cfg, small_toy_store)
 
     def test_d_e_with_d_w_rejected_before_training(self, small_toy_store, monkeypatch):
         # d_w would replace one side of d_e's plane, so a draw could fit a
@@ -585,7 +593,7 @@ class TestHyperSearch:
         cfg.grid = {"d_e": [18, 24], "d_w": [5]}
         cfg.random_search_draws = 6
         with pytest.raises(ConfigError, match="grid keys 'd_e' and 'd_w'"):
-            hyper_search(cfg, small_toy_store, build_priori(small_toy_store))
+            hyper_search(cfg, small_toy_store)
 
     def test_invalid_grid_config_rejected_before_training(self, small_toy_store,
                                                           monkeypatch):
@@ -594,7 +602,31 @@ class TestHyperSearch:
         cfg = small_toy_train_config(d_w=4, d_h=4)
         cfg.grid = {"r_w": [2, 9]}
         with pytest.raises(ConfigError, match="larger than entity plane"):
-            hyper_search(cfg, small_toy_store, build_priori(small_toy_store))
+            hyper_search(cfg, small_toy_store)
+
+    def test_single_query_batch_rejected_before_training(self, small_toy_store, monkeypatch):
+        # batch_size 1 fails only in its first step, so the 64 config
+        # would train to the end first if it were not checked up front.
+        monkeypatch.setattr(convd.training, "train", no_training)
+        cfg = small_toy_train_config()
+        cfg.grid = {"batch_size": [64, 1]}
+        with pytest.raises(ConfigError, match="'batch_size': 1}: batch size 1 needs bn_frozen"):
+            hyper_search(cfg, small_toy_store)
+
+    def test_each_grid_entry_trains_with_its_own_priori_base(self, small_toy_store):
+        # A large priori_weight makes P weigh enough that the two bases
+        # score apart at this size.
+        cfg = small_toy_train_config(max_epochs=2, eval_every=1, priori_weight=3.0)
+        cfg.grid = {"priori_base": [1.5, 50]}
+        cfg.random_search_draws = 0
+        _, leaderboard = hyper_search(cfg, small_toy_store)
+        by_base = {entry["config"]["priori_base"]: entry["valid_mrr"] for entry in leaderboard}
+        assert sorted(by_base) == [1.5, 50]
+        for base, valid_mrr in by_base.items():
+            run = replace(cfg, priori_base=base)
+            _, history = train(run, small_toy_store, build_priori(small_toy_store, base))
+            assert valid_mrr == history.best_valid_mrr, base
+        assert by_base[1.5] != by_base[50]
 
     @pytest.mark.parametrize("key, grid, winner", [
         ("lr", [1, 0.01], 1), ("lr", [1, 0.01], 0.01), ("lr", [0.01, 0.5, 1], 0.5),
@@ -612,7 +644,7 @@ class TestHyperSearch:
         cfg = small_toy_train_config()
         cfg.grid = {key: grid}
         cfg.random_search_draws = 60
-        _, leaderboard = hyper_search(cfg, small_toy_store, build_priori(small_toy_store))
+        _, leaderboard = hyper_search(cfg, small_toy_store)
         # The leaderboard is sorted, so check every entry, grid ones too.
         values = [entry["config"][key] for entry in leaderboard]
         assert len(values) == len(grid) + 60
@@ -630,7 +662,7 @@ class TestHyperSearch:
         cfg = small_toy_train_config()
         cfg.grid = {"dropout_in": [0.0], "lr": [0.003, 0.01]}
         cfg.random_search_draws = 20
-        _, leaderboard = hyper_search(cfg, small_toy_store, build_priori(small_toy_store))
+        _, leaderboard = hyper_search(cfg, small_toy_store)
         assert len(leaderboard) == 2 + 20
         assert all(entry["config"]["dropout_in"] == 0.0 for entry in leaderboard)
         assert len({entry["config"]["lr"] for entry in leaderboard}) > 2
@@ -651,7 +683,7 @@ class TestHyperSearch:
         cfg = small_toy_train_config(r_w=2, r_h=2)
         cfg.grid = {"d_e": [16, 36]}
         cfg.random_search_draws = 20
-        hyper_search(cfg, small_toy_store, build_priori(small_toy_store))
+        hyper_search(cfg, small_toy_store)
         assert len(trained) == 22
         assert [run.d_e for run in trained[:2]] == [16, 36]
         for run in trained[2:]:
@@ -675,17 +707,16 @@ class TestHyperSearch:
             return None, TrainHistory(best_valid_mrr=int(config_hash(cfg), 16) / 16**12)
 
         monkeypatch.setattr(convd.training, "train", stub_train)
-        priori = build_priori(small_toy_store)
         for seed in range(1, 21):
             cfg = TrainConfig(r_w=3, r_h=3, random_search_draws=10, seed=seed)
-            _, leaderboard = hyper_search(cfg, small_toy_store, priori)
+            _, leaderboard = hyper_search(cfg, small_toy_store)
             assert len(leaderboard) == 20 + 10, seed
 
     def test_empty_grid_rejected(self, small_toy_store):
         cfg = small_toy_train_config()
         cfg.grid = {}
         with pytest.raises(ConfigError):
-            hyper_search(cfg, small_toy_store, build_priori(small_toy_store))
+            hyper_search(cfg, small_toy_store)
 
     def test_config_hash_stability(self):
         cfg = small_toy_train_config()
@@ -707,3 +738,52 @@ class TestHyperSearch:
 
         with pytest.raises(ConfigError):
             _apply_grid_value(small_toy_train_config(), "nonsense", 1)
+
+
+class TestRunners:
+    def test_single_mode_matches_plain_train(self, small_toy_store):
+        cfg = small_toy_train_config(max_epochs=2, eval_every=1)
+        priori = build_priori(small_toy_store)
+        rows = run_ablation(cfg, small_toy_store, ["full"])
+        assert len(rows) == 1
+        params, history = train(cfg, small_toy_store, priori)
+        report = evaluate(params, small_toy_store, "test", cfg.model_config(), priori=priori)
+        assert rows[0]["test"]["mrr"] == report.mrr
+
+    def test_four_modes_share_config_shape(self, small_toy_store):
+        cfg = small_toy_train_config(max_epochs=1, eval_every=1)
+        rows = run_ablation(
+            cfg, small_toy_store, ["full", "no_priori", "no_attention", "no_both"]
+        )
+        assert [row["mode"] for row in rows] == ["full", "no_priori", "no_attention", "no_both"]
+        assert len({row["config_hash"] for row in rows}) == 4
+
+    def test_fraction_sweep_rows(self, small_toy_store):
+        cfg = small_toy_train_config(max_epochs=1, eval_every=1)
+        rows = run_fraction_sweep(cfg, small_toy_store, [0.25, 1.0])
+        assert [row["fraction"] for row in rows] == [0.25, 1.0]
+        assert [row["active_kernels"] for row in rows] == [1, 4]
+
+    def test_every_run_gets_the_priori_table_of_its_own_base(self, small_toy_store,
+                                                              monkeypatch):
+        # A spy in place of train: every run of ablate, sweep and search
+        # gets the table of its own config's priori_base. Ablate and sweep
+        # keep the base config's 3; search trains the grid's 1.5 and 50,
+        # then two draws between them.
+        bases = []
+
+        def spy_train(cfg, store, priori):
+            assert priori.log_base == cfg.priori_base, (priori.log_base, cfg.priori_base)
+            bases.append(cfg.priori_base)
+            rng = RngStream(cfg.seed, "init")
+            return init_params(cfg, store.n_entities, store.n_relations, rng), TrainHistory()
+
+        monkeypatch.setattr(convd.training, "train", spy_train)
+        cfg = small_toy_train_config(priori_base=3.0)
+        run_ablation(cfg, small_toy_store, ["full", "no_priori"])
+        run_fraction_sweep(cfg, small_toy_store, [0.5, 1.0])
+        cfg.grid = {"priori_base": [1.5, 50]}
+        cfg.random_search_draws = 2
+        hyper_search(cfg, small_toy_store)
+        assert bases[:6] == [3.0] * 4 + [1.5, 50]
+        assert len(bases) == 8 and all(1.5 <= b <= 50 for b in bases[6:]), bases
