@@ -54,14 +54,17 @@ def check_params(config: dict, params: ModelParams) -> dict:
     return _check_layout(config, {name: _stored_shape(a.shape) for name, a in arrays.items()})
 
 
-def atomic_write(path, data) -> None:
-    """Writes the bytes `data` to `path` through `<path>.tmp.<pid>` and one
-    os.replace, so `path` never holds a partial file. On any failure the
-    temporary file is removed and the error re-raised."""
+def atomic_write(path, *pieces) -> None:
+    """Writes the bytes-like `pieces` to `path`, one after another, through
+    `<path>.tmp.<pid>` and one os.replace, so `path` never holds a partial
+    file. Each piece is written from its own buffer, never joined into a
+    copy. On any failure the temporary file is removed and the error
+    re-raised."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            for piece in pieces:
+                fh.write(piece)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -71,7 +74,9 @@ def atomic_write(path, data) -> None:
 
 def save_checkpoint(path, config: dict, params: ModelParams) -> None:
     """Writes `params` with `config` as the stored config, which must imply
-    their layout, so that every saved file loads."""
+    their layout, so that every saved file loads. The header and then each
+    array are written from their own buffers, so saving copies no
+    parameters."""
     arrays = {**params.named_arrays(), **params.running_arrays()}
     manifest = {}
     offset = 0
@@ -86,18 +91,26 @@ def save_checkpoint(path, config: dict, params: ModelParams) -> None:
         sort_keys=True,
         separators=(",", ":"),
     )
-    # The arrays join through their buffers: one copy of the parameters.
-    atomic_write(path, b"".join([header.encode("utf-8"), b"\n", *blobs]))
+    atomic_write(path, header.encode("utf-8") + b"\n", *blobs)
 
 
 def load_checkpoint(path):
     """Returns (config dict, ModelParams). Raises CheckpointError on version
     mismatch, truncation, a malformed header or manifest entry, arrays that
     overlap or leave a gap in the binary section, array shapes that
-    disagree with the stored config, or non-finite values."""
+    disagree with the stored config, or non-finite values.
+
+    The binary section is read once, into one writable buffer, and every
+    array is a C-contiguous, writable view of it: loading holds one copy
+    of the parameters."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
-        body = fh.read()
+        # One read into a buffer of the file's size takes the binary
+        # section, and the header line's length is cut off its end. A
+        # pipe, whose size is 0, is read whole after it.
+        body = bytearray(os.fstat(fh.fileno()).st_size)
+        del body[fh.readinto(body):]
+        body += fh.read()
     try:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -137,7 +150,7 @@ def load_checkpoint(path):
         if end > len(body):
             raise CheckpointError(f"checkpoint truncated inside array {name!r}")
         flat = np.frombuffer(body, dtype="<f8", count=rows * cols, offset=offset)
-        arrays[name] = flat.astype(np.float64).reshape(layout[name])
+        arrays[name] = flat.reshape(layout[name])
     if end != len(body):
         raise CheckpointError("checkpoint has trailing bytes")
     params = ModelParams({name: arrays[name] for name in layout})

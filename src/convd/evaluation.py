@@ -106,8 +106,9 @@ def evaluate(params, store: TripleStore, split: str, cfg: ModelConfig,
     query); its distinct (head, relation) queries are walked in key order,
     `_EVAL_BATCH` at a time, so each is scored exactly once. Its logits
     row is consumed by `rank_of`, which masks the known tails in place and
-    ranks every query of that run against the row. The priori table is
-    built from the store's train split when not supplied.
+    ranks every query of that run against the row. One chunk's logits are
+    alive at a time: each chunk's die before the next chunk's forward. The
+    priori table is built from the store's train split when not supplied.
     """
     if not store.augmented:
         raise StateError("evaluation expects a reciprocal-augmented store")
@@ -126,9 +127,13 @@ def evaluate(params, store: TripleStore, split: str, cfg: ModelConfig,
         bounds = index.offsets[lo:hi + 1]
         chunk = index.tails[bounds[0]:bounds[-1]]
         query_rows = np.repeat(np.arange(hi - lo), np.diff(bounds))
-        logits = forward_batch(heads[lo:hi], rels[lo:hi], params, priori, cfg, mode="eval")[0]
         rows, cols = store.known.cells(heads[lo:hi], rels[lo:hi])
-        ranks[chunk] = rank_of(logits, asked[chunk, 2], rows, cols, query_rows)
+        # Unnamed, the chunk's logits die when rank_of returns, so the next
+        # chunk's forward never runs beside them.
+        ranks[chunk] = rank_of(
+            forward_batch(heads[lo:hi], rels[lo:hi], params, priori, cfg, mode="eval")[0],
+            asked[chunk, 2], rows, cols, query_rows,
+        )
     tail, head = np.split(ranks, 2)
 
     combined = _summarize(ranks)

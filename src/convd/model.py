@@ -462,15 +462,19 @@ def _score_entities(z, ent, cfg: ModelConfig) -> np.ndarray:
     """Step 8 outside training: the (B, n_entities) logits of the query
     vectors z (their sigmoid with cfg.sigmoid_pre_dot) against every entity
     row. One task per entity block, the last and longest first, so the
-    queue ends on short tasks; a single block runs inline."""
+    queue ends on short tasks; a single block runs inline. Each task
+    rejects a non-finite logit of its own block, so no (B, n_entities)
+    mask is allocated."""
     query = 1.0 / (1.0 + np.exp(-z)) if cfg.sigmoid_pre_dot else z
     logits = np.empty((query.shape[0], ent.shape[0]))
-    parallel([
-        functools.partial(np.matmul, query, ent[lo:hi].T, out=logits[:, lo:hi])
-        for lo, hi in reversed(_entity_blocks(ent.shape[0]))
-    ])
-    if not np.all(np.isfinite(logits)):
-        raise NumericError("non-finite logits")
+
+    def score_block(lo, hi):
+        block = np.matmul(query, ent[lo:hi].T, out=logits[:, lo:hi])
+        if not np.isfinite(block).all():
+            raise NumericError("non-finite logits")
+
+    parallel([functools.partial(score_block, lo, hi)
+              for lo, hi in reversed(_entity_blocks(ent.shape[0]))])
     return logits
 
 

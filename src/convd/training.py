@@ -91,12 +91,14 @@ class TrainHistory:
         return [r for r in self.records if r.valid_mrr is not None]
 
 
-def bce_loss(z: np.ndarray, ent: np.ndarray, targets: SmoothedTargets):
+def bce_loss(z: np.ndarray, ent: np.ndarray, targets: SmoothedTargets, out=None):
     """The 1-N tail of a training step, fused: the logits z @ ent.T of the
     query vectors z (B, d_e) against the entity table ent (N, d_e), their
     mean binary cross-entropy against the smoothed targets, and its
     gradients. Returns (loss, g_z, grad_ent): d loss / d z, and the entity
     table's gradient through the logits, which `backward` takes over.
+    grad_ent is written over every row of `out` (N, d_e) when given, and
+    `out` returned, so a training epoch reuses one buffer; else it is new.
 
     No (B, N) array outlives an entity block. One task per block of
     model._entity_blocks, the last and longest first, computes its logits,
@@ -122,7 +124,7 @@ def bce_loss(z: np.ndarray, ent: np.ndarray, targets: SmoothedTargets):
     blocks = _entity_blocks(n)
     cuts = np.searchsorted(cols, [lo for lo, _ in blocks] + [n]).tolist()
     y_neg, y_pos, cells = targets.negative, targets.positive, b * n
-    grad_ent = np.empty_like(ent)
+    grad_ent = np.empty_like(ent) if out is None else out
     sums, partials = [None] * len(blocks), [None] * len(blocks)
 
     def run_block(i):
@@ -216,17 +218,21 @@ def train(cfg: TrainConfig, store: TripleStore, priori: PrioriTable,
     best_params = None
     mcfg = cfg.model_config()
 
-    for epoch in range(1, cfg.max_epochs + 1):
-        tic = time.perf_counter()
-        order = shuffle_rng.permutation(len(positives))
+    def run_epoch(epoch):
+        """The epoch's steps; returns their mean loss. bce_loss writes every
+        step's entity gradient over one buffer, and backward adds into it in
+        place, so no step allocates an N x d_e array; the buffer and the
+        last step's trace and gradients die when this returns, before the
+        epoch's evaluation and checkpoint save."""
+        grad_ent = np.empty_like(params.ent)
         total_loss = 0.0
         total_queries = 0
-        for batch_idx in _epoch_batches(order, cfg.batch_size):
+        for batch_idx in _epoch_batches(shuffle_rng.permutation(len(positives)), cfg.batch_size):
             targets = smoothed_targets_matrix(batch_idx, positives, cfg.label_smoothing, n_entities)
             _, trace = forward_batch(
                 heads[batch_idx], rels[batch_idx], params, priori, mcfg, mode="train", rng=rng
             )
-            loss, g_z, grad_ent = bce_loss(trace.z, params.ent, targets)
+            loss, g_z, _ = bce_loss(trace.z, params.ent, targets, out=grad_ent)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite training loss at epoch {epoch}")
             grads = backward(trace, g_z, grad_ent)
@@ -235,8 +241,11 @@ def train(cfg: TrainConfig, store: TripleStore, priori: PrioriTable,
             commit_running_stats(trace)
             total_loss += loss * len(batch_idx)
             total_queries += len(batch_idx)
+        return total_loss / total_queries
 
-        mean_loss = total_loss / total_queries
+    for epoch in range(1, cfg.max_epochs + 1):
+        tic = time.perf_counter()
+        mean_loss = run_epoch(epoch)
         valid_mrr = None
         if epoch % cfg.eval_every == 0 or epoch == cfg.max_epochs:
             report = evaluation.evaluate(params, store, "valid", mcfg, priori=priori)

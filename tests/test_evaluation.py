@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from convd.evaluation import (
     rank_of,
     _summarize,
 )
-from convd.model import forward_batch, init_params
+from convd.model import ENTITY_BLOCK, forward_batch, init_params
 from convd.rng import RngStream
 
 from conftest import make_store, many_to_many_rows, small_toy_train_config, worker_counts
@@ -248,6 +249,27 @@ class TestEvaluate:
         assert max(len(call) for call in forwarded) <= batch
         assert len(forwarded) == -(-len(distinct) // batch)
         assert len(rows) < report.n_queries
+
+    def test_one_chunk_of_logits_alive_at_a_time(self, monkeypatch):
+        # 2,000 entities, over three entity blocks, and 1,600 distinct test
+        # queries, seven chunks: each chunk's logits die before the next
+        # chunk's forward, so the peak stays below two chunks' logits.
+        store = augment_reciprocal(generate_toy_kg(5, 2000, 4, 2))
+        n = store.n_entities
+        assert n >= 3 * ENTITY_BLOCK
+        cfg, params, priori = model_for(store)
+        for _ in worker_counts(monkeypatch, (1, 3)):
+            # The first pass fills the store's caches.
+            want = evaluate(params, store, "test", cfg, priori=priori)
+            assert want.n_queries > 2 * evaluation._EVAL_BATCH
+            tracemalloc.start()
+            try:
+                report = evaluate(params, store, "test", cfg, priori=priori)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report.as_dict() == want.as_dict()
+            assert peak < 2 * evaluation._EVAL_BATCH * n * 8, peak
 
     def test_reciprocal_coverage(self, eval_store, eval_setup):
         cfg, params, priori = eval_setup

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import weakref
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -33,6 +34,7 @@ from convd.training import (
     run_fraction_sweep,
     train,
 )
+from convd import evaluation
 from convd.evaluation import evaluate
 
 from conftest import (
@@ -229,6 +231,23 @@ class TestBceLoss:
                 assert abs(loss - want_loss) <= 2 * g.size * eps * want_loss
                 assert np.all(np.abs(g_z - want_g_z) <= 2 * n * eps * (np.abs(g) @ np.abs(ent)))
         assert len(seen) == 1
+
+    @pytest.mark.parametrize("n", [ENTITY_BLOCK - 3, 3 * ENTITY_BLOCK + 11],
+                             ids=["one_block", "several_blocks"])
+    def test_out_buffer_takes_the_same_bytes(self, monkeypatch, n):
+        # Given a buffer, bce_loss writes grad_ent over every row of it and
+        # returns it: the NaN it starts with shows any row left unwritten.
+        rng = np.random.default_rng([47, n])
+        z, ent = rng.normal(size=(16, 8)), rng.normal(size=(n, 8)) * 0.3
+        positives = [np.unique(rng.integers(0, n, 1 + q % 3)) for q in range(16)]
+        targets = smoothed_targets_matrix(range(16), positives, 0.1, n)
+        for _ in worker_counts(monkeypatch, (1, 2, 3)):
+            want = bce_loss(z, ent, targets)
+            out = np.full_like(ent, np.nan)
+            got = bce_loss(z, ent, targets, out=out)
+            assert got[2] is out
+            assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes()
+                       for a, b in zip(got, want))
 
     def test_listed_duplicate_counts_once(self):
         # A duplicate triple lists its tail twice; its cell is still one
@@ -442,11 +461,54 @@ class TestTrain:
         priori = build_priori(store)
         cfg = small_toy_train_config(max_epochs=1, eval_every=1, batch_size=64)
         blocked, _ = train(cfg, store, priori)
+
+        def oracle_into(z, ent, target, out):
+            # train reads the entity gradient from its own buffer.
+            loss, g_z, out[...] = oracle_tail(z, ent, target)
+            return loss, g_z, out
+
         monkeypatch.setattr(convd.training, "smoothed_targets_matrix", oracle_smoothed_targets)
-        monkeypatch.setattr(convd.training, "bce_loss", oracle_tail)
+        monkeypatch.setattr(convd.training, "bce_loss", oracle_into)
         dense, _ = train(cfg, store, priori)
         for name, arr in blocked.named_arrays().items():
             assert arr.tobytes() == dense.named_arrays()[name].tobytes(), name
+
+    def test_epoch_reuses_one_gradient_buffer_dead_before_evaluation(self, small_toy_store,
+                                                                     monkeypatch):
+        # Every step of an epoch gets the same entity-gradient buffer, and
+        # neither it nor the last step's grads["ent"] is alive when the
+        # epoch evaluates or hands over its best params.
+        real_loss, real_backward = convd.training.bce_loss, convd.training.backward
+        real_evaluate = evaluation.evaluate
+        epoch_buffers, refs, dead = [[]], [], []
+
+        def spy_loss(z, ent, targets, out=None):
+            epoch_buffers[-1].append(id(out))
+            refs.append(weakref.ref(out))
+            return real_loss(z, ent, targets, out=out)
+
+        def spy_backward(trace, g_z, grad_ent):
+            grads = real_backward(trace, g_z, grad_ent)
+            refs.append(weakref.ref(grads["ent"]))
+            return grads
+
+        def spy_evaluate(*args, **kwargs):
+            dead.append(all(ref() is None for ref in refs))
+            epoch_buffers.append([])
+            return real_evaluate(*args, **kwargs)
+
+        def on_new_best(params, epoch, mrr):
+            dead.append(all(ref() is None for ref in refs))
+
+        monkeypatch.setattr(convd.training, "bce_loss", spy_loss)
+        monkeypatch.setattr(convd.training, "backward", spy_backward)
+        monkeypatch.setattr(evaluation, "evaluate", spy_evaluate)
+        cfg = small_toy_train_config(max_epochs=3, eval_every=1, batch_size=16)
+        _, history = train(cfg, small_toy_store, build_priori(small_toy_store),
+                           on_new_best=on_new_best)
+        steps = epoch_buffers[:-1]
+        assert len(steps) == 3 and all(len(ids) > 1 and len(set(ids)) == 1 for ids in steps)
+        assert history.best_epoch is not None and len(dead) > 3 and all(dead)
 
     def test_empty_train_split_rejected(self, small_toy_store):
         import numpy as np
