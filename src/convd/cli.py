@@ -484,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fractions", help="comma-separated fractions in (0, 1]")
     p.set_defaults(fn=cmd_sweep)
 
-    p = sub.add_parser("search", help="grid plus random hyperparameter search")
+    p = sub.add_parser("search", help="grid hyperparameter search")
     common(p)
     p.set_defaults(fn=cmd_search)
 

@@ -5,8 +5,9 @@ from its own named stream derived from the master seed, so turning one
 feature off never perturbs the draws of the others. A stream is a pure
 counter-based generator: the value at position i depends only on
 (master_seed, label, i), which makes replay and cross-platform
-reproducibility trivial. The generator is SplitMix64 applied to
-key + i * golden_gamma.
+reproducibility trivial. The value at position i is SplitMix64's
+finalizer of key + (i + 1) * golden_gamma, computed in place so that a
+draw holds no temporary the size of its output.
 """
 
 from dataclasses import dataclass, field
@@ -29,10 +30,20 @@ def fnv1a64(text: str) -> int:
     return int(h)
 
 
-def _finalize(x: np.ndarray) -> np.ndarray:
-    x = (x ^ (x >> np.uint64(30))) * _MIX1
-    x = (x ^ (x >> np.uint64(27))) * _MIX2
-    return x ^ (x >> np.uint64(31))
+# Words per chunk of `uniform`.
+_CHUNK = 65536
+
+
+def _finalize(x: np.ndarray) -> None:
+    """SplitMix64's mixing rounds, in place, through one scratch array."""
+    t = np.empty_like(x)
+    with np.errstate(over="ignore"):
+        for shift, mult in ((30, _MIX1), (27, _MIX2)):
+            np.right_shift(x, np.uint64(shift), out=t)
+            x ^= t
+            x *= mult
+        np.right_shift(x, np.uint64(31), out=t)
+        x ^= t
 
 
 @dataclass
@@ -46,24 +57,40 @@ class RngStream:
 
     def __post_init__(self):
         seed = np.uint64(self.master_seed & 0xFFFFFFFFFFFFFFFF)
-        mixed = seed ^ np.uint64(fnv1a64(self.label))
         with np.errstate(over="ignore"):
-            self._key = np.uint64(_finalize(mixed * _GOLDEN + _GOLDEN))
+            key = np.array([(seed ^ np.uint64(fnv1a64(self.label))) * _GOLDEN + _GOLDEN])
+        _finalize(key)
+        self._key = key[0]
 
     def raw(self, n: int) -> np.ndarray:
         """Next n raw 64-bit words; advances the counter by n."""
-        idx = np.arange(self.counter, self.counter + n, dtype=np.uint64)
+        x = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
         self.counter += n
         with np.errstate(over="ignore"):
-            return _finalize(self._key + (idx + np.uint64(1)) * _GOLDEN)
+            x *= _GOLDEN
+            x += self._key
+        _finalize(x)
+        return x
 
     def uniform(self, n: int) -> np.ndarray:
-        """n uniforms in [0, 1) with 53-bit resolution."""
-        return (self.raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        """n uniforms in [0, 1) with 53-bit resolution, drawn _CHUNK words
+        at a time."""
+        out = np.empty(n, dtype=np.float64)
+        for lo in range(0, n, _CHUNK):
+            words = self.raw(min(_CHUNK, n - lo))
+            words >>= np.uint64(11)
+            chunk = out[lo:lo + words.size]
+            chunk[...] = words
+            chunk *= 2.0**-53
+        return out
 
     def uniform_signed(self, n: int, bound: float) -> np.ndarray:
         """n uniforms in [-bound, bound)."""
-        return (self.uniform(n) * 2.0 - 1.0) * bound
+        u = self.uniform(n)
+        u *= 2.0
+        u -= 1.0
+        u *= bound
+        return u
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n)."""

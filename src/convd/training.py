@@ -42,7 +42,6 @@ class TrainConfig(ModelConfig):
     patience: int = 5
     eval_every: int = 5
     grid: dict = field(default_factory=lambda: {k: list(v) for k, v in DEFAULT_GRID.items()})
-    random_search_draws: int = 0
 
     def validate(self) -> None:
         super().validate()
@@ -52,8 +51,6 @@ class TrainConfig(ModelConfig):
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.eval_every < 1:
             raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
-        if self.random_search_draws < 0:
-            raise ConfigError("random_search_draws must be >= 0")
         if self.batch_size < 2 and not self.bn_frozen:
             raise ConfigError(f"batch size {self.batch_size} needs bn_frozen=true: "
                               f"batch statistics need two examples")
@@ -333,22 +330,6 @@ def _factor_embedding_dim(d_e: int) -> tuple:
     return best
 
 
-def _fitting_d_e(d_e: int, values: list, r_w: int, r_h: int) -> int:
-    """The integer nearest d_e, the lower on a tie, within the span of the
-    grid's d_e values whose _factor_embedding_dim plane holds an r_w x r_h
-    kernel: d_e itself when it fits. Once the grid has validated, its own
-    values fit every drawn kernel, unless a d_w or d_h grid key replaces
-    a side of the plane; when nothing fits, d_e is returned."""
-    lo, hi = min(values), max(values)
-    for step in range(hi - lo + 1):
-        for d in (d_e - step, d_e + step):
-            if lo <= d <= hi:
-                d_w, d_h = _factor_embedding_dim(d)
-                if d_w >= r_w and d_h >= r_h:
-                    return d
-    return d_e
-
-
 def _apply_grid_value(cfg: TrainConfig, key: str, value):
     if key == "d_e":
         d_w, d_h = _factor_embedding_dim(value)
@@ -358,35 +339,14 @@ def _apply_grid_value(cfg: TrainConfig, key: str, value):
     return replace(cfg, **{key: value})
 
 
-def _draw(key: str, values: list, center, rng: RngStream):
-    """One uniform draw around a grid key's winning value, within half the
-    smallest gap between the key's grid values. The draw stays within
-    their span: past an end it is mirrored back inside, so a winner at an
-    end is not drawn again as itself, and a key with one value keeps it.
-    That key's draw still consumes its RNG value, so the other keys' draws
-    do not depend on its span. Draws of d_e and of int fields are rounded
-    to ints of at least 1, whatever the types in the grid."""
-    values = sorted(set(float(v) for v in values))
-    radius = min((b - a for a, b in zip(values, values[1:])), default=0.0) / 2.0
-    sampled = float(center) + rng.uniform_signed(1, radius)[0]
-    # The radius is at most half the span, so one mirror suffices.
-    lo, hi = values[0], values[-1]
-    sampled = min(max(sampled, 2 * lo - sampled), 2 * hi - sampled)
-    if key == "d_e" or TrainConfig.__dataclass_fields__[key].type is int:
-        sampled = max(1, int(round(sampled)))
-    return sampled
-
-
 def hyper_search(base: TrainConfig, store: TripleStore):
-    """Grid phase over the declared value lists, then seeded uniform draws
-    around the grid winner. Returns (best TrainConfig, leaderboard).
+    """Grid search: trains one config per combination of the declared value
+    lists. Returns (best TrainConfig, leaderboard).
 
-    Every grid config is validated before the first one trains, and every
-    draw before the first draw trains; each run has the priori table of its
-    own priori_base (`train_each`). A drawn d_e whose plane cannot hold the
-    drawn kernel (a prime factors as 1 x d_e) moves to the nearest one that
-    can (`_fitting_d_e`). A grid holding d_e with d_w or d_h is refused,
-    since d_e sets both sides of the plane.
+    Every grid config is validated before the first one trains, and each
+    run has the priori table of its own priori_base (`train_each`). A grid
+    holding d_e with d_w or d_h is refused, since d_e sets both sides of
+    the plane.
     Selection: highest validation MRR, ties broken by fewer parameters,
     then by lower config hash.
     """
@@ -404,14 +364,6 @@ def hyper_search(base: TrainConfig, store: TripleStore):
         if key in ("d_w", "d_h") and "d_e" in base.grid:
             raise ConfigError(f"grid keys 'd_e' and {key!r} both set the entity plane; "
                               f"give one of them")
-        # Random draws sample numbers around the grid winner.
-        if base.random_search_draws and not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
-            raise ConfigError(f"grid key {key!r} needs numbers for random draws, got {values!r}")
-        # A drawn kernel count need not be a square, so m is never drawn.
-        if base.random_search_draws and key == "m":
-            raise ConfigError("grid key 'm' takes no random draws: a drawn kernel count "
-                              "need not be a square; set random_search_draws to 0")
 
     def with_values(values):
         cfg = base
@@ -427,23 +379,8 @@ def hyper_search(base: TrainConfig, store: TripleStore):
             "n_params": count_parameters(cfg, store.n_entities, store.n_relations),
         }
 
-    def sort_key(entry):
-        return (-entry["valid_mrr"], entry["n_params"], entry["config_hash"])
-
     grid = [dict(zip(keys, combo)) for combo in itertools.product(*(base.grid[k] for k in keys))]
     runs = [(f"grid values {values}", with_values(values)) for values in grid]
     leaderboard = train_each(runs, store, entry)
-    winner = grid[min(range(len(leaderboard)), key=lambda i: sort_key(leaderboard[i]))]
-
-    def draw(rng):
-        values = {k: _draw(k, base.grid[k], winner[k], rng) for k in keys}
-        if "d_e" in values:
-            cfg = with_values(values)
-            values["d_e"] = _fitting_d_e(values["d_e"], base.grid["d_e"], cfg.r_w, cfg.r_h)
-        return with_values(values)
-
-    draw_rng = RngStream(base.seed, "search")
-    draws = [(f"draw {i}", draw(draw_rng)) for i in range(1, base.random_search_draws + 1)]
-    leaderboard += train_each(draws, store, entry)
-    leaderboard.sort(key=sort_key)
+    leaderboard.sort(key=lambda e: (-e["valid_mrr"], e["n_params"], e["config_hash"]))
     return TrainConfig(**leaderboard[0]["config"]), leaderboard

@@ -404,3 +404,28 @@ def oracle_tail(z, ent, target):
     products of its gradient g. Returns (loss, g @ ent, g.T @ z)."""
     loss, grad = oracle_bce(z @ ent.T, target)
     return loss, grad @ ent, grad.T @ z
+
+
+_M64 = (1 << 64) - 1
+
+
+def _oracle_splitmix_round(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
+def oracle_splitmix64(seed, label, counter, n):
+    """Words counter .. counter + n - 1 of the stream (seed, label), in
+    Python ints mod 2**64: word i is SplitMix64's finalizer of
+    key + (i + 1) * golden, and the key is the finalizer of
+    (seed ^ fnv1a64(label)) * golden + golden."""
+    golden = 0x9E3779B97F4A7C15
+    fnv = 0xCBF29CE484222325
+    for byte in label.encode("utf-8"):
+        fnv = ((fnv ^ byte) * 0x100000001B3) & _M64
+    key = _oracle_splitmix_round((((seed & _M64) ^ fnv) * golden + golden) & _M64)
+    words = []
+    for i in range(counter, counter + n):
+        words.append(_oracle_splitmix_round((key + (i + 1) * golden) & _M64))
+    return words

@@ -133,15 +133,14 @@ class TestTrainCommand:
         # Never read by any command, so no longer accepted.
         "top_k=3", "filter_known=true",
         # Read by search, which rejects them before it trains anything.
-        'grid={"d_e":16}', 'grid={"lr":"fast"}', 'grid={"ablation":["full","no_priori"]}',
-        'grid={"m":[4,9]}',
+        'grid={"d_e":16}', 'grid={"lr":"fast"}',
         # JSON and --set parse these; a float field must be finite.
         "lr=NaN", "lr=Infinity", "priori_weight=NaN", "priori_weight=Infinity",
         "priori_base=Infinity",
     ])
     def test_mistyped_value_exits_2(self, tmp_path, toy_dir, capsys, override):
         cfg_path = write_config(tmp_path / "c.json", data_dir=toy_dir,
-                                output_dir=str(tmp_path / "o"), random_search_draws=1)
+                                output_dir=str(tmp_path / "o"))
         command = "search" if override.startswith("grid=") else "train"
         assert main([command, "--config", cfg_path, "--set", override]) == 2
         err = capsys.readouterr().err
@@ -171,7 +170,7 @@ class TestTrainCommand:
     def test_search_rejects_d_e_with_a_plane_side(self, tmp_path, toy_dir, capsys,
                                                   monkeypatch, side):
         monkeypatch.setattr(convd.training, "train", no_training)
-        cfg_path = write_config(tmp_path / "c.json", r_w=5, r_h=6, random_search_draws=6,
+        cfg_path = write_config(tmp_path / "c.json", r_w=5, r_h=6,
                                 grid={"d_e": [18, 24], side: [5]},
                                 data_dir=toy_dir, output_dir=str(tmp_path / "o"))
         assert main(["search", "--config", cfg_path]) == 2
@@ -195,6 +194,18 @@ class TestTrainCommand:
         cfg_path = write_config(tmp_path / "c.json", data_dir=toy_dir,
                                 output_dir=str(tmp_path / "o"), bogus_key=1)
         assert main(["train", "--config", cfg_path]) == 2
+
+    @pytest.mark.parametrize("where", ["file", "set"])
+    def test_random_search_draws_is_an_unknown_key(self, tmp_path, toy_dir, capsys,
+                                                   monkeypatch, where):
+        # search trains exactly its grid; a count of random draws is no key.
+        monkeypatch.setattr(convd.training, "train", no_training)
+        in_file = {"random_search_draws": 1} if where == "file" else {}
+        cfg_path = write_config(tmp_path / "c.json", data_dir=toy_dir,
+                                output_dir=str(tmp_path / "o"), **in_file)
+        flags = ["--set", "random_search_draws=1"] if where == "set" else []
+        assert main(["search", "--config", cfg_path, *flags]) == 2
+        assert "unknown config keys: random_search_draws" in capsys.readouterr().err
 
     def test_zero_epochs_writes_an_evaluable_checkpoint(self, tmp_path, toy_dir):
         out_dir = tmp_path / "o"
@@ -300,6 +311,28 @@ class TestEvalCommand:
             doc = json.loads(out.read_text())
             doc.pop("wall_ms")  # the one clearly separated non-deterministic key
             reports.append(json.dumps(doc, sort_keys=True))
+        assert reports[0] == reports[1]
+
+    def test_checkpoint_storing_random_search_draws_still_loads(self, trained, tmp_path):
+        # Checkpoints written while search had a random-draw phase store
+        # "random_search_draws": 0 in their config; loading keeps only the
+        # known fields, so they score exactly as the same params saved
+        # without it.
+        _, out_dir = trained
+        config, params = load_checkpoint(os.path.join(out_dir, "best.ckpt"))
+        assert "random_search_draws" not in config
+        reports = []
+        for name, extra in (("current", {}), ("older", {"random_search_draws": 0})):
+            ckpt = str(tmp_path / f"{name}.ckpt")
+            save_checkpoint(ckpt, {**config, **extra}, params)
+            assert load_checkpoint(ckpt)[0] == {**config, **extra}
+            out = tmp_path / f"{name}.json"
+            assert main(["eval", "--checkpoint", ckpt, "--out", str(out)]) == 0
+            assert main(["predict", "--checkpoint", ckpt, "--head", "e00000",
+                         "--relation", "r000"]) == 0
+            doc = json.loads(out.read_text())
+            doc.pop("wall_ms")
+            reports.append(doc)
         assert reports[0] == reports[1]
 
     def test_truncated_checkpoint_exits_5(self, trained, tmp_path):
@@ -582,11 +615,11 @@ class TestTableCommands:
         cfg_path = write_config(
             tmp_path / "c.json", data_dir=toy_dir, output_dir=str(tmp_path / "o"),
             max_epochs=1, eval_every=1,
-            grid={"priori_weight": [0.1, 0.2, 0.3, 0.4]}, random_search_draws=2,
+            grid={"priori_weight": [0.1, 0.2, 0.3, 0.4]},
         )
         assert main(["search", "--config", cfg_path]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert len(payload["leaderboard"]) == 4 + 2
+        assert len(payload["leaderboard"]) == 4
 
 
 class TestGenToy:

@@ -1,6 +1,22 @@
+import functools
+import tracemalloc
+
 import numpy as np
+import pytest
 
 from convd.rng import RngStream, fnv1a64, stream_bundle
+
+from oracles import oracle_splitmix64
+
+# A seed past 2**63 and a label of two bytes; the sizes sit on and around
+# the 65,536-word chunk of `uniform`.
+ORACLE_SEED, ORACLE_LABEL = 2**63 + 5, "in"
+ORACLE_SIZES = (1, 65535, 65536, 65537, 200003)
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_words(counter):
+    return oracle_splitmix64(ORACLE_SEED, ORACLE_LABEL, counter, max(ORACLE_SIZES))
 
 
 def test_replay_is_exact():
@@ -57,3 +73,26 @@ def test_stream_bundle_labels():
     bundle = stream_bundle(4, ("a", "b"))
     assert set(bundle) == {"a", "b"}
     assert bundle["a"].label == "a"
+
+
+@pytest.mark.parametrize("counter", [0, 65530])
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_draws_match_the_splitmix64_oracle_bit_for_bit(n, counter):
+    words = oracle_words(counter)[:n]
+    stream = lambda: RngStream(ORACLE_SEED, ORACLE_LABEL, counter)
+    assert stream().raw(n).tolist() == words
+    uniform = [(w >> 11) * 2.0**-53 for w in words]
+    assert stream().uniform(n).tolist() == uniform
+    assert stream().uniform_signed(n, 0.3).tolist() == [(u * 2.0 - 1.0) * 0.3 for u in uniform]
+
+
+def test_uniform_signed_holds_no_draw_sized_temporary():
+    # The 10**6 draws are 8 MB; beyond them only one chunk's words and
+    # their scratch array are alive.
+    tracemalloc.start()
+    try:
+        RngStream(1, "x").uniform_signed(10**6, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8e6, peak

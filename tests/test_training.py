@@ -23,7 +23,6 @@ from convd.rng import RngStream, stream_bundle
 from convd.training import (
     DROPOUT_LABELS,
     EpochRecord,
-    TrainConfig,
     TrainHistory,
     _epoch_batches,
     bce_loss,
@@ -603,7 +602,6 @@ class TestHyperSearch:
     def test_single_point_grid(self, small_toy_store):
         cfg = small_toy_train_config(max_epochs=2, eval_every=1)
         cfg.grid = {"priori_weight": [0.2]}
-        cfg.random_search_draws = 0
         best, leaderboard = hyper_search(cfg, small_toy_store)
         assert len(leaderboard) == 1
         assert best.priori_weight == 0.2
@@ -611,49 +609,17 @@ class TestHyperSearch:
     def test_dead_config_loses(self, small_toy_store):
         cfg = small_toy_train_config(max_epochs=40, eval_every=10)
         cfg.grid = {"lr": [1e-300, 0.01]}  # the first one cannot learn
-        cfg.random_search_draws = 0
         best, leaderboard = hyper_search(cfg, small_toy_store)
         assert best.lr == 0.01
         assert len(leaderboard) == 2
         assert leaderboard[0]["valid_mrr"] > leaderboard[1]["valid_mrr"]
 
-    def test_leaderboard_length_includes_draws(self, small_toy_store):
-        cfg = small_toy_train_config(max_epochs=1, eval_every=1)
-        cfg.grid = {"priori_weight": [0.1, 0.4]}
-        cfg.random_search_draws = 3
-        _, leaderboard = hyper_search(cfg, small_toy_store)
-        assert len(leaderboard) == 2 + 3
-
-    def test_draws_round_by_the_field_type_not_the_grid_order(self):
-        from convd.training import _draw
-
-        for key, values, center in (("lr", [1, 0.01], 1), ("lr", [1, 0.01], 0.01),
-                                    ("k", [8, 16], 16), ("d_e", [100, 150], 100)):
-            drawn = []
-            for grid in (values, values[::-1]):
-                rng = RngStream(3, "search")
-                drawn.append([_draw(key, grid, center, rng) for _ in range(4)])
-            assert drawn[0] == drawn[1], key
-            if key == "lr":
-                assert all(x != round(x) for x in drawn[0]), drawn[0]
-            else:
-                assert all(type(x) is int for x in drawn[0]), drawn[0]
-
-    def test_draws_over_m_rejected_before_training(self, small_toy_store, monkeypatch):
-        monkeypatch.setattr(convd.training, "train", no_training)
-        cfg = small_toy_train_config()
-        cfg.grid = {"m": [4, 9]}
-        cfg.random_search_draws = 2
-        with pytest.raises(ConfigError, match="grid key 'm'"):
-            hyper_search(cfg, small_toy_store)
-
     def test_d_e_with_d_w_rejected_before_training(self, small_toy_store, monkeypatch):
-        # d_w would replace one side of d_e's plane, so a draw could fit a
-        # plane that does not train; the grid is refused before anything does.
+        # d_w would replace one side of d_e's plane, so the grid is refused
+        # before anything trains.
         monkeypatch.setattr(convd.training, "train", no_training)
         cfg = small_toy_train_config(r_w=5, r_h=6)
         cfg.grid = {"d_e": [18, 24], "d_w": [5]}
-        cfg.random_search_draws = 6
         with pytest.raises(ConfigError, match="grid keys 'd_e' and 'd_w'"):
             hyper_search(cfg, small_toy_store)
 
@@ -680,7 +646,6 @@ class TestHyperSearch:
         # score apart at this size.
         cfg = small_toy_train_config(max_epochs=2, eval_every=1, priori_weight=3.0)
         cfg.grid = {"priori_base": [1.5, 50]}
-        cfg.random_search_draws = 0
         _, leaderboard = hyper_search(cfg, small_toy_store)
         by_base = {entry["config"]["priori_base"]: entry["valid_mrr"] for entry in leaderboard}
         assert sorted(by_base) == [1.5, 50]
@@ -689,90 +654,6 @@ class TestHyperSearch:
             _, history = train(run, small_toy_store, build_priori(small_toy_store, base))
             assert valid_mrr == history.best_valid_mrr, base
         assert by_base[1.5] != by_base[50]
-
-    @pytest.mark.parametrize("key, grid, winner", [
-        ("lr", [1, 0.01], 1), ("lr", [1, 0.01], 0.01), ("lr", [0.01, 0.5, 1], 0.5),
-        ("r_w", [2, 4], 4), ("label_smoothing", [0.0, 0.9], 0.9),
-    ])
-    def test_draws_stay_within_the_grid_span(self, small_toy_store, monkeypatch,
-                                             key, grid, winner):
-        # A stub train scores the winner best, so every draw is centred on
-        # it; the draw radius is half the smallest gap, which past an end
-        # winner would leave the span half the time.
-        def stub_train(cfg, store, priori):
-            return None, TrainHistory(best_valid_mrr=float(getattr(cfg, key) == winner))
-
-        monkeypatch.setattr(convd.training, "train", stub_train)
-        cfg = small_toy_train_config()
-        cfg.grid = {key: grid}
-        cfg.random_search_draws = 60
-        _, leaderboard = hyper_search(cfg, small_toy_store)
-        # The leaderboard is sorted, so check every entry, grid ones too.
-        values = [entry["config"][key] for entry in leaderboard]
-        assert len(values) == len(grid) + 60
-        assert all(min(grid) <= x <= max(grid) for x in values), values
-        assert len(set(values)) > len(grid)
-
-    def test_draws_keep_a_single_grid_value(self, small_toy_store, monkeypatch):
-        # A key with one value has a zero-width span; the draws of the
-        # other keys still vary.
-        def stub_train(cfg, store, priori):
-            cfg.validate()
-            return None, TrainHistory(best_valid_mrr=cfg.lr)
-
-        monkeypatch.setattr(convd.training, "train", stub_train)
-        cfg = small_toy_train_config()
-        cfg.grid = {"dropout_in": [0.0], "lr": [0.003, 0.01]}
-        cfg.random_search_draws = 20
-        _, leaderboard = hyper_search(cfg, small_toy_store)
-        assert len(leaderboard) == 2 + 20
-        assert all(entry["config"]["dropout_in"] == 0.0 for entry in leaderboard)
-        assert len({entry["config"]["lr"] for entry in leaderboard}) > 2
-
-    def test_drawn_d_e_moves_to_a_plane_that_holds_the_kernel(self, small_toy_store,
-                                                               monkeypatch):
-        # d_e draws around the winner 16 land in [16, 26]; a prime one
-        # factors as 1 x p, a plane too small for the 2x2 kernel, and moves
-        # to the nearest d_e in the grid's span whose plane holds it.
-        trained = []
-
-        def stub_train(cfg, store, priori):
-            cfg.validate()
-            trained.append(cfg)
-            return None, TrainHistory(best_valid_mrr=float(cfg.d_e == 16))
-
-        monkeypatch.setattr(convd.training, "train", stub_train)
-        cfg = small_toy_train_config(r_w=2, r_h=2)
-        cfg.grid = {"d_e": [16, 36]}
-        cfg.random_search_draws = 20
-        hyper_search(cfg, small_toy_store)
-        assert len(trained) == 22
-        assert [run.d_e for run in trained[:2]] == [16, 36]
-        for run in trained[2:]:
-            assert 16 <= run.d_e <= 36 and run.d_w >= 2 and run.d_h >= 2, run.d_e
-
-    def test_fitting_d_e_is_the_nearest_plane_that_holds_the_kernel(self):
-        from convd.training import _fitting_d_e
-
-        for d_e, want in ((16, 16), (17, 16), (19, 18), (23, 22), (29, 28), (31, 30)):
-            assert _fitting_d_e(d_e, [16, 36], 2, 2) == want, d_e
-        # 101 and 103 are prime; 102 = 6 x 17 holds 3x3, and 101 ties
-        # between 100 and 102, so takes the lower.
-        assert _fitting_d_e(101, [100, 150], 3, 3) == 100
-        assert _fitting_d_e(103, [100, 150], 3, 3) == 102
-
-    def test_default_grid_draws_finish(self, small_toy_store, monkeypatch):
-        # The default d_e grid spans 100..300, which holds primes and 2 x p
-        # values whose planes cannot hold a 3x3 kernel.
-        def stub_train(cfg, store, priori):
-            cfg.validate()
-            return None, TrainHistory(best_valid_mrr=int(config_hash(cfg), 16) / 16**12)
-
-        monkeypatch.setattr(convd.training, "train", stub_train)
-        for seed in range(1, 21):
-            cfg = TrainConfig(r_w=3, r_h=3, random_search_draws=10, seed=seed)
-            _, leaderboard = hyper_search(cfg, small_toy_store)
-            assert len(leaderboard) == 20 + 10, seed
 
     def test_empty_grid_rejected(self, small_toy_store):
         cfg = small_toy_train_config()
@@ -830,8 +711,7 @@ class TestRunners:
                                                               monkeypatch):
         # A spy in place of train: every run of ablate, sweep and search
         # gets the table of its own config's priori_base. Ablate and sweep
-        # keep the base config's 3; search trains the grid's 1.5 and 50,
-        # then two draws between them.
+        # keep the base config's 3; search trains the grid's 1.5 and 50.
         bases = []
 
         def spy_train(cfg, store, priori):
@@ -845,7 +725,5 @@ class TestRunners:
         run_ablation(cfg, small_toy_store, ["full", "no_priori"])
         run_fraction_sweep(cfg, small_toy_store, [0.5, 1.0])
         cfg.grid = {"priori_base": [1.5, 50]}
-        cfg.random_search_draws = 2
         hyper_search(cfg, small_toy_store)
-        assert bases[:6] == [3.0] * 4 + [1.5, 50]
-        assert len(bases) == 8 and all(1.5 <= b <= 50 for b in bases[6:]), bases
+        assert bases == [3.0] * 4 + [1.5, 50]
