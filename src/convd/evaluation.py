@@ -9,7 +9,7 @@ import numpy as np
 
 from .data import PrioriTable, QueryIndex, TripleStore, build_priori
 from .errors import DimensionError, NumericError, StateError
-from .model import ModelConfig, forward_batch
+from .model import ModelConfig, _score_tasks, forward_batch
 from .numerics import parallel
 
 HITS_LEVELS = (1, 3, 10)
@@ -107,8 +107,14 @@ def evaluate(params, store: TripleStore, split: str, cfg: ModelConfig,
     `_EVAL_BATCH` at a time, so each is scored exactly once. Its logits
     row is consumed by `rank_of`, which masks the known tails in place and
     ranks every query of that run against the row. One chunk's logits are
-    alive at a time: each chunk's die before the next chunk's forward. The
-    priori table is built from the store's train split when not supplied.
+    alive at a time: each chunk's die when `rank_of` returns, before the
+    next chunk's are allocated. When a chunk's scoring spans several entity
+    blocks, the next chunk's front-end (forward_batch with score=False)
+    runs as the first task of the same `parallel` call, beside this
+    chunk's block products; with one block it runs inline after `rank_of`.
+    Every chunk is scored by the same products either way, so the report
+    does not depend on the worker count. The priori table is built from
+    the store's train split when not supplied.
     """
     if not store.augmented:
         raise StateError("evaluation expects a reciprocal-augmented store")
@@ -121,19 +127,34 @@ def evaluate(params, store: TripleStore, split: str, cfg: ModelConfig,
     asked = np.concatenate([original, original[:, [2, 1, 0]] + [0, base, 0]])
     index = QueryIndex.of(np.column_stack([asked[:, :2], np.arange(len(asked))]), store.n_relations)
     heads, rels = index.queries()
+    n_distinct = heads.shape[0]
     ranks = np.empty(len(asked), dtype=np.float64)
-    for lo in range(0, heads.shape[0], _EVAL_BATCH):
-        hi = min(lo + _EVAL_BATCH, heads.shape[0])
+
+    def front(lo):
+        """The query vectors of the chunk that starts at lo."""
+        hi = lo + _EVAL_BATCH
+        return forward_batch(heads[lo:hi], rels[lo:hi], params, priori, cfg,
+                             mode="eval", score=False)[1].z
+
+    z = front(0) if n_distinct else None
+    for lo in range(0, n_distinct, _EVAL_BATCH):
+        hi = min(lo + _EVAL_BATCH, n_distinct)
         bounds = index.offsets[lo:hi + 1]
         chunk = index.tails[bounds[0]:bounds[-1]]
         query_rows = np.repeat(np.arange(hi - lo), np.diff(bounds))
         rows, cols = store.known.cells(heads[lo:hi], rels[lo:hi])
-        # Unnamed, the chunk's logits die when rank_of returns, so the next
-        # chunk's forward never runs beside them.
-        ranks[chunk] = rank_of(
-            forward_batch(heads[lo:hi], rels[lo:hi], params, priori, cfg, mode="eval")[0],
-            asked[chunk, 2], rows, cols, query_rows,
-        )
+        logits = np.empty((hi - lo, params.ent.shape[0]))
+        tasks = _score_tasks(z, params.ent, cfg, logits)
+        ahead = []
+        if len(tasks) > 1 and hi < n_distinct:
+            tasks.insert(0, lambda: ahead.append(front(hi)))
+        parallel(tasks)
+        # The tasks hold the logits: both go before the next chunk's.
+        del tasks
+        ranks[chunk] = rank_of(logits, asked[chunk, 2], rows, cols, query_rows)
+        del logits
+        if hi < n_distinct:
+            z = ahead[0] if ahead else front(hi)
     tail, head = np.split(ranks, 2)
 
     combined = _summarize(ranks)

@@ -348,12 +348,15 @@ def forward_batch(
     cfg: ModelConfig,
     mode: str = "eval",
     rng: dict | None = None,
+    score: bool = True,
 ):
     """Score a batch of (h, r) queries against every entity.
 
     Returns (logits (B, n_entities), ForwardTrace) in eval mode. Train mode
     stops at the query vectors trace.z and returns (None, ForwardTrace):
-    training scores them in its fused loss, training.bce_loss. Train mode
+    training scores them in its fused loss, training.bce_loss. So does eval
+    mode with score=False, whose caller scores trace.z itself through
+    _score_tasks; that front-end calls no `parallel`. Train mode
     consumes the rng bundle for the three dropout sites and normalizes with
     batch statistics unless cfg.bn_frozen; eval mode consumes nothing and
     uses the running statistics, so repeated eval calls are bit-identical.
@@ -400,7 +403,7 @@ def forward_batch(
     w_mix = np.einsum("bm,bmwh->bwh", alpha, active)
     conv = conv2d_batch(plane, w_mix)
     head = scorer_head(conv.reshape(b, cfg.conv_map), params, cfg, training, rng)
-    logits = None if training else _score_entities(head["z"], params.ent, cfg)
+    logits = None if training or not score else _score_entities(head["z"], params.ent, cfg)
     trace = ForwardTrace(
         h_ids=h_ids,
         r_ids=r_ids,
@@ -458,23 +461,30 @@ def scorer_head(feats, params, cfg: ModelConfig, training: bool, rng):
     )
 
 
-def _score_entities(z, ent, cfg: ModelConfig) -> np.ndarray:
-    """Step 8 outside training: the (B, n_entities) logits of the query
-    vectors z (their sigmoid with cfg.sigmoid_pre_dot) against every entity
-    row. One task per entity block, the last and longest first, so the
-    queue ends on short tasks; a single block runs inline. Each task
-    rejects a non-finite logit of its own block, so no (B, n_entities)
-    mask is allocated."""
+def _score_tasks(z, ent, cfg: ModelConfig, logits: np.ndarray) -> list:
+    """Step 8 outside training, as `parallel` tasks that write the
+    (B, n_entities) logits of the query vectors z (their sigmoid with
+    cfg.sigmoid_pre_dot) against every entity row into `logits`. One task
+    per entity block, the last and longest first, so the queue ends on
+    short tasks. Each task rejects a non-finite logit of its own block, so
+    no (B, n_entities) mask is allocated. The tasks hold `logits` until
+    they are dropped."""
     query = 1.0 / (1.0 + np.exp(-z)) if cfg.sigmoid_pre_dot else z
-    logits = np.empty((query.shape[0], ent.shape[0]))
 
     def score_block(lo, hi):
         block = np.matmul(query, ent[lo:hi].T, out=logits[:, lo:hi])
         if not np.isfinite(block).all():
             raise NumericError("non-finite logits")
 
-    parallel([functools.partial(score_block, lo, hi)
-              for lo, hi in reversed(_entity_blocks(ent.shape[0]))])
+    return [functools.partial(score_block, lo, hi)
+            for lo, hi in reversed(_entity_blocks(ent.shape[0]))]
+
+
+def _score_entities(z, ent, cfg: ModelConfig) -> np.ndarray:
+    """The logits of _score_tasks, its tasks run by `parallel`; a single
+    block runs inline."""
+    logits = np.empty((z.shape[0], ent.shape[0]))
+    parallel(_score_tasks(z, ent, cfg, logits))
     return logits
 
 

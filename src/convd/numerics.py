@@ -21,6 +21,14 @@ therefore depend on OPENBLAS_NUM_THREADS, the BLAS build and
 ENTITY_BLOCK, never on the number of workers. Ranks add up integer
 counts, which are exact in any order, so they depend on the logits alone.
 Tasks run NumPy calls only, so the GIL is released while they compute.
+
+At most one task of a `parallel` call runs convd's public layer functions,
+such as model.forward_batch: a tracer that wraps them keeps one span
+stack for the process, so two of them in flight would nest one thread's
+spans in another's. evaluation.evaluate's front-end task of the next
+chunk is that one task; the scoring and counting tasks beside it call
+none. A `parallel` call made inside a task runs its tasks inline, in
+order, so nesting never waits on the pool and never moves a byte.
 """
 
 import concurrent.futures
@@ -130,6 +138,10 @@ def _pool() -> concurrent.futures.ThreadPoolExecutor:
     return concurrent.futures.ThreadPoolExecutor(workers() - 1, thread_name_prefix="convd")
 
 
+# Set on a thread while _drain runs a task there.
+_in_task = threading.local()
+
+
 def _drain(queue, lock, errors) -> None:
     """Run tasks taken from the shared queue until it is empty, keeping
     each error with its task's index."""
@@ -138,10 +150,13 @@ def _drain(queue, lock, errors) -> None:
             index, task = next(queue, (None, None))
         if task is None:
             return
+        _in_task.active = True
         try:
             task()
         except Exception as exc:  # raised by parallel once every task is done
             errors.append((index, exc))
+        finally:
+            _in_task.active = False
 
 
 def parallel(tasks) -> None:
@@ -150,8 +165,12 @@ def parallel(tasks) -> None:
     the pool's threads take them in order from one queue, so a thread that
     finishes early takes the next task, and every task finishes before the
     first error, in task order, is raised: no task still writes when the
-    caller sees it."""
-    if workers() == 1 or len(tasks) == 1:
+    caller sees it.
+
+    A call made from inside a task runs inline, in order, too: queued on
+    the pool, its helpers could wait behind the very thread that waits on
+    them."""
+    if workers() == 1 or len(tasks) == 1 or getattr(_in_task, "active", False):
         for task in tasks:
             task()
         return

@@ -1,4 +1,5 @@
 import copy
+import threading
 import tracemalloc
 
 import numpy as np
@@ -169,6 +170,13 @@ def many_to_many_store():
     return augment_reciprocal(make_store(*many_to_many_rows()))
 
 
+@pytest.fixture(scope="module")
+def two_block_store():
+    """Two entity blocks, so evaluate runs each next chunk's front-end
+    beside this chunk's scoring."""
+    return augment_reciprocal(generate_toy_kg(5, 2 * ENTITY_BLOCK, 4, 2))
+
+
 def oracle_metrics(params, priori, cfg, store, split):
     def score_fn(h, r):
         logits, _ = forward_batch(
@@ -227,28 +235,59 @@ class TestEvaluate:
         assert chunked.as_dict() == whole.as_dict()
 
     @pytest.mark.parametrize("batch", [evaluation._EVAL_BATCH, 7])
-    def test_each_distinct_query_is_forwarded_once(self, many_to_many_store, monkeypatch,
-                                                   batch):
-        store = many_to_many_store
-        cfg, params, priori = model_for(store)
-        forwarded = []
+    def test_each_distinct_query_is_forwarded_once(self, many_to_many_store, two_block_store,
+                                                   monkeypatch, batch):
+        # At most one forward is in flight, also where the next chunk's
+        # front-end runs beside this chunk's scoring (two entity blocks),
+        # and the report is the same at every worker count. Only the
+        # many-to-many store repeats queries.
+        lock = threading.Lock()
+        forwarded, in_flight = [], [0, 0]  # in flight: now, most
 
         def counting_forward(h_ids, r_ids, *args, **kwargs):
-            forwarded.append(list(zip(h_ids.tolist(), r_ids.tolist())))
-            return forward_batch(h_ids, r_ids, *args, **kwargs)
+            with lock:
+                forwarded.append(list(zip(h_ids.tolist(), r_ids.tolist())))
+                in_flight[0] += 1
+                in_flight[1] = max(in_flight)
+            try:
+                return forward_batch(h_ids, r_ids, *args, **kwargs)
+            finally:
+                with lock:
+                    in_flight[0] -= 1
 
         monkeypatch.setattr(evaluation, "forward_batch", counting_forward)
         monkeypatch.setattr(evaluation, "_EVAL_BATCH", batch)
-        report = evaluate(params, store, "test", cfg, priori=priori)
+        for store, shared in ((many_to_many_store, True), (two_block_store, False)):
+            cfg, params, priori = model_for(store)
+            base = store.n_base_relations
+            h, r, t = store.test[store.test[:, 1] < base].T.tolist()
+            distinct = set(zip(h, r)) | {(tail, rel + base) for tail, rel in zip(t, r)}
+            reports = []
+            for _ in worker_counts(monkeypatch, (1, 2, 3)):
+                forwarded.clear()
+                report = evaluate(params, store, "test", cfg, priori=priori)
+                reports.append(report.as_dict())
+                rows = [query for call in forwarded for query in call]
+                assert sorted(rows) == sorted(distinct)
+                assert max(len(call) for call in forwarded) <= batch
+                assert len(forwarded) == -(-len(distinct) // batch)
+                assert (len(rows) < report.n_queries) == shared
+            assert reports[1] == reports[0] and reports[2] == reports[0]
+        assert in_flight == [0, 1]
 
-        base = store.n_base_relations
-        h, r, t = store.test[store.test[:, 1] < base].T.tolist()
-        distinct = set(zip(h, r)) | {(tail, rel + base) for tail, rel in zip(t, r)}
-        rows = [query for call in forwarded for query in call]
-        assert sorted(rows) == sorted(distinct)
-        assert max(len(call) for call in forwarded) <= batch
-        assert len(forwarded) == -(-len(distinct) // batch)
-        assert len(rows) < report.n_queries
+    @pytest.mark.parametrize("kept", ["nothing", "reciprocals"])
+    def test_split_without_original_triples_gives_the_zero_report(self, two_block_store,
+                                                                  kept):
+        store = two_block_store
+        cfg, params, priori = model_for(store)
+        sub = copy.copy(store)
+        reciprocal = store.valid[:, 1] >= store.n_base_relations
+        sub.valid = store.valid[:0] if kept == "nothing" else store.valid[reciprocal]
+        assert kept == "nothing" or sub.valid.shape[0]
+        zero = {"mrr": 0.0, "hits": {n: 0.0 for n in (1, 3, 10)}, "n_queries": 0}
+        report = evaluate(params, sub, "valid", cfg, priori=priori)
+        assert report.as_dict() == {**zero, "hits": {"1": 0.0, "3": 0.0, "10": 0.0},
+                                    "by_direction": {"tail": zero, "head": zero}}
 
     def test_one_chunk_of_logits_alive_at_a_time(self, monkeypatch):
         # 2,000 entities, over three entity blocks, and 1,600 distinct test

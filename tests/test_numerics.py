@@ -320,6 +320,33 @@ class TestParallel:
             convd.numerics._pool().shutdown()
             convd.numerics._pool.cache_clear()
 
+    def test_parallel_inside_a_task_runs_inline(self, monkeypatch):
+        # The pool is rebuilt with one thread. Two outer tasks meet at a
+        # barrier, so one of them runs on that thread: an inner call queued
+        # on the pool would wait behind the thread that waits on it.
+        convd.numerics._pool.cache_clear()
+        try:
+            for n_workers in worker_counts(monkeypatch, (2, 3)):
+                ran = []
+                barrier = threading.Barrier(2, timeout=30)
+
+                def outer(tag):
+                    barrier.wait()
+                    parallel([functools.partial(ran.append, (tag, i)) for i in range(4)])
+
+                outer_tasks = [functools.partial(outer, tag) for tag in "ab"]
+                done = threading.Thread(target=parallel, args=(outer_tasks,), daemon=True)
+                done.start()
+                done.join(timeout=60)
+                assert not done.is_alive(), f"nested parallel hung at {n_workers} workers"
+                assert sorted(ran) == [(tag, i) for tag in "ab" for i in range(4)]
+                # Inline, so each outer task's inner tasks run in order.
+                for tag in "ab":
+                    assert [i for t, i in ran if t == tag] == list(range(4))
+        finally:
+            convd.numerics._pool().shutdown(wait=False)
+            convd.numerics._pool.cache_clear()
+
     @pytest.mark.parametrize("sizes", [
         [5000 * 200, 2 * 400 * 9, 32 * 100, 32 * 9, 9, 4, 64 * 100, 100, 100 * 100, 100, 1, 1],
         [2 * BLOCK + 1], [BLOCK, BLOCK], [3 * BLOCK, 10, 10, BLOCK + 5],
