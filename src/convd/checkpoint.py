@@ -118,7 +118,7 @@ def load_checkpoint(path):
     if not isinstance(header, dict):
         raise CheckpointError("checkpoint header is not a JSON object")
     version = header.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint format_version {version!r}")
     manifest = header.get("manifest")
     if not isinstance(manifest, dict):

@@ -24,11 +24,11 @@ from .checkpoint import atomic_write, check_params, load_checkpoint, save_checkp
 from .data import (
     PrioriTable,
     QueryIndex,
+    SmoothedTargets,
     TripleStore,
     augment_reciprocal,
     build_priori,
     generate_toy_kg,
-    smoothed_targets_matrix,
     write_splits,
 )
 from .errors import (
@@ -361,8 +361,7 @@ def gradcheck_table(cfg: TrainConfig, n_entities: int, n_relations: int,
     h_ids = (qrng.uniform(seed_queries) * n_entities).astype(np.int64)
     r_ids = (qrng.uniform(seed_queries) * n_relations).astype(np.int64)
     positive = qrng.uniform(seed_queries * n_entities).reshape(seed_queries, -1) < 0.3
-    targets = smoothed_targets_matrix(range(seed_queries), [np.flatnonzero(row) for row in positive],
-                                      mcfg.label_smoothing, n_entities)
+    targets = SmoothedTargets(*np.nonzero(positive), mcfg.label_smoothing, seed_queries, n_entities)
 
     def loss_for(arrays):
         p = params.with_arrays(arrays)

@@ -9,7 +9,8 @@ tabs forbidden inside symbols; empty lines are skipped. `load_triples`
 decodes and splits a whole file at once, and maps its symbols to ids in
 bulk. Every (head, relation) grouping, of a store's triples and of the
 queries `evaluate` ranks alike, is a `QueryIndex.of`, whose stable key
-sort is `stable_key_order`, a 16-bit radix sort.
+sort is `stable_key_order`, a 16-bit radix sort. `QueryIndex.runs` expands
+runs into the cells of the 1-N targets, evaluation's filter and its rows.
 """
 
 import functools
@@ -153,11 +154,9 @@ class QueryIndex:
         """The distinct queries in key order, as head and relation id arrays."""
         return np.divmod(self.keys, self.n_relations)
 
-    def groups(self):
-        """`queries()`, and a list holding each query's tails as a list of
-        ints (quicker to iterate per batch than array slices)."""
-        bounds, tails = self.offsets.tolist(), self.tails.tolist()
-        return (*self.queries(), [tails[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
+    def __getitem__(self, i):
+        """Query i's tails, the run tails[offsets[i]:offsets[i + 1]]."""
+        return self.tails[self.offsets[i]:self.offsets[i + 1]]
 
     def spans(self, h_ids, r_ids):
         """Where each query's run starts in `tails`, and its length: the
@@ -177,7 +176,10 @@ class QueryIndex:
     def cells(self, h_ids, r_ids):
         """Every known (row, tail) cell of a batch of (head, relation) queries:
         rows ascend, and a tail repeats as often as its triple does."""
-        lo, counts = self.spans(h_ids, r_ids)
+        return self.runs(*self.spans(h_ids, r_ids))
+
+    def runs(self, lo, counts):
+        """(rows, tails) cells of runs j = 0, 1, ...: counts[j] tails from lo[j]."""
         rows = np.repeat(np.arange(counts.shape[0]), counts)
         # Cell i of row j sits at lo[j] + (i - first cell of row j).
         first = np.cumsum(counts) - counts
@@ -216,10 +218,12 @@ class TripleStore:
 
     @functools.cached_property
     def tails_by_query(self) -> dict | None:
+        """(head, relation) -> the set of that query's tails in `known`."""
         if self.known is None:
             return None
-        heads, rels, tails = self.known.groups()
-        return {(h, r): set(t) for h, r, t in zip(heads.tolist(), rels.tolist(), tails)}
+        tails = iter(self.known.tails.tolist())
+        return {divmod(key, self.n_relations): set(itertools.islice(tails, n))
+                for key, n in zip(self.known.keys.tolist(), np.diff(self.known.offsets).tolist())}
 
     @functools.cached_property
     def train_index(self) -> QueryIndex:
@@ -343,13 +347,12 @@ class SmoothedTargets:
         return self.negative + (1.0 - self.label_smoothing)
 
 
-def smoothed_targets_matrix(queries, positives_by_query, label_smoothing, n_entities):
+def smoothed_targets_matrix(queries, index, label_smoothing, n_entities):
     """The smoothed 1-N targets of a batch of queries, as `SmoothedTargets`:
-    row i's positive cells are the tails positives_by_query[queries[i]]."""
-    tails = [positives_by_query[q] for q in queries]
-    rows = np.repeat(np.arange(len(tails)), [len(t) for t in tails])
-    cols = np.fromiter(itertools.chain.from_iterable(tails), dtype=np.int64, count=rows.size)
-    return SmoothedTargets(rows, cols, float(label_smoothing), len(tails), int(n_entities))
+    row i's positive cells are index[queries[i]], expanded by `index.runs`."""
+    lo = index.offsets[queries]
+    rows, cols = index.runs(lo, index.offsets[np.add(queries, 1)] - lo)
+    return SmoothedTargets(rows, cols, float(label_smoothing), len(lo), int(n_entities))
 
 
 def generate_toy_kg(

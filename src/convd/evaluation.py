@@ -104,17 +104,17 @@ def evaluate(params, store: TripleStore, split: str, cfg: ModelConfig,
     mirrors would repeat the same two queries. A `QueryIndex` groups the
     queries, its tails their positions (every tail query, then every head
     query); its distinct (head, relation) queries are walked in key order,
-    `_EVAL_BATCH` at a time, so each is scored exactly once. Its logits
-    row is consumed by `rank_of`, which masks the known tails in place and
-    ranks every query of that run against the row. One chunk's logits are
-    alive at a time: each chunk's die when `rank_of` returns, before the
-    next chunk's are allocated. When a chunk's scoring spans several entity
-    blocks, the next chunk's front-end (forward_batch with score=False)
-    runs as the first task of the same `parallel` call, beside this
-    chunk's block products; with one block it runs inline after `rank_of`.
-    Every chunk is scored by the same products either way, so the report
-    does not depend on the worker count. The priori table is built from
-    the store's train split when not supplied.
+    `_EVAL_BATCH` at a time, so each is scored exactly once. `runs` gives a
+    chunk's positions their logits rows, and `store.known.cells` the known
+    tails that `rank_of` masks in place as it consumes the rows. One chunk's
+    logits are alive at a time: each chunk's die when `rank_of` returns,
+    before the next chunk's are allocated. When a chunk's scoring spans
+    several entity blocks, the next chunk's front-end (forward_batch with
+    score=False) runs as the first task of the same `parallel` call, beside
+    this chunk's block products; with one block it runs inline after
+    `rank_of`. Every chunk is scored by the same products either way, so the
+    report does not depend on the worker count. The priori table is built
+    from the store's train split when not supplied.
     """
     if not store.augmented:
         raise StateError("evaluation expects a reciprocal-augmented store")
@@ -139,9 +139,7 @@ def evaluate(params, store: TripleStore, split: str, cfg: ModelConfig,
     z = front(0) if n_distinct else None
     for lo in range(0, n_distinct, _EVAL_BATCH):
         hi = min(lo + _EVAL_BATCH, n_distinct)
-        bounds = index.offsets[lo:hi + 1]
-        chunk = index.tails[bounds[0]:bounds[-1]]
-        query_rows = np.repeat(np.arange(hi - lo), np.diff(bounds))
+        query_rows, chunk = index.runs(index.offsets[lo:hi], np.diff(index.offsets[lo:hi + 1]))
         rows, cols = store.known.cells(heads[lo:hi], rels[lo:hi])
         logits = np.empty((hi - lo, params.ent.shape[0]))
         tasks = _score_tasks(z, params.ent, cfg, logits)

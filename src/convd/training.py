@@ -202,8 +202,8 @@ def train(cfg: TrainConfig, store: TripleStore, priori: PrioriTable,
     if store.train.shape[0] == 0:
         raise ConfigError("empty train split")
 
-    heads, rels, positives = store.train_index.groups()
-    n_entities = store.n_entities
+    index, n_entities = store.train_index, store.n_entities
+    heads, rels = index.queries()
 
     init_rng = RngStream(cfg.seed, "init")
     params = init_params(cfg, n_entities, store.n_relations, init_rng)
@@ -224,8 +224,8 @@ def train(cfg: TrainConfig, store: TripleStore, priori: PrioriTable,
         grad_ent = np.empty_like(params.ent)
         total_loss = 0.0
         total_queries = 0
-        for batch_idx in _epoch_batches(shuffle_rng.permutation(len(positives)), cfg.batch_size):
-            targets = smoothed_targets_matrix(batch_idx, positives, cfg.label_smoothing, n_entities)
+        for batch_idx in _epoch_batches(shuffle_rng.permutation(len(heads)), cfg.batch_size):
+            targets = smoothed_targets_matrix(batch_idx, index, cfg.label_smoothing, n_entities)
             _, trace = forward_batch(
                 heads[batch_idx], rels[batch_idx], params, priori, mcfg, mode="train", rng=rng
             )

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,12 @@ import convd.numerics
 from convd.data import (
     PrioriTable,
     QueryIndex,
+    SmoothedTargets,
     TripleStore,
     Vocab,
     augment_reciprocal,
     build_priori,
     generate_toy_kg,
-    smoothed_targets_matrix,
 )
 from convd.model import ModelConfig, backward, init_params
 from convd.rng import RngStream
@@ -80,13 +82,19 @@ def no_training(*args, **kwargs):
     raise AssertionError("trained before every config was checked")
 
 
+def targets_from_tails(tails, eps, n_entities):
+    """Smoothed targets whose row i's positive cells are the entity ids
+    tails[i]; an id listed twice is one positive cell."""
+    rows = np.repeat(np.arange(len(tails)), [len(t) for t in tails])
+    cols = np.fromiter(itertools.chain.from_iterable(tails), dtype=np.int64, count=rows.size)
+    return SmoothedTargets(rows, cols, float(eps), len(tails), int(n_entities))
+
+
 def targets_of(positive, eps):
     """Smoothed targets whose positive cells are the True cells of a
     (B, N) mask."""
     positive = np.atleast_2d(positive)
-    return smoothed_targets_matrix(range(positive.shape[0]),
-                                   [np.flatnonzero(row) for row in positive],
-                                   eps, positive.shape[1])
+    return targets_from_tails([np.flatnonzero(row) for row in positive], eps, positive.shape[1])
 
 
 def dense_backward(trace, grad_logits):
@@ -135,8 +143,8 @@ def priori_table(counts, n_relations, log_base=2.0) -> PrioriTable:
 def priori_freq(table) -> dict:
     """(head, relation) -> n for every pair the table's train split holds,
     as a dict read from its index."""
-    heads, rels, tails = table.index.groups()
-    return {(h, r): len(t) for h, r, t in zip(heads.tolist(), rels.tolist(), tails)}
+    heads, rels = table.index.queries()
+    return dict(zip(zip(heads.tolist(), rels.tolist()), np.diff(table.index.offsets).tolist()))
 
 
 def priori_value(table, h: int, r: int) -> float:

@@ -344,14 +344,18 @@ class TestEvalCommand:
         assert main(["eval", "--checkpoint", str(bad), "--out", str(out)]) == 5
         assert not out.exists()
 
-    def _edited(self, trained, tmp_path, config=None, first_value=None, ent_entry=None):
+    def _edited(self, trained, tmp_path, config=None, first_value=None, ent_entry=None,
+                version=None):
         """A copy of the trained checkpoint with header config keys replaced,
-        the manifest entry of `ent` rewritten by `ent_entry`, and/or the
-        first stored float (ent[0, 0]) overwritten."""
+        the manifest entry of `ent` rewritten by `ent_entry`, the header's
+        format_version replaced by `version`, and/or the first stored float
+        (ent[0, 0]) overwritten."""
         _, out_dir = trained
         header, body = Path(out_dir, "best.ckpt").read_bytes().split(b"\n", 1)
         doc = json.loads(header)
         doc["config"].update(config or {})
+        if version is not None:
+            doc["format_version"] = version
         if ent_entry is not None:
             doc["manifest"]["ent"] = ent_entry(doc["manifest"]["ent"])
         if first_value is not None:
@@ -388,6 +392,17 @@ class TestEvalCommand:
         out = tmp_path / "report.json"
         assert main(["eval", "--checkpoint", bad, "--out", str(out)]) == 5
         assert "checkpoint error: manifest entry 'ent'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
+    def test_format_version_other_than_int_1_exits_5(self, trained, tmp_path, capsys, version):
+        # JSON true and 1.0 compare equal to 1 in Python; only the int 1 is
+        # format_version 1, as only ints are manifest entries.
+        bad = self._edited(trained, tmp_path, version=version)
+        out = tmp_path / "report.json"
+        assert main(["eval", "--checkpoint", bad, "--out", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert f"checkpoint error: unsupported checkpoint format_version {version!r}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("config", [

@@ -344,25 +344,28 @@ def dense(targets):
 
 def train_targets(store, eps, n_entities):
     """Sorted train queries and their smoothed 1-N target rows, as training
-    builds them: positions into the train index's groups."""
-    heads, rels, positives = store.train_index.groups()
+    builds them: positions into the train index."""
+    heads, rels = store.train_index.queries()
     queries = list(zip(heads.tolist(), rels.tolist()))
-    return queries, dense(smoothed_targets_matrix(range(len(queries)), positives, eps, n_entities))
+    targets = smoothed_targets_matrix(np.arange(len(queries)), store.train_index, eps, n_entities)
+    return queries, dense(targets)
 
 
 class TestOneToN:
     def test_matches_per_row_loop_reference(self):
-        # Toy relations are functions, so key the positives by head alone:
-        # each head then has one tail per relation, several per query.
-        store = generate_toy_kg(7, 60, 4, 2)
-        by_head = {}
-        for h, _, t in store.train:
-            by_head.setdefault(int(h), set()).add(int(t))
-        queries = sorted(by_head, key=lambda h: (-h % 7, h))
-        assert max(len(by_head[q]) for q in queries) > 1
-        for batch in (queries, queries[:1]):
-            got = dense(smoothed_targets_matrix(batch, by_head, 0.1, store.n_entities))
-            want = oracle_smoothed_targets(batch, by_head, 0.1, store.n_entities)
+        # Positions into the many-to-many store's train index, where a
+        # duplicated train triple (and its mirror) lists its tail twice;
+        # the oracle reads each query's tails from the triples, row by row.
+        train, valid, test = many_to_many_rows()
+        store = augment_reciprocal(make_store(train + train[:1], valid, test))
+        per_row = [[t for h, r, t in store.train.tolist() if (h, r) == q]
+                   for q in sorted(oracle_tails_index(store.train))]
+        assert any(len(set(t)) < len(t) for t in per_row)
+        assert max(len(set(t)) for t in per_row) > 1
+        batch = np.random.default_rng(29).permutation(len(per_row))
+        for queries in (batch, batch[:1]):
+            got = dense(smoothed_targets_matrix(queries, store.train_index, 0.1, store.n_entities))
+            want = oracle_smoothed_targets(queries, per_row, 0.1, store.n_entities)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
@@ -434,7 +437,7 @@ STORE_IDS = ["duplicates_across_splits", "augmented_toy", "many_to_many"]
 def assert_index_matches(index, n_triples, want):
     """`index` holds each query once, keyed head * R + relation and sorted,
     with one tail per triple in the query's run, and groups them as the
-    dict oracle `want` does, through its fields and through `groups`;
+    dict oracle `want` does, through its fields, `queries` and `index[i]`;
     `cells` expands a batch of queries, one with no triple included."""
     assert index.keys.shape == (len(want),) and index.tails.shape == (n_triples,)
     assert np.all(np.diff(index.keys) > 0)
@@ -444,10 +447,10 @@ def assert_index_matches(index, n_triples, want):
     expanded = {divmod(key, index.n_relations): set(index.tails[lo:hi].tolist())
                 for key, lo, hi in zip(index.keys.tolist(), bounds, bounds[1:])}
     assert expanded == want
-    heads, rels, positives = index.groups()
+    heads, rels = index.queries()
     assert heads.dtype == rels.dtype == np.int64
     assert list(zip(heads.tolist(), rels.tolist())) == sorted(want)
-    assert [set(t) for t in positives] == [want[q] for q in sorted(want)]
+    assert [set(index[i].tolist()) for i in range(len(want))] == [want[q] for q in sorted(want)]
     queries = sorted(want, reverse=True) + [(max((h for h, _ in want), default=0) + 1, 0)]
     rows, cols = index.cells(np.array([h for h, _ in queries]),
                              np.array([r for _, r in queries]))
@@ -478,11 +481,10 @@ class TestTailsIndex:
         index = store.train_index
         want = oracle_tails_index(store.train)
         assert_index_matches(index, store.train.shape[0], want)
-        heads, rels, positives = index.groups()
-        assert sum(len(t) for t in positives) == store.train.shape[0]
-        for query, tails in zip(sorted(want), positives):
+        assert sum(len(index[i]) for i in range(len(want))) == store.train.shape[0]
+        for i, query in enumerate(sorted(want)):
             per_row = [int(t) for h, r, t in store.train if (h, r) == query]
-            assert sorted(tails) == sorted(per_row)
+            assert sorted(index[i].tolist()) == sorted(per_row)
 
     def test_index_over_zero_triples(self):
         index = QueryIndex.of(np.zeros((0, 3), dtype=np.int64), 2)

@@ -5,7 +5,7 @@ import pytest
 
 import convd.model
 from convd.attention import slice_batch, unslice_batch
-from convd.data import PrioriTable, smoothed_targets_matrix
+from convd.data import PrioriTable
 from convd.errors import ConfigError, DegenerateBatchError, DimensionError
 from convd.model import (
     ABLATION_MODES,
@@ -34,6 +34,7 @@ from conftest import (
     priori_table,
     priori_value,
     rel_err,
+    targets_from_tails,
     targets_of,
     tiny_config,
     tiny_params,
@@ -225,7 +226,7 @@ class TestAblationFlags:
         params = tiny_params(cfg)
         before = params.copy()
         h_ids, r_ids = np.array([0, 2, 5]), np.array([0, 1, 2])
-        targets = smoothed_targets_matrix(range(3), [[3]] * 3, 0.07, TINY_ENTITIES)
+        targets = targets_from_tails([[3]] * 3, 0.07, TINY_ENTITIES)
         _, trace = forward_batch(h_ids, r_ids, params, PRIORI, cfg, mode="train")
         _, grads = loss_and_grads(trace, targets)
         adam_step(params.named_arrays(), grads, adam_init(params.named_arrays()), 0.01)
@@ -305,7 +306,7 @@ class TestBackward:
         params = tiny_params(cfg)
         before = {k: v.copy() for k, v in params.named_arrays().items()}
         h_ids, r_ids = np.array([1]), np.array([0])
-        targets = smoothed_targets_matrix([0], [[3]], 0.07, TINY_ENTITIES)
+        targets = targets_from_tails([[3]], 0.07, TINY_ENTITIES)
         _, trace = forward_batch(h_ids, r_ids, params, PRIORI, cfg, mode="train")
         _, grads = loss_and_grads(trace, targets)
         new_arrays, _ = adam_step(params.named_arrays(), grads, adam_init(before), 0.01)
@@ -374,7 +375,7 @@ class TestEntityBlocks:
         z, ent, n = trace.z, params.ent, self.N_ENTITIES
         positives = [np.random.default_rng([batch, q]).choice(n, 3, replace=False)
                      for q in range(batch)]
-        targets = smoothed_targets_matrix(range(batch), positives, 0.1, n)
+        targets = targets_from_tails(positives, 0.1, n)
         dense = oracle_smoothed_targets(range(batch), positives, 0.1, n)
         want_loss, want_g_z, want_grad_ent = oracle_tail(z, ent, dense)
         eps = np.finfo(np.float64).eps
