@@ -279,8 +279,6 @@ def augment_reciprocal(store: TripleStore) -> TripleStore:
     )
 
     def extend(split):
-        if split.shape[0] == 0:
-            return split.copy()
         mirrored = split[:, [2, 1, 0]].copy()
         mirrored[:, 1] += base
         return np.concatenate([split, mirrored], axis=0)
@@ -363,8 +361,14 @@ def generate_toy_kg(
     Relation 0 is a random permutation pi, relation 1 its explicit inverse,
     and relation j >= 2 the composition pi applied 1 + ((j - 2) % depth)
     times, so every relation holds exactly n_entities triples. The 80/10/10
-    split comes from a seeded shuffle, with a first pass that keeps every
-    entity and relation covered by the train split.
+    split comes from a seeded shuffle. Train takes first every triple that
+    is the first in shuffled order to hold its head or tail entity, or its
+    relation, so train covers every entity and relation; then it fills up in
+    shuffled order, and valid and test take the next slices. Both splits
+    are always populated: each covered triple introduces an entity or a
+    relation, so at most N + R triples are covered, and N + R <= 0.8 N R
+    once N >= 20 and R >= 2; and N R >= 40 leaves valid and test at least
+    4 triples each.
     """
     if n_entities < 20:
         raise GenerationError(f"need at least 20 entities, got {n_entities}")
@@ -374,61 +378,26 @@ def generate_toy_kg(
         raise GenerationError(f"composition depth must be >= 1, got {composition_depth}")
     rng = RngStream(seed, "toy-kg")
     perm = rng.permutation(n_entities)
+    tails = [perm, np.argsort(perm)]
+    for j in range(2, n_relations):  # pi applied 1 + (j - 2) % depth times
+        tails.append(perm[tails[-1]] if (j - 2) % composition_depth else perm)
+    triples = np.stack([
+        np.tile(np.arange(n_entities), n_relations),
+        np.repeat(np.arange(n_relations), n_entities),
+        np.concatenate(tails),
+    ], axis=1).astype(np.int64)
+    shuffled = triples[rng.permutation(len(triples))]
 
-    def hops(rel_index: int) -> np.ndarray:
-        count = 1 + (rel_index - 2) % composition_depth
-        target = np.arange(n_entities)
-        for _ in range(count):
-            target = perm[target]
-        return target
-
-    triples = []
-    source = np.arange(n_entities)
-    for rel in range(n_relations):
-        if rel == 0:
-            target = perm[source]
-        elif rel == 1:
-            target = np.argsort(perm)[source]
-        else:
-            target = hops(rel)
-        triples.extend((int(s), rel, int(t)) for s, t in zip(source, target))
-
-    order = rng.permutation(len(triples))
-    shuffled = [triples[i] for i in order]
-    total = len(shuffled)
-    n_train = (8 * total) // 10
-    n_valid = total // 10
-    n_test = total - n_train - n_valid
-    if n_valid == 0 or n_test == 0:
-        raise GenerationError("too few triples to populate valid and test splits")
-
-    # Coverage pass: train must contain every entity and relation so that no
-    # valid/test symbol is unseen at training time.
-    seen_ents: set = set()
-    seen_rels: set = set()
-    train, rest = [], []
-    for h, r, t in shuffled:
-        if h not in seen_ents or t not in seen_ents or r not in seen_rels:
-            train.append((h, r, t))
-            seen_ents.update((h, t))
-            seen_rels.add(r)
-        else:
-            rest.append((h, r, t))
-    if len(train) > n_train:
-        raise GenerationError("coverage pass exceeded the train budget; enlarge the graph")
-    fill = n_train - len(train)
-    train.extend(rest[:fill])
-    remaining = rest[fill:]
-    valid = remaining[:n_valid]
-    test = remaining[n_valid:]
-
-    names_e = [f"e{i:05d}" for i in range(n_entities)]
-    names_r = [f"r{j:03d}" for j in range(n_relations)]
-    vocab = Vocab.from_symbols(names_e, names_r)
-    to_arr = lambda rows: np.array(rows, dtype=np.int64).reshape(-1, 3)
-    return TripleStore(
-        vocab=vocab, train=to_arr(train), valid=to_arr(valid), test=to_arr(test)
+    covered = np.zeros(len(shuffled), dtype=bool)
+    covered[np.unique(shuffled[:, [0, 2]], return_index=True)[1] // 2] = True
+    covered[np.unique(shuffled[:, 1], return_index=True)[1]] = True
+    ordered = shuffled[np.argsort(~covered, kind="stable")]  # covered first
+    n_train = (8 * len(ordered)) // 10
+    train, valid, test = np.split(ordered, [n_train, n_train + len(ordered) // 10])
+    vocab = Vocab.from_symbols(
+        [f"e{i:05d}" for i in range(n_entities)], [f"r{j:03d}" for j in range(n_relations)]
     )
+    return TripleStore(vocab=vocab, train=train, valid=valid, test=test)
 
 
 def write_splits(store: TripleStore, directory) -> None:

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from convd.cli import dataset_fingerprint
 from convd.data import (
     QueryIndex,
     TripleStore,
@@ -522,6 +523,13 @@ class TestTailsIndex:
             TripleStore(vocab=vocab, **splits)
 
 
+def minimum_graphs():
+    """The smallest graphs the generator accepts: N = 20, R 2 and 3, depth
+    1-3, seeds 1-10, each keyed by (seed, R, depth)."""
+    return [((seed, n_rel, depth), generate_toy_kg(seed, 20, n_rel, depth))
+            for seed in range(1, 11) for n_rel in (2, 3) for depth in (1, 2, 3)]
+
+
 class TestToyKg:
     def test_determinism(self):
         a = generate_toy_kg(11, 50, 3, 2)
@@ -530,11 +538,27 @@ class TestToyKg:
             assert np.array_equal(a.split(split), b.split(split))
 
     def test_depth_one_composition_equals_permutation(self):
-        store = generate_toy_kg(5, 30, 3, composition_depth=1)
-        pairs = {}
-        for h, r, t in np.concatenate([store.train, store.valid, store.test]):
-            pairs.setdefault(int(r), set()).add((int(h), int(t)))
-        assert pairs[2] == pairs[0]
+        # Read pi from relation 0: relation 1 must be its inverse, and
+        # relation j >= 2 pi applied 1 + (j - 2) % depth times (pi itself
+        # at depth one).
+        n, n_rel = 30, 6
+        for depth in (1, 2, 3):
+            store = generate_toy_kg(5, n, n_rel, composition_depth=depth)
+            triples = np.concatenate([store.train, store.valid, store.test])
+            tails = []
+            for r in range(n_rel):
+                rows = triples[triples[:, 1] == r]
+                rows = rows[np.argsort(rows[:, 0])]
+                assert rows[:, 0].tolist() == list(range(n))
+                tails.append(rows[:, 2])
+            pi = tails[0]
+            assert sorted(pi.tolist()) == list(range(n))
+            assert tails[1][pi].tolist() == list(range(n))
+            for r in range(2, n_rel):
+                want = np.arange(n)
+                for _ in range(1 + (r - 2) % depth):
+                    want = pi[want]
+                assert tails[r].tolist() == want.tolist(), (depth, r)
 
     def test_counts_match_generator_arithmetic(self):
         store = generate_toy_kg(1, 200, 4, 2)
@@ -542,14 +566,39 @@ class TestToyKg:
         assert store.train.shape[0] == (8 * total) // 10 == 640
         assert store.valid.shape[0] == total // 10 == 80
         assert store.test.shape[0] == total - 640 - 80 == 80
+        # The minimum graphs: every split populated at N = 20.
+        for (seed, n_rel, depth), store in minimum_graphs():
+            total = 20 * n_rel
+            sizes = [store.split(s).shape[0] for s in ("train", "valid", "test")]
+            want = [(8 * total) // 10, total // 10, total - (8 * total) // 10 - total // 10]
+            assert sizes == want and min(sizes) > 0, (seed, n_rel, depth)
 
     def test_coverage(self):
-        store = generate_toy_kg(2, 25, 4, 3)
-        train_ents = set(store.train[:, 0]) | set(store.train[:, 2])
-        train_rels = set(store.train[:, 1])
-        for split in (store.valid, store.test):
-            for h, r, t in split:
-                assert h in train_ents and t in train_ents and r in train_rels
+        cases = [((2, 4, 3), generate_toy_kg(2, 25, 4, 3))] + minimum_graphs()
+        for key, store in cases:
+            train_ents = set(store.train[:, 0].tolist()) | set(store.train[:, 2].tolist())
+            train_rels = set(store.train[:, 1].tolist())
+            assert train_ents == set(range(store.n_entities)), key
+            assert train_rels == set(range(store.n_relations)), key
+
+    @pytest.mark.parametrize("seed, n_entities, n_relations, depth, fingerprint", [
+        (1, 200, 4, 2, "ae0749ce412a2973"),
+        (2, 200, 4, 2, "79d84260af7fcc9c"),
+        (1, 5000, 2, 2, "014725c047abc43a"),
+        (2, 5000, 2, 2, "b221554eba4c358e"),
+        (2, 1536, 2, 1, "0dddf8a819bdde68"),
+        (1, 20, 2, 1, "859faf2e50324b68"),
+        # Some relation's first triple here holds no new entity, so these
+        # bytes also pin the relation half of the coverage rule.
+        (1, 20, 8, 1, "c5ee7788256141b7"),
+    ])
+    def test_generated_bytes_are_pinned(
+        self, tmp_path, seed, n_entities, n_relations, depth, fingerprint
+    ):
+        # Unlike the golden test, this holds on every BLAS and CPU: the
+        # generator's draws are integer hashes, scaled to uniforms exactly.
+        write_splits(generate_toy_kg(seed, n_entities, n_relations, depth), tmp_path)
+        assert dataset_fingerprint(tmp_path) == fingerprint
 
     def test_too_small_rejected(self):
         with pytest.raises(GenerationError):
