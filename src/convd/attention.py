@@ -24,8 +24,8 @@ from .errors import ConfigError, DimensionError, NumericError
 
 
 def _sqrt_m(m: int) -> int:
-    s = math.isqrt(m)
-    if s * s != m or m < 1:
+    s = math.isqrt(max(m, 0))
+    if m < 1 or s * s != m:
         raise ConfigError(f"kernel count must be a positive perfect square, got {m}")
     return s
 

@@ -1,6 +1,5 @@
-"""The dynamic-convolution scorer and its exact analytic backward, plus a
-plain-convolution baseline, their parameter layouts and parameter
-accounting.
+"""The dynamic-convolution scorer and its exact analytic backward, its
+parameter layout and parameter accounting.
 
 Scoring pipeline for one (head, relation) query:
   1. entity row -> input dropout -> 2D plane (d_w x d_h)
@@ -18,15 +17,14 @@ Scoring pipeline for one (head, relation) query:
   6. fully connected projection to d_e
   7. output dropout, ReLU, second projection d_e -> d_e
   8. logits = entity_table @ hidden, one score per candidate entity
-Steps 1-4 are the dynamic front-end; steps 5-7 are scorer_head, which the
-plain-convolution baseline shares. Step 8 runs here at evaluation only:
-training fuses it into its loss (training.bce_loss), which applies the
-sigmoid, and backward starts at step 7 from the gradients that loss returns.
+Steps 1-4 are the dynamic front-end; steps 5-7 are scorer_head. Step 8
+runs here at evaluation only: training fuses it into its loss
+(training.bce_loss), which applies the sigmoid, and backward starts at
+step 7 from the gradients that loss returns.
 
-param_layout (the dynamic model) and baseline_layout (the plain-convolution
-baseline) are the one statement of which arrays a model holds and their
-shapes. One ModelParams container holds the arrays of either layout, and
-init, parameter counts and the checkpoint format are derived from them.
+param_layout is the one statement of which arrays the model holds and
+their shapes. The ModelParams container holds them, and init, parameter
+counts and the checkpoint format are derived from it.
 """
 
 import functools
@@ -100,7 +98,6 @@ class ModelConfig:
     kernel_fraction: float = 1.0
     bn_frozen: bool = False
     sigmoid_pre_dot: bool = False
-    n_static: int = 4  # external kernels of the plain-conv baseline
 
     @property
     def d_e(self) -> int:
@@ -142,8 +139,7 @@ class ModelConfig:
                 ok = isinstance(value, f.type)
             if not ok:
                 raise ConfigError(f"{f.name} must be of type {f.type.__name__}, got {value!r}")
-        s = math.isqrt(self.m)
-        if self.m < 1 or s * s != self.m:
+        if self.m < 1 or math.isqrt(self.m) ** 2 != self.m:
             raise ConfigError(f"m must be the square of a positive integer, got {self.m}")
         if self.r_w > self.d_w or self.r_h > self.d_h:
             raise ConfigError(
@@ -151,6 +147,17 @@ class ModelConfig:
             )
         if min(self.d_w, self.d_h, self.r_w, self.r_h, self.k) < 1:
             raise ConfigError("all dimensions must be positive")
+        # Refuse, before anything is allocated, an array whose size the
+        # config alone sets and that NumPy cannot index: w_out (d_e x d_e)
+        # bounds the plane and w_fc, attn_q is k x d_e, and a relation row
+        # holds d_r = m * r_w * r_h values.
+        limit = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+        for names, array, size in (("d_w and d_h", "w_out", self.d_e ** 2),
+                                   ("k", "attn_q", self.k * self.d_e),
+                                   ("m", "rel", self.d_r)):
+            if size > limit:
+                raise ConfigError(f"{names} too large: {array} would hold {size} values, "
+                                  f"more than NumPy can index")
         for name in ("dropout_in", "dropout_feat", "dropout_out", "label_smoothing"):
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
@@ -167,22 +174,6 @@ class ModelConfig:
             raise ConfigError(f"unknown ablation mode {self.ablation!r}")
         if not 0.0 < self.kernel_fraction <= 1.0:
             raise ConfigError(f"kernel fraction must be in (0, 1], got {self.kernel_fraction}")
-        if self.n_static < 1:
-            raise ConfigError(f"n_static must be >= 1, got {self.n_static}")
-
-
-def _head_layout(cfg: ModelConfig, n_features: int) -> dict:
-    """Arrays of the scorer head over n_features convolution features."""
-    return {
-        "w_fc": (n_features, cfg.d_e),
-        "b_fc": (cfg.d_e,),
-        "w_out": (cfg.d_e, cfg.d_e),
-        "b_out": (cfg.d_e,),
-        "bn_gamma": (1,),
-        "bn_beta": (1,),
-        "bn_mean": (n_features,),
-        "bn_var": (n_features,),
-    }
 
 
 RUNNING_STATS = ("bn_mean", "bn_var")
@@ -199,33 +190,21 @@ def param_layout(cfg: ModelConfig, n_entities: int, n_relations: int) -> dict:
         "attn_k": (cfg.k, rr),
         "attn_v": (rr,),
         "attn_u": (cfg.m,),
-        **_head_layout(cfg, cfg.conv_map),
-    }
-
-
-def baseline_layout(cfg: ModelConfig, n_entities: int, n_relations: int) -> dict:
-    """Name -> shape of every array of the plain-convolution baseline: the
-    same tables, n_static external kernels over the stacked entity and
-    relation planes, and a head widened to their features. Stacking the
-    planes requires d_e == d_r."""
-    if cfg.d_r != cfg.d_e:
-        raise ConfigError(
-            f"plain convolution stacks the two planes and therefore requires "
-            f"d_e == d_r, got d_e={cfg.d_e}, d_r={cfg.d_r}"
-        )
-    oh, ow = 2 * cfg.d_w - cfg.r_w + 1, cfg.d_h - cfg.r_h + 1
-    return {
-        "ent": (n_entities, cfg.d_e),
-        "rel": (n_relations, cfg.d_r),
-        "kernels": (cfg.n_static, cfg.r_w, cfg.r_h),
-        **_head_layout(cfg, cfg.n_static * oh * ow),
+        "w_fc": (cfg.conv_map, cfg.d_e),
+        "b_fc": (cfg.d_e,),
+        "w_out": (cfg.d_e, cfg.d_e),
+        "b_out": (cfg.d_e,),
+        "bn_gamma": (1,),
+        "bn_beta": (1,),
+        "bn_mean": (cfg.conv_map,),
+        "bn_var": (cfg.conv_map,),
     }
 
 
 class ModelParams:
-    """The arrays of one layout (param_layout or baseline_layout), held as
-    attributes named by the layout, in layout order: the learned ones plus
-    the batch-norm running statistics.
+    """The arrays of param_layout, held as attributes named by the layout,
+    in layout order: the learned ones plus the batch-norm running
+    statistics.
 
     gamma/beta are single scalars (one normalized channel); the running
     statistics are per feature of the flattened convolution map.
@@ -259,14 +238,15 @@ def _fan_uniform(rng: RngStream, rows: int, cols: int) -> np.ndarray:
     return rng.uniform_signed(rows * cols, bound).reshape(rows, cols)
 
 
-def _init_layout(layout: dict, rng: RngStream) -> ModelParams:
-    """Arrays of `layout`, drawn in layout order: u spread over [-0.1, 0.1]
-    so the priori path is not born degenerate; gamma and the running
-    variance one; biases, beta and the running mean zero; every other array
-    symmetric uniform over its fan (first axis, the rest), a vector counting
-    as one row."""
+def init_params(cfg: ModelConfig, n_entities: int, n_relations: int, rng: RngStream) -> ModelParams:
+    """Initial arrays of param_layout, drawn in layout order: u spread over
+    [-0.1, 0.1] so the priori path is not born degenerate; gamma and the
+    running variance one; biases, beta and the running mean zero; every
+    other array symmetric uniform over its fan (first axis, the rest), a
+    vector counting as one row."""
+    cfg.validate()
     arrays = {}
-    for name, shape in layout.items():
+    for name, shape in param_layout(cfg, n_entities, n_relations).items():
         if name == "attn_u":
             arrays[name] = np.linspace(-0.1, 0.1, shape[0])
         elif name in ("bn_gamma", "bn_var"):
@@ -279,25 +259,10 @@ def _init_layout(layout: dict, rng: RngStream) -> ModelParams:
     return ModelParams(arrays)
 
 
-def init_params(cfg: ModelConfig, n_entities: int, n_relations: int, rng: RngStream) -> ModelParams:
-    """Initial arrays of param_layout, drawn as _init_layout says."""
-    cfg.validate()
-    return _init_layout(param_layout(cfg, n_entities, n_relations), rng)
-
-
-def init_baseline_params(cfg: ModelConfig, n_entities: int, n_relations: int,
-                         rng: RngStream) -> ModelParams:
-    """Initial arrays of baseline_layout, drawn as _init_layout says."""
-    cfg.validate()
-    return _init_layout(baseline_layout(cfg, n_entities, n_relations), rng)
-
-
-def count_parameters(cfg: ModelConfig, n_entities: int, n_relations: int,
-                     include_baseline: bool = False) -> int:
-    """Exact count of learned scalars: the layout (the baseline's if
-    include_baseline) without its running stats."""
-    layout = (baseline_layout if include_baseline else param_layout)(
-        cfg, n_entities, n_relations)
+def count_parameters(cfg: ModelConfig, n_entities: int, n_relations: int) -> int:
+    """Exact count of learned scalars: param_layout without its running
+    stats."""
+    layout = param_layout(cfg, n_entities, n_relations)
     return sum(math.prod(shape) for name, shape in layout.items() if name not in RUNNING_STATS)
 
 
@@ -422,9 +387,8 @@ def forward_batch(
 
 
 def scorer_head(feats, params, cfg: ModelConfig, training: bool, rng):
-    """Pipeline steps 5-7 over (B, F) convolution features, shared by both
-    front-ends: batch norm -> ReLU -> feature dropout -> FC -> output
-    dropout -> ReLU -> FC. Normalizes with batch statistics when training
+    """Pipeline steps 5-7 over (B, F) convolution features: batch norm ->
+    ReLU -> feature dropout -> FC -> output dropout -> ReLU -> FC. Normalizes with batch statistics when training
     and not cfg.bn_frozen, else with the running ones. Returns the
     ForwardTrace fields of these steps, the query vectors z included."""
     batch_stats = training and not cfg.bn_frozen
@@ -585,18 +549,3 @@ def commit_running_stats(trace: ForwardTrace) -> None:
     if trace.new_running is not None:
         trace.params.bn_mean, trace.params.bn_var = trace.new_running
 
-
-def score_plain_conv(h_id, r_id, params: ModelParams, cfg: ModelConfig) -> np.ndarray:
-    """Static-kernel reference scorer over the arrays of baseline_layout, in
-    eval mode only (no dropout, running statistics): stack the entity plane
-    on top of the relation plane, convolve with the shared external
-    kernels, then run scorer_head."""
-    if params.ent.shape[1] != cfg.d_e or params.rel.shape[1] != cfg.d_e:
-        raise ConfigError("parameter shapes do not match the configuration")
-    h_id, r_id = int(h_id), int(r_id)
-    e_plane = params.ent[h_id].reshape(cfg.d_w, cfg.d_h)
-    r_plane = params.rel[r_id].reshape(cfg.d_w, cfg.d_h)
-    stacked = np.concatenate([e_plane, r_plane], axis=0)
-    maps = conv2d_batch(np.repeat(stacked[None], cfg.n_static, axis=0), params.kernels)
-    head = scorer_head(maps.reshape(1, -1), params, cfg, False, None)
-    return _score_entities(head["z"], params.ent, cfg)[0]

@@ -178,33 +178,6 @@ def oracle_forward(h_id, r_id, arrays, dims, p_hr):
     return logits
 
 
-def oracle_plain_conv(h_id, r_id, arrays, dims):
-    """Straight-line eval-mode scoring for the stacked static-kernel scorer."""
-    d_w, d_h = dims["d_w"], dims["d_h"]
-    r_w, r_h = dims["r_w"], dims["r_h"]
-    e_plane = arrays["ent"][h_id].reshape(d_w, d_h)
-    r_plane = arrays["rel"][r_id].reshape(d_w, d_h)
-    stacked = np.concatenate([e_plane, r_plane], axis=0)
-    maps = [oracle_conv2d(stacked, arrays["kernels"][i]) for i in range(arrays["kernels"].shape[0])]
-    feats = np.concatenate([mp.reshape(-1) for mp in maps])
-    normed = np.zeros_like(feats)
-    for f in range(feats.size):
-        x_hat = (feats[f] - arrays["bn_mean"][f]) / math.sqrt(arrays["bn_var"][f] + 1e-5)
-        normed[f] = arrays["bn_gamma"][0] * x_hat + arrays["bn_beta"][0]
-    act = np.maximum(normed, 0.0)
-    d_e = d_w * d_h
-    v_out = arrays["b_fc"].copy()
-    for j in range(d_e):
-        for f in range(act.size):
-            v_out[j] += act[f] * arrays["w_fc"][f, j]
-    hidden = np.maximum(v_out, 0.0)
-    z = arrays["b_out"].copy()
-    for j in range(d_e):
-        for i in range(d_e):
-            z[j] += hidden[i] * arrays["w_out"][i, j]
-    return arrays["ent"] @ z
-
-
 def oracle_rank(scores, true_id, filter_out):
     """Sort-based tie-average rank among unfiltered candidates."""
     candidates = [true_id] + [

@@ -66,8 +66,10 @@ class TestKernelSlices:
             bank_of(np.arange(15.0), 4, 2, 2)
 
     def test_non_square_m(self):
-        with pytest.raises(ConfigError):
-            bank_of(np.arange(12.0), 3, 2, 2)
+        # A negative m is refused as a ConfigError, not by math.isqrt.
+        for m in (3, -1):
+            with pytest.raises(ConfigError, match="positive perfect square"):
+                bank_of(np.arange(12.0), m, 2, 2)
 
 
 class TestAttentionWeights:

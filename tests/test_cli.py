@@ -195,17 +195,44 @@ class TestTrainCommand:
                                 output_dir=str(tmp_path / "o"), bogus_key=1)
         assert main(["train", "--config", cfg_path]) == 2
 
-    @pytest.mark.parametrize("where", ["file", "set"])
+    def test_negative_m_exits_2(self, tmp_path, toy_dir, capsys):
+        # The sign is checked before math.isqrt sees the value.
+        cfg_path = write_config(tmp_path / "c.json", data_dir=toy_dir,
+                                output_dir=str(tmp_path / "o"))
+        assert main(["train", "--config", cfg_path, "--set", "m=-1"]) == 2
+        assert "m must be the square of a positive integer, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, value, names", [
+        ("d_h", 10**30, "d_w and d_h"), ("k", 10**18, "k"), ("m", 10**20, "m"),
+    ], ids=["d_h", "k", "m"])
+    def test_array_numpy_cannot_index_exits_2(self, tmp_path, toy_dir, capsys,
+                                              key, value, names):
+        # Each value makes an array too large for NumPy to index, so it
+        # fails before any allocation, and validate refuses it earlier.
+        cfg_path = write_config(tmp_path / "c.json", data_dir=toy_dir,
+                                output_dir=str(tmp_path / "o"))
+        assert main(["train", "--config", cfg_path, "--set", f"{key}={value}"]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {names} too large" in err and "more than NumPy can index" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("where, key", [
+        ("file", "random_search_draws"), ("set", "random_search_draws"),
+        ("file", "n_static"), ("set", "n_static"),
+    ], ids=["file", "set", "n_static-file", "n_static-set"])
     def test_random_search_draws_is_an_unknown_key(self, tmp_path, toy_dir, capsys,
-                                                   monkeypatch, where):
+                                                   monkeypatch, where, key):
         # search trains exactly its grid; a count of random draws is no key.
+        # Nor is n_static, the kernel count of the plain-convolution
+        # baseline that has left the model.
         monkeypatch.setattr(convd.training, "train", no_training)
-        in_file = {"random_search_draws": 1} if where == "file" else {}
+        in_file = {key: 1} if where == "file" else {}
         cfg_path = write_config(tmp_path / "c.json", data_dir=toy_dir,
                                 output_dir=str(tmp_path / "o"), **in_file)
-        flags = ["--set", "random_search_draws=1"] if where == "set" else []
+        flags = ["--set", f"{key}=1"] if where == "set" else []
         assert main(["search", "--config", cfg_path, *flags]) == 2
-        assert "unknown config keys: random_search_draws" in capsys.readouterr().err
+        assert f"unknown config keys: {key}" in capsys.readouterr().err
 
     def test_zero_epochs_writes_an_evaluable_checkpoint(self, tmp_path, toy_dir):
         out_dir = tmp_path / "o"
@@ -315,14 +342,16 @@ class TestEvalCommand:
 
     def test_checkpoint_storing_random_search_draws_still_loads(self, trained, tmp_path):
         # Checkpoints written while search had a random-draw phase store
-        # "random_search_draws": 0 in their config; loading keeps only the
-        # known fields, so they score exactly as the same params saved
-        # without it.
+        # "random_search_draws": 0 in their config, and those written while
+        # the model held the plain-convolution baseline store "n_static";
+        # loading keeps only the known fields, so they score exactly as the
+        # same params saved without them.
         _, out_dir = trained
         config, params = load_checkpoint(os.path.join(out_dir, "best.ckpt"))
-        assert "random_search_draws" not in config
+        assert "random_search_draws" not in config and "n_static" not in config
         reports = []
-        for name, extra in (("current", {}), ("older", {"random_search_draws": 0})):
+        for name, extra in (("current", {}), ("older", {"random_search_draws": 0}),
+                            ("baseline", {"n_static": 4})):
             ckpt = str(tmp_path / f"{name}.ckpt")
             save_checkpoint(ckpt, {**config, **extra}, params)
             assert load_checkpoint(ckpt)[0] == {**config, **extra}
@@ -333,7 +362,7 @@ class TestEvalCommand:
             doc = json.loads(out.read_text())
             doc.pop("wall_ms")
             reports.append(doc)
-        assert reports[0] == reports[1]
+        assert reports[0] == reports[1] == reports[2]
 
     def test_truncated_checkpoint_exits_5(self, trained, tmp_path):
         _, out_dir = trained

@@ -14,14 +14,11 @@ from convd.model import (
     ModelConfig,
     _entity_blocks,
     backward,
-    baseline_layout,
     count_parameters,
     forward_batch,
     forward_score,
-    init_baseline_params,
     init_params,
     param_layout,
-    score_plain_conv,
 )
 from convd.numerics import adam_init, adam_step, conv2d_batch, finite_diff_grad
 from convd.rng import RngStream, stream_bundle
@@ -45,7 +42,6 @@ from oracles import (
     batchnorm_apply,
     oracle_bce,
     oracle_forward,
-    oracle_plain_conv,
     oracle_smoothed_targets,
     oracle_tail,
 )
@@ -458,13 +454,8 @@ class TestCountParameters:
 
     def test_layout_names_init_arrays_in_order(self):
         cfg = tiny_config()
-        square = tiny_config(**TestPlainConvBaseline.CFG)
-        for params, layout in (
-            (tiny_params(cfg), param_layout(cfg, TINY_ENTITIES, TINY_RELATIONS)),
-            (init_baseline_params(square, 6, 3, RngStream(3, "init")), baseline_layout(square, 6, 3)),
-        ):
-            shapes = [(name, arr.shape) for name, arr in arrays_of(params).items()]
-            assert shapes == list(layout.items())
+        shapes = [(name, arr.shape) for name, arr in arrays_of(tiny_params(cfg)).items()]
+        assert shapes == list(param_layout(cfg, TINY_ENTITIES, TINY_RELATIONS).items())
 
     def test_monotone_in_m(self):
         prev = None
@@ -475,92 +466,32 @@ class TestCountParameters:
                 assert count > prev
             prev = count
 
-    def test_baseline_enumeration(self):
-        cfg = tiny_config(d_w=4, d_h=4, m=4, r_w=2, r_h=2)
-        params = init_baseline_params(cfg, 6, 3, RngStream(3, "init"))
-        learned = {k: v for k, v in baseline_layout(cfg, 6, 3).items() if k not in RUNNING_STATS}
-        assert {k: v.shape for k, v in params.named_arrays().items()} == learned
-        enumerated = sum(v.size for v in params.named_arrays().values())
-        assert count_parameters(cfg, 6, 3, include_baseline=True) == enumerated
 
-
-# First 16 hex digits of the SHA-256 of each initial array, per init, for
-# INIT_CONFIG, 6 entities, 3 relations and RngStream(3, "init"). Any change
-# to the draw order, the fan bounds or the constant inits moves them.
-INIT_CONFIG = dict(d_w=4, d_h=4, r_w=2, r_h=2, m=4, k=3, n_static=3)
+# First 16 hex digits of the SHA-256 of each initial array of init_params,
+# for INIT_CONFIG, 6 entities, 3 relations and RngStream(3, "init"). Any
+# change to the draw order, the fan bounds or the constant inits moves
+# them.
+INIT_CONFIG = dict(d_w=4, d_h=4, r_w=2, r_h=2, m=4, k=3)
 INIT_SHA256 = {
-    "init_params": {
-        "ent": "cd1df3d2db2adc88",
-        "rel": "247683feec510eea",
-        "attn_q": "6678aef06f304fad",
-        "attn_k": "980f76da9cdda830",
-        "attn_v": "5e4a6b8bd4296642",
-        "attn_u": "7a247506d2032cb7",
-        "w_fc": "0b27508dcfd58828",
-        "b_fc": "38723a2e5e8a17aa",
-        "w_out": "7fd7709396500d90",
-        "b_out": "38723a2e5e8a17aa",
-        "bn_gamma": "6c3c396ed6b5c36d",
-        "bn_beta": "af5570f5a1810b7a",
-        "bn_mean": "834a709ba2534ebe",
-        "bn_var": "19088d37e44fec2a",
-    },
-    "init_baseline_params": {
-        "ent": "cd1df3d2db2adc88",
-        "rel": "247683feec510eea",
-        "kernels": "cdb678a022232878",
-        "w_fc": "bdf2ca9300d33f8d",
-        "b_fc": "38723a2e5e8a17aa",
-        "w_out": "a73b87322c9da983",
-        "b_out": "38723a2e5e8a17aa",
-        "bn_gamma": "6c3c396ed6b5c36d",
-        "bn_beta": "af5570f5a1810b7a",
-        "bn_mean": "696bda342649ec92",
-        "bn_var": "35bcfe1256e32004",
-    },
+    "ent": "cd1df3d2db2adc88",
+    "rel": "247683feec510eea",
+    "attn_q": "6678aef06f304fad",
+    "attn_k": "980f76da9cdda830",
+    "attn_v": "5e4a6b8bd4296642",
+    "attn_u": "7a247506d2032cb7",
+    "w_fc": "0b27508dcfd58828",
+    "b_fc": "38723a2e5e8a17aa",
+    "w_out": "7fd7709396500d90",
+    "b_out": "38723a2e5e8a17aa",
+    "bn_gamma": "6c3c396ed6b5c36d",
+    "bn_beta": "af5570f5a1810b7a",
+    "bn_mean": "834a709ba2534ebe",
+    "bn_var": "19088d37e44fec2a",
 }
 
 
-@pytest.mark.parametrize("init", [init_params, init_baseline_params], ids=["dynamic", "baseline"])
-def test_init_bytes_are_pinned(init):
-    params = init(ModelConfig(**INIT_CONFIG), 6, 3, RngStream(3, "init"))
+def test_init_bytes_are_pinned():
+    params = init_params(ModelConfig(**INIT_CONFIG), 6, 3, RngStream(3, "init"))
     digests = {name: hashlib.sha256(arr.tobytes()).hexdigest()[:16]
                for name, arr in arrays_of(params).items()}
-    assert list(digests.items()) == list(INIT_SHA256[init.__name__].items())
-
-
-class TestPlainConvBaseline:
-    CFG = dict(d_w=4, d_h=4, m=4, r_w=2, r_h=2)
-
-    def test_dimension_constraint_enforced(self):
-        cfg = tiny_config()  # d_e = 12, d_r = 16
-        with pytest.raises(ConfigError):
-            init_baseline_params(cfg, 5, 2, RngStream(0, "init"))
-
-    def test_zero_embeddings_bias_only(self):
-        cfg = tiny_config(**self.CFG)
-        params = init_baseline_params(cfg, 5, 2, RngStream(1, "init"))
-        params.ent[:] = 0.0
-        params.rel[:] = 0.0
-        logits = score_plain_conv(0, 0, params, cfg)
-        # ent is zero, so every score collapses to ent @ z = 0.
-        assert np.all(logits == 0)
-
-    def test_deterministic(self):
-        cfg = tiny_config(**self.CFG)
-        params = init_baseline_params(cfg, 5, 2, RngStream(2, "init"))
-        assert np.array_equal(
-            score_plain_conv(1, 1, params, cfg), score_plain_conv(1, 1, params, cfg)
-        )
-
-    def test_against_oracle(self):
-        cfg = tiny_config(**self.CFG)
-        params = init_baseline_params(cfg, 5, 2, RngStream(4, "init"))
-        st = RngStream(5, "stats")
-        params.bn_mean = st.uniform_signed(params.bn_mean.size, 0.3)
-        params.bn_var = 0.5 + st.uniform(params.bn_var.size)
-        arrays = {**params.named_arrays(), "bn_mean": params.bn_mean, "bn_var": params.bn_var}
-        for h, r in ((0, 0), (3, 1)):
-            got = score_plain_conv(h, r, params, cfg)
-            want = oracle_plain_conv(h, r, arrays, dims_of(cfg))
-            assert rel_err(got, want) <= 1e-10
+    assert list(digests.items()) == list(INIT_SHA256.items())
