@@ -10,7 +10,6 @@ from convd.errors import ConfigError, DegenerateBatchError, DimensionError
 from convd.model import (
     ABLATION_MODES,
     ENTITY_BLOCK,
-    RUNNING_STATS,
     ModelConfig,
     _entity_blocks,
     backward,
